@@ -5,9 +5,9 @@ TRIALS ?= 100
 # -1 = one worker per CPU
 WORKERS ?= -1
 
-.PHONY: install test test-par test-cache test-infer test-bounded lint \
-	docstrings serve-smoke fleet-smoke bench bench-par bench-explore \
-	bench-svc bench-cache bench-kernel bench-infer bench-bounding \
+.PHONY: install test test-par test-cache test-infer test-bounded test-e2e \
+	lint docstrings serve-smoke fleet-smoke bench bench-par bench-explore \
+	bench-svc bench-cache bench-kernel bench-infer bench-bounding bench-e2e \
 	golden report examples all
 
 install:
@@ -39,6 +39,11 @@ test-infer:
 # large-scale app family (bounded DPOR + PCT fallback).
 test-bounded:
 	$(PYTHON) -m pytest tests/sim/test_bounding.py tests/apps/test_large_apps.py
+
+# The end-to-end benchmark's own unit tests (job generation, metrics,
+# span attribution); pytest's default testpaths do not include them.
+test-e2e:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e -q
 
 # Critical-error lint (same rule set as the CI lint job).
 lint:
@@ -111,6 +116,11 @@ bench-infer:
 bench-bounding:
 	PYTHONPATH=src $(PYTHON) -m pytest \
 	    benchmarks/bench_explore_bounding.py --benchmark-only -s
+
+# End-to-end, layer-attributed benchmark: every workload, each in a
+# fresh interpreter, untraced (see benchmarks/e2e/README.md).
+bench-e2e:
+	python3 benchmarks/e2e/run.py
 
 # Re-record the golden trace corpus (only after a deliberate
 # trace-content change; the golden tests diff byte-for-byte).

@@ -1,36 +1,62 @@
 """On-disk entry store: atomic writes, LRU eviction, corruption fallback.
 
 The store is deliberately dumb — it maps a hex fingerprint to one JSON
-document and knows nothing about trials or explorations.  Three
+document and knows nothing about trials or explorations.  Four
 robustness rules, each proven in ``tests/cache/test_store.py``:
 
-* **Atomic writes.**  Entries are written to a ``.tmp`` sibling and
-  published with :func:`os.replace`, so a crash mid-write can never
-  leave a half-written entry where a reader would find it.
+* **Atomic writes.**  Each store writes its own ``tempfile.mkstemp``
+  sibling (``*.tmp``) and publishes it with :func:`os.replace`, so a
+  crash mid-write can never leave a half-written entry where a reader
+  would find it, and two writers of one key never share a temp file.
 * **Corruption falls back to recompute.**  A file that fails to parse,
   has the wrong schema, or whose embedded config document does not
   match the requested one is deleted and reported as a miss — the
   cache can be slow, it can never be wrong.
-* **LRU size bound.**  After every store the total byte size is checked
-  against ``max_bytes`` and the least-recently-used entries (by file
-  mtime; hits re-touch) are evicted until the bound holds.
+* **A shared byte ledger.**  The byte total of all entries lives in a
+  fixed-width file at the root (:data:`LEDGER_NAME`).  Every store takes
+  an exclusive :func:`fcntl.flock` on it, opened for that call alone so
+  no lock is inherited across a fork, and adds ``new - old`` entry size
+  *before* :func:`os.replace` publishes (a shrink is subtracted after),
+  so a writer killed mid-store, or a corrupt entry deleted on load, can
+  only over-count.  A store under ``max_bytes`` therefore costs the
+  same at any entry count; a missing or unparsable ledger (a cache
+  written before the ledger existed) is rebuilt by one scan.  The
+  ledger is on disk, not in process memory, because the daemon's pool
+  workers are separate writers of one root.
+* **LRU size bound across writers.**  Only when the ledger exceeds
+  ``max_bytes`` does a store list the entries (one :func:`os.scandir`
+  pass, one ``stat`` each), evict the least-recently-used ones (by file
+  mtime, then path; hits re-touch) until the bound holds, and rewrite
+  the exact total — all under the lock.  Once concurrent stores have
+  returned, the entries fit in ``max_bytes``.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from .fingerprint import CACHE_SCHEMA
 
-__all__ = ["CacheStore", "StoreStats", "DEFAULT_MAX_BYTES"]
+__all__ = ["CacheStore", "StoreStats", "DEFAULT_MAX_BYTES", "LEDGER_NAME"]
 
 #: Default size bound — generous for this repo's JSON entries (a 1000-trial
 #: sweep with metrics is ~1 MB), small enough to exercise eviction in tests.
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
+
+#: The byte ledger's file name at the cache root; safe to delete, since
+#: the next store rebuilds it with one scan.
+LEDGER_NAME = ".bytes"
+
+# Twenty zero-padded digits and a newline: any other content is unparsable.
+_LEDGER_DIGITS = 20
+_LEDGER_SIZE = _LEDGER_DIGITS + 1
 
 
 @dataclass(frozen=True)
@@ -46,10 +72,11 @@ class StoreStats:
 class CacheStore:
     """Filesystem store of fingerprint-keyed JSON entries.
 
-    Layout is ``root/<key[:2]>/<key>.json`` — two-hex-char fan-out keeps
-    directory listings small without mattering for correctness.  The
-    store never raises on a bad entry; every failure mode degrades to a
-    miss (``on_event("corrupt")`` lets the owner count it).
+    Layout is ``root/<key[:2]>/<key>.json`` plus the byte ledger
+    ``root/.bytes`` — two-hex-char fan-out keeps directory listings small
+    without mattering for correctness.  The store never raises on a bad
+    entry; every failure mode degrades to a miss (``on_event("corrupt")``
+    lets the owner count it).
     """
 
     def __init__(
@@ -72,14 +99,64 @@ class CacheStore:
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def _entry_files(self) -> List[Path]:
-        if not self.root.is_dir():
-            return []
-        return [p for p in self.root.glob("*/*.json") if p.is_file()]
+    def _scan(self) -> Tuple[List[Tuple[float, str, int]], List[str]]:
+        """List the shard directories once.
 
-    def _discard(self, path: Path) -> None:
+        Returns ``(mtime, path, size)`` for every entry, one ``stat``
+        each, and the paths of stray ``*.tmp`` files.  Files that vanish
+        mid-scan (a concurrent corrupt-entry delete) are skipped.
+        """
+        entries: List[Tuple[float, str, int]] = []
+        temps: List[str] = []
         try:
-            path.unlink()
+            shards = [d.path for d in os.scandir(self.root) if d.is_dir()]
+        except OSError:
+            return entries, temps
+        for shard in shards:
+            try:
+                files = list(os.scandir(shard))
+            except OSError:
+                continue
+            for f in files:
+                if f.name.endswith(".tmp"):
+                    temps.append(f.path)
+                elif f.name.endswith(".json") and f.is_file():
+                    try:
+                        st = f.stat()
+                    except OSError:
+                        continue
+                    entries.append((st.st_mtime, f.path, st.st_size))
+        return entries, temps
+
+    @contextmanager
+    def _ledger(self) -> Iterator[int]:
+        """Hold the exclusive ledger lock; yields the ledger's descriptor.
+
+        The root must exist.  Closing the descriptor releases the lock,
+        including when the process dies mid-store.
+        """
+        fd = os.open(self.root / LEDGER_NAME, os.O_RDWR | os.O_CREAT, 0o666)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            yield fd
+        finally:
+            os.close(fd)
+
+    @staticmethod
+    def _read_total(fd: int) -> Optional[int]:
+        raw = os.pread(fd, _LEDGER_SIZE + 1, 0)
+        if len(raw) != _LEDGER_SIZE or not raw.endswith(b"\n") or not raw[:-1].isdigit():
+            return None
+        return int(raw)
+
+    @staticmethod
+    def _write_total(fd: int, total: int) -> None:
+        os.pwrite(fd, b"%0*d\n" % (_LEDGER_DIGITS, total), 0)
+        os.ftruncate(fd, _LEDGER_SIZE)  # drops the tail of a longer, unparsable ledger
+
+    def _discard(self, path: Union[str, Path]) -> None:
+        try:
+            os.unlink(path)
         except OSError:
             pass
 
@@ -92,7 +169,8 @@ class CacheStore:
         the normalized config document it fingerprinted and the entry is
         only served if the stored copy compares equal.  Unreadable,
         unparsable, wrong-schema, and mismatched entries are deleted so
-        they cannot fail again.
+        they cannot fail again (the ledger keeps counting them until the
+        next scan: an over-count, never an under-count).
         """
         path = self._path(key)
         try:
@@ -117,14 +195,41 @@ class CacheStore:
         return doc
 
     def store(self, key: str, doc: Dict[str, Any]) -> None:
-        """Atomically publish ``doc`` under ``key``, then enforce the bound."""
+        """Atomically publish ``doc`` under ``key``, then enforce the bound.
+
+        Lists the entries only when the ledger says the bound is
+        exceeded (or the ledger must be rebuilt).
+        """
         path = self._path(key)
+        data = json.dumps(doc, separators=(",", ":")).encode("utf-8")
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(doc, separators=(",", ":")), encoding="utf-8")
-        os.replace(tmp, path)
-        self._event("store")
-        self._evict()
+        with self._ledger() as fd:
+            tmp_fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            try:
+                with os.fdopen(tmp_fd, "wb") as f:
+                    f.write(data)
+                total = self._read_total(fd)
+                if total is None:
+                    total = sum(size for _, _, size in self._scan()[0])
+                    self._write_total(fd, total)
+                try:
+                    old = os.stat(path).st_size
+                except FileNotFoundError:
+                    old = 0
+                delta = len(data) - old
+                if delta > 0:
+                    total += delta
+                    self._write_total(fd, total)
+                os.replace(tmp, path)
+            except BaseException:
+                self._discard(tmp)
+                raise
+            self._event("store")
+            if delta < 0:
+                total += delta
+                self._write_total(fd, total)
+        if total > self.max_bytes:
+            self._evict()
 
     def touch(self, key: str) -> None:
         """Refresh the entry's LRU position (mtime) after a hit."""
@@ -136,48 +241,44 @@ class CacheStore:
     # -- maintenance -------------------------------------------------------
 
     def _evict(self) -> int:
-        """Drop least-recently-used entries until the byte bound holds."""
-        files: List[Tuple[float, int, Path]] = []
-        total = 0
-        for p in self._entry_files():
-            try:
-                st = p.stat()
-            except OSError:
-                continue
-            files.append((st.st_mtime, st.st_size, p))
-            total += st.st_size
-        if total <= self.max_bytes:
-            return 0
-        evicted = 0
-        for _, size, p in sorted(files, key=lambda t: (t[0], str(t[2]))):
-            if total <= self.max_bytes:
-                break
-            self._discard(p)
-            total -= size
-            evicted += 1
-            self._event("evict")
+        """Drop least-recently-used entries until the byte bound holds.
+
+        Scans under the ledger lock, so the scanned total is exact and
+        replaces the ledger's.
+        """
+        with self._ledger() as fd:
+            entries, _ = self._scan()
+            total = sum(size for _, _, size in entries)
+            evicted = 0
+            for _, path, size in sorted(entries):
+                if total <= self.max_bytes:
+                    break
+                self._discard(path)
+                total -= size
+                evicted += 1
+                self._event("evict")
+            self._write_total(fd, total)
         return evicted
 
     def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
-        removed = 0
-        for p in self._entry_files():
-            self._discard(p)
-            removed += 1
-        return removed
+        """Delete every entry and stray temp file; returns how many entries were removed."""
+        if not self.root.is_dir():
+            return 0
+        with self._ledger() as fd:
+            entries, temps = self._scan()
+            for _, path, _ in entries:
+                self._discard(path)
+            for path in temps:
+                self._discard(path)
+            self._write_total(fd, 0)
+        return len(entries)
 
     def stats(self) -> StoreStats:
-        """Entry count and byte total for ``repro cache stats``."""
-        files = self._entry_files()
-        total = 0
-        for p in files:
-            try:
-                total += p.stat().st_size
-            except OSError:
-                pass
+        """Entry count and exact byte total (one scan) for ``repro cache stats``."""
+        entries, _ = self._scan()
         return StoreStats(
             root=str(self.root),
-            entries=len(files),
-            total_bytes=total,
+            entries=len(entries),
+            total_bytes=sum(size for _, _, size in entries),
             max_bytes=self.max_bytes,
         )
