@@ -76,8 +76,8 @@ bench-par:
 	REPRO_TRIALS=$(TRIALS) REPRO_WORKERS=$(WORKERS) \
 	    $(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
-# Exploration performance gates: snapshot prefix sharing, sleep-set
-# pruning, sharded DPOR scaling (DESIGN.md section 6.8).
+# Exploration performance gates: DPOR and sleep-set pruning, sharded
+# DPOR scaling (DESIGN.md section 6.8).
 bench-explore:
 	REPRO_WORKERS=$(WORKERS) $(PYTHON) -m pytest \
 	    benchmarks/bench_exploration.py benchmarks/bench_explore_scaling.py \

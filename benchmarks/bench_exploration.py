@@ -11,8 +11,6 @@ the breakpoint-forced probability.
 import dataclasses
 import time
 
-import pytest
-
 from repro.core import ConflictTrigger
 from repro.harness import render
 from repro.sim import Kernel, RandomScheduler, SharedCell, SimLock, Sleep, explore
@@ -208,82 +206,6 @@ def test_dpor_reduction(benchmark):
     assert full.complete and reduced.complete
     assert {o.observed for o in full.outcomes} == {o.observed for o in reduced.outcomes}
     assert reduced.count < full.count / 3
-
-
-def _deep_prefix_build(prefix_steps):
-    """One thread computes alone for ``prefix_steps`` scheduling points
-    (runnable set of size 1 — no branching), then spawns two racy
-    incrementers.  The schedule tree is a long bare trunk with a small
-    crown: exactly the shape where copy-on-branch snapshots pay off,
-    since stateless replay re-executes the trunk for every schedule
-    while the fork pool resumes from a holder parked at the crown."""
-    holder = {}
-
-    def build(kernel):
-        shared = SharedCell(0, name="shared")
-        holder["cell"] = shared
-
-        def racer():
-            v = yield from shared.get()
-            yield from shared.set(v + 1)
-
-        def warmup():
-            scratch = SharedCell(0, name="scratch")
-            for _ in range(prefix_steps // 2):
-                v = yield from scratch.get()
-                yield from scratch.set(v + 1)
-            kernel.spawn(racer, name="r1")
-            kernel.spawn(racer, name="r2")
-
-        kernel.spawn(warmup, name="warmup")
-
-    return build, holder
-
-
-def test_snapshot_prefix_sharing(benchmark):
-    """Copy-on-branch fork snapshots vs stateless replay on a deep
-    solo-prefix subject (trunk depth far beyond the 20-step floor)."""
-    from repro.obs import ObsContext
-    from repro.sim.snapshot import fork_available
-
-    if not fork_available():
-        pytest.skip("fork snapshots unavailable")
-
-    prefix_steps = 16000
-    rows = []
-    fingerprints = []
-    for label, snapshots in [("stateless replay", False), ("fork snapshots", True)]:
-        build, holder = _deep_prefix_build(prefix_steps)
-        obs_ctx = ObsContext.create()
-        t0 = time.perf_counter()
-        ex = explore(
-            build,
-            observe=lambda k: holder["cell"].peek(),
-            snapshots=snapshots,
-            obs=obs_ctx,
-        )
-        elapsed = time.perf_counter() - t0
-        steps = obs_ctx.metrics.snapshot()["explore.steps_executed"]["value"]
-        fingerprints.append([(tuple(o.choices), o.observed) for o in ex.outcomes])
-        rows.append((label, ex.count, steps, elapsed, ex.count / elapsed))
-
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    body = "\n".join(
-        f"{label:>18}: {count} schedules, {steps} steps executed, "
-        f"{elapsed:.2f}s, {rate:.1f} schedules/sec"
-        for label, count, steps, elapsed, rate in rows
-    )
-    (_, count0, steps0, _, rate0), (_, count1, steps1, _, rate1) = rows
-    speedup = rate1 / rate0
-    emit(
-        "Exploration — prefix sharing via kernel fork snapshots",
-        body + f"\nspeedup: {speedup:.1f}x schedules/sec, "
-        f"{steps0 / steps1:.1f}x fewer steps executed",
-    )
-    assert fingerprints[0] == fingerprints[1]  # same exploration, faster
-    assert count0 == count1 and count0 >= 20
-    assert steps1 < steps0 / 2
-    assert speedup >= 2.0, f"snapshot speedup only {speedup:.2f}x"
 
 
 def test_sleep_set_reduction(benchmark):

@@ -9,8 +9,7 @@ Commands:
   — regenerate a table of the paper's evaluation (``--trials``);
 * ``explore APP [BUG]`` — systematically enumerate the app's schedule
   space and report in what fraction of it the bug manifests
-  (``--dpor``, ``--sleep-sets``, ``--snapshots``, ``--workers``,
-  ``--max-schedules``);
+  (``--dpor``, ``--sleep-sets``, ``--workers``, ``--max-schedules``);
 * ``metrics APP`` — run one app (or a trial sweep) under the
   observability subsystem and print the metrics registry as JSON;
 * ``export-trace APP`` — record one run and export its trace as Chrome
@@ -240,8 +239,6 @@ def main(argv=None) -> int:
                        help="dynamic partial-order reduction (rejects timed programs)")
     exp_p.add_argument("--sleep-sets", action="store_true",
                        help="prune sleep-set-redundant schedules (requires --dpor)")
-    exp_p.add_argument("--snapshots", action="store_true",
-                       help="execute on the copy-on-branch fork pool")
     exp_p.add_argument("--workers", type=int, default=0, metavar="N",
                        help="shard the DPOR tree over N worker processes "
                             "(0 = serial; requires --dpor)")
@@ -722,7 +719,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _cmd_explore(args: argparse.Namespace) -> int:
     from repro.harness import explore_summary
-    from repro.obs import ObsContext
     from repro.sim.explore import Bound
     from repro.sim.timeline import render_choice_path
 
@@ -740,7 +736,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             return 2
     bound = Bound.from_values(args.bound_preemptions, args.bound_variables)
 
-    obs_ctx = ObsContext.create()
     try:
         res = explore_summary(
             args.app,
@@ -749,7 +744,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             cache=_cache_from_args(args),
             dpor=args.dpor,
             sleep_sets=args.sleep_sets,
-            snapshots=args.snapshots,
             workers=args.workers or None,
             shard_depth=args.shard_depth,
             max_schedules=args.max_schedules,
@@ -757,7 +751,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             seed=args.seed,
             timeout=args.timeout,
             bound=bound,
-            obs=obs_ctx,
         )
     except ValueError as exc:
         print(f"error: {exc}")
@@ -794,17 +787,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
                 f"{st.get('variable_cuts', 0)} variable cuts"
             )
         print(line)
-    # Pool counters only populate when the exploration actually ran in
-    # this process (a cache hit executes nothing).
-    snap = obs_ctx.metrics.snapshot()
-    pool_counters = {
-        k.rsplit(".", 1)[-1]: v.get("value", 0)
-        for k, v in snap.items()
-        if k.startswith("explore.snapshot.")
-    }
-    if pool_counters:
-        parts = ", ".join(f"{k} {v}" for k, v in sorted(pool_counters.items()))
-        print(f"  snapshot pool  : {parts}")
     for choices in res.witnesses:
         print(f"  witness        : {render_choice_path(choices)}")
     return 0

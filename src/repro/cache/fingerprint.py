@@ -171,7 +171,6 @@ def explore_config_doc(
     bug: Optional[str],
     dpor: bool,
     sleep_sets: bool,
-    snapshots: bool,
     sharded: bool,
     shard_depth: Optional[int],
     max_schedules: int,
@@ -186,8 +185,7 @@ def explore_config_doc(
     """Fingerprint-relevant fields of one exploration summary.
 
     ``dpor``/``sleep_sets`` select the reduction (the reported
-    :class:`~repro.sim.dpor.DporStats` differ across them), ``snapshots``
-    selects the pool (``pool_mode`` is part of the summary), and
+    :class:`~repro.sim.dpor.DporStats` differ across them), and
     ``sharded``/``shard_depth`` fix the frontier layout.  The *worker
     count* is absent: the sharded merge is bit-identical for any count
     (``tests/sim/test_snapshot_explore.py``).  ``max_steps`` must be
@@ -197,6 +195,10 @@ def explore_config_doc(
     cuts schedules, so it is result-relevant and must key the entry
     (``None`` = unbounded; an *active* bound equal in effect to
     unbounded still hashes separately, which only costs a re-run).
+
+    ``"snapshots"`` is a constant ``False``: it named the removed fork
+    snapshot executor, and keeping it leaves every existing cache key
+    and ring placement where it was.
     """
     return {
         "schema": CACHE_SCHEMA,
@@ -206,7 +208,7 @@ def explore_config_doc(
         "bug": bug,
         "dpor": bool(dpor),
         "sleep_sets": bool(sleep_sets),
-        "snapshots": bool(snapshots),
+        "snapshots": False,
         "sharded": bool(sharded),
         "shard_depth": int(shard_depth) if sharded and shard_depth is not None else None,
         "max_schedules": int(max_schedules),

@@ -330,7 +330,6 @@ class ResultCache:
         *,
         dpor: bool = False,
         sleep_sets: bool = False,
-        snapshots: bool = False,
         workers: Optional[int] = None,
         shard_depth: int = 2,
         max_schedules: int = 10_000,
@@ -361,7 +360,6 @@ class ResultCache:
             bug,
             dpor=dpor,
             sleep_sets=sleep_sets,
-            snapshots=snapshots,
             sharded=sharded,
             shard_depth=shard_depth if sharded else None,
             max_schedules=max_schedules,
@@ -383,7 +381,6 @@ class ResultCache:
             bug,
             dpor=dpor,
             sleep_sets=sleep_sets,
-            snapshots=snapshots,
             workers=workers,
             shard_depth=shard_depth,
             max_schedules=max_schedules,
@@ -425,7 +422,6 @@ class ResultCache:
             bug,
             dpor=dpor,
             sleep_sets=kwargs.get("sleep_sets", False),
-            snapshots=kwargs.get("snapshots", False),
             sharded=sharded,
             shard_depth=shard_depth if sharded else None,
             max_schedules=kwargs.get("max_schedules", 10_000),

@@ -24,7 +24,6 @@ from typing import Any, Dict, List, Optional
 from repro.apps import AppConfig, get_app
 from repro.sim.dpor import DporStats, explore_dpor, explore_dpor_sharded
 from repro.sim.explore import Bound, Exploration, Outcome, explore
-from repro.sim.snapshot import fork_available
 
 __all__ = [
     "AppExploration",
@@ -33,6 +32,12 @@ __all__ = [
     "explore_summary",
     "outcome_hit",
 ]
+
+#: Why ``snapshots=True`` is refused (the keyword is kept for callers).
+_SNAPSHOTS_REMOVED = (
+    "snapshots=True is no longer supported: the fork snapshot executor "
+    "was removed; every exploration replays schedules statelessly"
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -111,7 +116,7 @@ class AppExploration:
     exploration: Exploration
     #: Reduction statistics when DPOR ran, else None.
     dpor_stats: Optional[DporStats]
-    #: "fork" when the copy-on-branch snapshot pool executed the runs.
+    #: Always "stateless"; kept because the summary wire carries it.
     pool_mode: str
     #: Schedules whose oracle reported the bug, over schedules explored.
     hits: int
@@ -162,10 +167,9 @@ def _make_build_and_observe(app_name: str, cfg: AppConfig):
     """Fresh-instance build closure + oracle-evaluating observe closure.
 
     One app instance per run, exactly like the trial harness — explorers
-    re-execute ``build`` for every schedule (and in every forked runner),
-    so instance state must never leak between runs.  The holder hands the
-    run's instance to ``observe``; in fork mode both closures execute in
-    the same runner process, so the handoff is process-local.
+    re-execute ``build`` for every schedule, so instance state must never
+    leak between runs.  The holder hands the run's instance to
+    ``observe``.
     """
     cls = get_app(app_name)
     holder: Dict[str, Any] = {}
@@ -213,13 +217,15 @@ def explore_app(
     ``dpor`` switches to partial-order reduction (programs with timed
     operations are rejected — see :mod:`repro.sim.dpor`); ``workers``
     > 0 additionally shards the DPOR tree over forked worker processes.
-    ``sleep_sets``/``snapshots`` select the reduction and execution
-    strategies; snapshots silently fall back to stateless replay on
-    platforms without ``fork``.  ``bound`` applies the composable
+    ``sleep_sets`` selects the reduction; ``snapshots=True`` raises
+    ``ValueError`` (the fork snapshot executor was removed; the keyword
+    stays for existing callers).  ``bound`` applies the composable
     preemption/variable cut strategies of
     :class:`~repro.sim.explore.Bound` in every explorer mode (the bound
     is result-relevant: it joins the cache fingerprint).
     """
+    if snapshots:
+        raise ValueError(_SNAPSHOTS_REMOVED)
     if bound is not None and not bound.active:
         bound = None
     if bug is not None:
@@ -248,7 +254,6 @@ def explore_app(
             workers=workers,
             shard_depth=shard_depth,
             sleep_sets=sleep_sets,
-            snapshots=snapshots,
             bound=bound,
         )
     elif dpor:
@@ -259,7 +264,6 @@ def explore_app(
             seed=seed,
             observe=observe,
             sleep_sets=sleep_sets,
-            snapshots=snapshots,
             obs=obs,
             bound=bound,
         )
@@ -270,7 +274,6 @@ def explore_app(
             max_steps=max_steps,
             seed=seed,
             observe=observe,
-            snapshots=snapshots,
             max_time=cls.horizon,
             obs=obs,
             bound=bound,
@@ -282,7 +285,7 @@ def explore_app(
         bug=bug,
         exploration=exploration,
         dpor_stats=stats,
-        pool_mode="fork" if snapshots and fork_available() else "stateless",
+        pool_mode="stateless",
         hits=hits,
         hit_fraction=exploration.probability(outcome_hit),
         hit_probability=exploration.probability(outcome_hit, weighted=True),
@@ -296,6 +299,7 @@ def explore_summary(
     *,
     witness_limit: int = 3,
     cache: Optional[Any] = None,
+    snapshots: bool = False,
     **kwargs: Any,
 ) -> ExplorationSummary:
     """Summary-form exploration, served from ``cache`` when one is given.
@@ -306,6 +310,8 @@ def explore_summary(
     without one it is computed directly — identical either way, which is
     what ``tests/cache/test_differential.py`` asserts.
     """
+    if snapshots:
+        raise ValueError(_SNAPSHOTS_REMOVED)
     if cache is not None:
         return cache.explore(
             app_name, bug, witness_limit=witness_limit, **kwargs

@@ -24,9 +24,9 @@ semantics, plus an overflow bucket) so merging is exact bucket-wise
 addition — no approximation, no order sensitivity in the counts.
 
 The schedule explorers flush their own counter families here when given
-an obs context (``repro explore`` always does): ``explore.schedules`` /
-``explore.steps_executed`` / ``explore.replayed_choices`` for any walk,
-``explore.snapshot.parks|restores|fallback_runs`` for the fork pool, and
+an obs context (the service's explore jobs always pass one):
+``explore.schedules`` / ``explore.steps_executed`` /
+``explore.replayed_choices`` for any walk, and
 ``explore.dpor.branches_added|conservative_fallbacks|sleep_set_prunes``
 for the reduction — zero-valued counters are skipped.
 """

@@ -70,13 +70,11 @@ from .explore import Exploration, Outcome, explore, explore_sharded, merge_shard
 from .replay import RecordingScheduler, ReplayDivergence, ReplayScheduler
 from .snapshot import (
     Bound,
-    ForkSnapshotPool,
     PoolStats,
     RunRecord,
     StatelessPool,
     count_preemptions,
     fork_available,
-    make_pool,
 )
 from .thread import SimThread, TState
 from .timeline import around_breakpoints, render_choice_path, render_timeline
@@ -117,8 +115,6 @@ __all__ = [
     "RunRecord",
     "PoolStats",
     "StatelessPool",
-    "ForkSnapshotPool",
-    "make_pool",
     "fork_available",
     "render_timeline",
     "render_choice_path",

@@ -32,7 +32,7 @@ there.  The result is exact for the programs this explorer targets (no
 timers — timed operations make steps non-commutable with the clock and
 are rejected).
 
-Three orthogonal extensions on top of the base algorithm:
+Two orthogonal extensions on top of the base algorithm:
 
 * ``sleep_sets=True`` — Godefroid sleep sets: when a sibling ``t`` has
   been fully explored from a state, ``t`` enters the *sleep set* of the
@@ -50,10 +50,6 @@ Three orthogonal extensions on top of the base algorithm:
   the number of *schedules counted*, never the set of distinct
   behaviours reached — the differential battery asserts behaviour-set
   equality against plain DPOR.
-* ``snapshots=True`` — schedules execute on the copy-on-branch fork
-  pool (:mod:`repro.sim.snapshot`) instead of stateless replay; step
-  footprints are computed inside the run's own process because they key
-  on object identities.
 * :func:`explore_dpor_sharded` — the schedule tree is split at a fixed
   depth into disjoint-prefix shards (the same frontier
   :func:`repro.sim.explore.explore_sharded` uses) that run DPOR
@@ -99,7 +95,7 @@ from .explore import (
     merge_shards,
 )
 from .kernel import Kernel
-from .snapshot import make_pool
+from .snapshot import StatelessPool
 from .trace import OP
 
 __all__ = ["explore_dpor", "explore_dpor_sharded", "DporStats"]
@@ -133,8 +129,8 @@ class DporStats:
     #: proven redundant (their subtree is a commutation of an explored
     #: one), so their outcomes are dropped from the schedule count.
     sleep_set_prunes: int = 0
-    #: Kernel steps actually executed across all runs (suffix-only when
-    #: snapshots are on) — the denominator of the work saved.
+    #: Kernel steps actually executed across all runs — the
+    #: denominator of the work saved.
     executed_steps: int = 0
     #: Backtrack branches cut by the preemption bound (0 unbounded).
     preemption_cuts: int = 0
@@ -177,8 +173,8 @@ def _dependent(a: Set[Tuple[int, str]], b: Set[Tuple[int, str]]) -> bool:
 
 
 def _footprint_extras(kernel: Kernel, sched) -> dict:
-    """Pool postprocess hook: footprints must be computed in the process
-    that executed the run — they key on object identities, which are
+    """Pool postprocess hook: footprints must be computed while the
+    run's kernel is alive — they key on object identities, which are
     only meaningful there.  Every footprint comparison the explorer
     makes is between footprints of one single run (pending transitions
     at a state are state-determined, and the current run always passes
@@ -217,7 +213,6 @@ def explore_dpor(
     observe: Optional[Callable[[Kernel], object]] = None,
     *,
     sleep_sets: bool = False,
-    snapshots: bool = False,
     prefix: Sequence[int] = (),
     obs: Any = None,
     bound: Optional[Bound] = None,
@@ -233,8 +228,8 @@ def explore_dpor(
     subtree under the forced prefix; it is only sound when every sibling
     alternative above ``len(prefix)`` is explored elsewhere, which is
     exactly what :func:`explore_dpor_sharded`'s exhaustive frontier
-    guarantees.  ``sleep_sets``/``snapshots``/``obs`` are documented in
-    the module docstring.
+    guarantees.  ``sleep_sets`` is documented in the module docstring;
+    ``obs`` collects the ``explore.*`` counters.
 
     ``bound`` (a :class:`~repro.sim.explore.Bound`) cuts over-budget
     backtrack branches before they are taken — counted per strategy in
@@ -245,9 +240,8 @@ def explore_dpor(
         bound = None
     want_vars = bound is not None and bound.variables is not None
     base = len(prefix)
-    pool = make_pool(
+    pool = StatelessPool(
         build,
-        snapshots=snapshots,
         seed=seed,
         max_steps=max_steps,
         record_trace=True,
@@ -475,7 +469,6 @@ def explore_dpor(
             stats,
         )
     finally:
-        pool.close()
         _flush_explore_obs(
             obs,
             pool.stats,
@@ -516,7 +509,6 @@ def explore_dpor_sharded(
     shard_depth: int = 2,
     *,
     sleep_sets: bool = False,
-    snapshots: bool = False,
     fault_hook: Optional[Callable[[int, int], None]] = None,
     bound: Optional[Bound] = None,
 ) -> Tuple[Exploration, DporStats]:
@@ -558,7 +550,6 @@ def explore_dpor_sharded(
             seed=seed,
             observe=observe,
             sleep_sets=sleep_sets,
-            snapshots=snapshots,
             prefix=shard_prefix,
             bound=bound,
         )

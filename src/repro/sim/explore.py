@@ -1,20 +1,10 @@
 """Exhaustive (bounded) schedule exploration — a tiny model checker.
 
 Enumerates *every* interleaving of a small simulated program by DFS over
-scheduling choices.  Two execution modes share one DFS loop:
-
-* **stateless** (default, the seed behaviour): each schedule re-executes
-  from step 0 with a forced choice prefix — the kernel is deterministic
-  given the choices, so replay is exact but costs O(total steps) per
-  schedule;
-* **snapshots** (``snapshots=True``): schedules resume from
-  copy-on-branch process forks parked at the deepest shared prefix
-  (:mod:`repro.sim.snapshot`), costing O(suffix steps) per schedule.
-  The two modes enumerate the identical outcomes in the identical
-  order by construction — both drive the same DFS over the same
-  per-run :class:`~repro.sim.snapshot.RunRecord` data — and
-  ``tests/sim/test_snapshot_explore.py`` asserts it differentially
-  across every registered app.
+scheduling choices.  Each schedule re-executes from step 0 with a
+forced choice prefix (:class:`~repro.sim.snapshot.StatelessPool`) — the
+kernel is deterministic given the choices, so replay is exact and costs
+O(steps) per schedule.
 
 In the paper's terms this is the CHESS-style systematic baseline
 [25, 26]: it proves a Heisenbug's schedule *exists* and measures how
@@ -36,7 +26,7 @@ import multiprocessing
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .kernel import Kernel, RunResult
-from .snapshot import Bound, PoolStats, _DFSScheduler, count_preemptions, make_pool
+from .snapshot import Bound, PoolStats, StatelessPool, _DFSScheduler, count_preemptions
 
 __all__ = [
     "Bound",
@@ -257,9 +247,6 @@ def _flush_explore_obs(obs: Any, stats: PoolStats, extra: Optional[Dict[str, int
         "explore.schedules": stats.runs,
         "explore.steps_executed": stats.executed_steps,
         "explore.replayed_choices": stats.replayed_choices,
-        "explore.snapshot.parks": stats.parks,
-        "explore.snapshot.restores": stats.restores,
-        "explore.snapshot.fallback_runs": stats.fallback_runs,
     }
     if extra:
         counts.update(extra)
@@ -273,7 +260,6 @@ def explore(
     seed: int = 0,
     observe: Optional[Callable[[Kernel], object]] = None,
     prefix: Sequence[int] = (),
-    snapshots: bool = False,
     max_time: float = math.inf,
     obs: Any = None,
     bound: Optional[Bound] = None,
@@ -292,19 +278,8 @@ def explore(
     This is the sharding primitive of :func:`explore_sharded` — subtrees
     of distinct same-length prefixes are disjoint by construction.
 
-    ``snapshots=True`` executes schedules on the copy-on-branch fork
-    pool (:mod:`repro.sim.snapshot`): runs resume from the deepest
-    parked snapshot instead of replaying the shared prefix.  Outcomes
-    are identical to stateless mode except that process-local result
-    fields (live thread objects, the deadlock exception instance) are
-    stripped exactly as :func:`explore_sharded` strips them, and
-    ``build``/``observe`` execute in forked children — side effects on
-    parent state do not propagate, only ``observe``'s (picklable)
-    return value does.  Falls back to stateless execution when ``fork``
-    is unavailable.
-
     ``obs`` (an :class:`repro.obs.ObsContext`) collects ``explore.*``
-    counters: schedules, steps executed, snapshot parks/restores.
+    counters: schedules, steps executed, replayed choices, cuts.
 
     ``bound`` applies the composable cut strategies of :class:`Bound`:
     branches whose schedule would exceed the preemption or variable
@@ -316,9 +291,8 @@ def explore(
     if bound is not None and not bound.active:
         bound = None
     want_vars = bound is not None and bound.variables is not None
-    pool = make_pool(
+    pool = StatelessPool(
         build,
-        snapshots=snapshots,
         seed=seed,
         max_steps=max_steps,
         max_time=max_time,
@@ -357,9 +331,7 @@ def explore(
             # starts a branch nobody has visited yet (unbounded descent
             # always picks the minimum, so "other than" reduces to
             # "greater than" there).  Push shallow-first so the DFS
-            # pops the deepest branch next (keeps the stack small — and
-            # keeps the pop adjacent to the deepest parked snapshots in
-            # fork mode).
+            # pops the deepest branch next (keeps the stack small).
             if bound is None:
                 for depth in range(len(prefix), len(rec.choices)):
                     chosen = rec.choices[depth]
@@ -402,7 +374,6 @@ def explore(
             variable_cuts=vcuts,
         )
     finally:
-        pool.close()
         _flush_explore_obs(
             obs,
             pool.stats,

@@ -1234,8 +1234,8 @@ class Kernel:
         reachable from threads.  Two kernels that executed the same
         choice sequence produce the same signature *in any process* —
         identities are ``uid``/``tid`` based, never ``id()`` based — so
-        the snapshot executor can prove a restored run ended in the
-        state a full replay reaches (``RunRecord.signature``).
+        the determinism tests can check that the fast kernel and the
+        reference kernel end one schedule in the same state.
 
         It is a fidelity check, not a full heap dump: application state
         held in plain Python objects is outside the kernel's view (the

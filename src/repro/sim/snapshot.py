@@ -1,66 +1,27 @@
-"""Copy-on-branch kernel snapshots — incremental exploration executors.
+"""Schedule execution for the DFS explorers.
 
-The DFS explorers (:mod:`repro.sim.explore`, :mod:`repro.sim.dpor`)
-re-execute every schedule from step 0 with a forced choice prefix, so a
-leaf at depth *d* costs O(d) even when it shares d-1 choices with the
-previous leaf.  The cure is a *snapshot* of the kernel at each branch
-point that later runs restore instead of replaying.
+The explorers (:mod:`repro.sim.explore`, :mod:`repro.sim.dpor`) walk a
+schedule tree by forced choice prefixes.  :class:`StatelessPool` turns
+one prefix into one executed schedule: a fresh kernel, the forced
+prefix replayed from step 0, then a lowest-tid free descent
+(:class:`_DFSScheduler`), handed back as a :class:`RunRecord`.  The
+kernel is deterministic given the choices, so replay is exact; its cost
+is O(steps) per schedule.
 
-A direct ``Kernel.snapshot()`` that copies the object graph is
-impossible in CPython: the continuation state of every simulated thread
-lives in a suspended *generator frame*, and generator frames can be
-neither deep-copied nor pickled.  This module therefore implements the
-equivalent **copy-on-branch process fork**: at each branch point the
-running kernel forks, the parent *parks* as a live snapshot holder (the
-process image — threads, locks, condition/semaphore/barrier/event
-queues, shared cells, timers, clock, RNG, trace position, obs
-accumulators — is the snapshot, kept cheap by copy-on-write pages), and
-the child continues the run.  To execute a new schedule the coordinator
-picks the parked holder with the deepest prefix of the target choice
-sequence and forks a runner from it, so only the suffix beyond the
-shared prefix is executed.
+Schedules are deliberately not resumed from forked snapshots of a
+shared prefix: registry schedules are 8–483 kernel steps, and a fork
+plus its bookkeeping per branch point costs more than replaying the
+prefix (DESIGN.md section 6.8 has the measurements).
 
-Both executors present the same :class:`RunRecord`-returning ``run``
-API, which is what lets the explorers guarantee identical output in
-either mode by construction:
-
-* :class:`StatelessPool` — the seed behaviour: fresh kernel, full
-  replay, in-process.
-* :class:`ForkSnapshotPool` — the copy-on-branch executor described
-  above (POSIX ``fork`` + a unix-domain control socket).
-
-Protocol (coordinator <-> forked processes), all messages pickled with
-a length prefix:
-
-* ``("holder", pid, prefix|None)`` — a parked process registers itself
-  as the snapshot for ``prefix`` (``None`` = the pristine root).
-* ``("run", run_id, prefix, skip_depths)`` — coordinator asks a holder
-  to fork a runner that continues to ``prefix`` and explores freely
-  beyond it.  ``skip_depths`` are depths already held by registered
-  snapshots, so the runner does not park duplicates there.
-* ``("begin", run_id, pid)`` — the runner announces itself (used for
-  crash detection: holders auto-reap via ``SIGCHLD=SIG_IGN``, so a
-  vanished pid means the runner died).
-* ``("result", run_id, RunRecord)`` / ``("error", run_id, exc, text)``.
-
-Crash safety: a holder or runner that dies is dropped and the run is
-retried from the next-shallower snapshot, falling back to an in-process
-stateless run — which produces the identical record — as the last
-resort.  The exploration degrades, it does not abort.
+:class:`Bound` and :func:`count_preemptions` live here because the
+scheduler enforces the preemption budget during the free descent.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-import pickle
-import selectors
-import signal
-import socket
-import struct
-import tempfile
-import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .kernel import Kernel, RunResult
 from .scheduler import Scheduler
@@ -71,9 +32,7 @@ __all__ = [
     "RunRecord",
     "PoolStats",
     "StatelessPool",
-    "ForkSnapshotPool",
     "count_preemptions",
-    "make_pool",
     "fork_available",
 ]
 
@@ -167,8 +126,8 @@ class _DFSScheduler(Scheduler):
     or any budget the run never reaches, behaviour is bit-identical to
     the unbounded scheduler.  ``self.preemptions`` counts preemptive
     switches incrementally (forced-prefix ones included), a pure
-    function of ``(choices, runnable_sets)`` — which is what keeps the
-    count consistent when a forked snapshot resumes mid-schedule.
+    function of ``(choices, runnable_sets)`` (see
+    :func:`count_preemptions`).
     """
 
     def __init__(self, prefix: Sequence[int], bound: Optional["Bound"] = None) -> None:
@@ -206,36 +165,22 @@ class _DFSScheduler(Scheduler):
 
 
 def fork_available() -> bool:
-    """True when the copy-on-branch executor can run on this platform."""
-    return hasattr(os, "fork") and hasattr(socket, "AF_UNIX")
+    """True when this platform can fork worker processes (sharded
+    exploration, the service's worker pool)."""
+    return hasattr(os, "fork")
 
 
 @dataclasses.dataclass
 class RunRecord:
-    """Everything one executed schedule hands back to a DFS loop.
-
-    Identical regardless of which executor produced it (the fork
-    executor sanitizes the result exactly like shard workers do), which
-    is what the differential battery in
-    ``tests/sim/test_snapshot_explore.py`` asserts.
-    """
+    """Everything one executed schedule hands back to a DFS loop."""
 
     choices: Tuple[int, ...]
     runnable_sets: Tuple[Tuple[int, ...], ...]
     result: RunResult
     observed: Any
-    #: ``Kernel.state_signature()`` at end of run — a process-portable
-    #: digest of scheduling-visible kernel state, used to assert that a
-    #: restored snapshot ended in the same state a full replay reaches.
-    signature: str
-    #: Executor-agnostic extension data (e.g. DPOR step footprints,
-    #: computed in-process because they key on object identities).
+    #: Explorer-specific extension data (e.g. DPOR step footprints,
+    #: which key on object identities of this run's kernel).
     extras: Optional[dict]
-    #: Kernel steps this run's process actually executed (suffix only
-    #: when served from a snapshot).
-    suffix_steps: int
-    #: Forced choices re-fed beyond the serving snapshot's depth.
-    replayed_choices: int
     #: Preemptive context switches in this schedule (see
     #: :func:`count_preemptions`, of which this is the incremental form).
     preemptions: int = 0
@@ -245,17 +190,13 @@ class RunRecord:
 class PoolStats:
     """Executor counters; surfaced as ``explore.*`` obs metrics."""
 
-    mode: str
     runs: int = 0
-    parks: int = 0  # snapshots taken (fork executor)
-    restores: int = 0  # runs served from a parked snapshot
-    fallback_runs: int = 0  # stateless in-process retries
-    executed_steps: int = 0  # kernel steps actually executed
-    replayed_choices: int = 0  # forced choices re-fed past snapshots
+    executed_steps: int = 0  # kernel steps executed
+    replayed_choices: int = 0  # forced choices re-fed from step 0
 
 
 class StatelessPool:
-    """The seed executor: fresh kernel + full replay per schedule."""
+    """Fresh kernel + full replay per schedule."""
 
     def __init__(
         self,
@@ -267,7 +208,6 @@ class StatelessPool:
         record_trace: bool = False,
         observe: Optional[Callable[[Kernel], object]] = None,
         postprocess: Optional[Callable[[Kernel, _DFSScheduler], dict]] = None,
-        sanitize: bool = False,
         bound: Optional[Bound] = None,
     ) -> None:
         self._build = build
@@ -277,9 +217,8 @@ class StatelessPool:
         self._record_trace = record_trace
         self._observe = observe
         self._postprocess = postprocess
-        self._sanitize = sanitize
         self._bound = bound
-        self.stats = PoolStats(mode="stateless")
+        self.stats = PoolStats()
 
     def run(self, prefix: Sequence[int]) -> RunRecord:
         """Execute one schedule from scratch (O(depth) replay)."""
@@ -295,8 +234,6 @@ class StatelessPool:
             if self._postprocess is not None
             else None
         )
-        if self._sanitize:
-            result = _sanitize_result(result)
         self.stats.runs += 1
         self.stats.executed_steps += kernel.step
         self.stats.replayed_choices += len(sched.prefix)
@@ -305,682 +242,6 @@ class StatelessPool:
             runnable_sets=tuple(sched.runnable_sets),
             result=result,
             observed=observed,
-            signature=kernel.state_signature(),
             extras=extras,
-            suffix_steps=kernel.step,
-            replayed_choices=len(sched.prefix),
             preemptions=sched.preemptions,
         )
-
-    def close(self) -> None:
-        pass
-
-    def __enter__(self) -> "StatelessPool":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-
-def _sanitize_result(result: RunResult) -> RunResult:
-    """Strip process-local data (live generators, exception identity,
-    trace events holding thread objects) — same fields the shard workers
-    of ``explore_sharded`` strip."""
-    if result.threads or result.deadlock is not None or result.trace is not None:
-        result = dataclasses.replace(
-            result, threads=[], deadlock=None, trace=None
-        )
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Wire helpers (blocking side — used by forked children)
-# ---------------------------------------------------------------------------
-
-_LEN = struct.Struct("!I")
-
-
-def _send_msg(sock: socket.socket, obj: Any) -> None:
-    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    sock.sendall(_LEN.pack(len(data)) + data)
-
-
-def _send_safe(sock: socket.socket, obj: Any) -> bool:
-    try:
-        _send_msg(sock, obj)
-        return True
-    except OSError:
-        return False
-
-
-def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
-    buf = b""
-    while len(buf) < n:
-        try:
-            chunk = sock.recv(n - len(buf))
-        except OSError:
-            return None
-        if not chunk:
-            return None
-        buf += chunk
-    return buf
-
-
-def _recv_msg(sock: socket.socket) -> Optional[Any]:
-    head = _recv_exact(sock, _LEN.size)
-    if head is None:
-        return None
-    body = _recv_exact(sock, _LEN.unpack(head)[0])
-    if body is None:
-        return None
-    return pickle.loads(body)
-
-
-def _connect(addr: str) -> socket.socket:
-    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    sock.connect(addr)
-    return sock
-
-
-def _alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        pass
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Child side
-# ---------------------------------------------------------------------------
-
-
-class _ChildCtx:
-    """Per-run mutable identity inside the forked process tree.
-
-    One instance is created before the root fork and inherited
-    everywhere; activation of a parked holder rebinds ``conn``,
-    ``run_id`` and ``skip`` in the resumed child, so frames inherited
-    from an earlier run (the ``kernel.run()`` call in
-    :func:`_child_main`) finish the *current* run correctly.
-    """
-
-    def __init__(
-        self,
-        addr: str,
-        build: Callable[[Kernel], None],
-        observe: Optional[Callable[[Kernel], object]],
-        postprocess: Optional[Callable[[Kernel, _DFSScheduler], dict]],
-        seed: int,
-        max_steps: int,
-        max_time: float,
-        record_trace: bool,
-        bound: Optional[Bound] = None,
-        park_budget: int = 48,
-    ) -> None:
-        self.addr = addr
-        self.build = build
-        self.observe = observe
-        self.postprocess = postprocess
-        self.seed = seed
-        self.max_steps = max_steps
-        self.max_time = max_time
-        self.record_trace = record_trace
-        self.bound = bound
-        # The pool evicts down to its holder cap after every run, so
-        # parking more than the cap *within* one run is pure waste — on
-        # deep, wide trees (hundreds of branch points per schedule) it
-        # used to fork an unbounded holder chain and thrash the machine.
-        self.park_budget_init = park_budget
-        self.park_budget = park_budget
-        # Rebound per run:
-        self.conn: Optional[socket.socket] = None
-        self.run_id = -1
-        self.skip: Set[int] = set()
-        self.kernel: Optional[Kernel] = None
-        self.sched: Optional[_DFSScheduler] = None
-        self.steps_base = 0
-        self.replayed = 0
-
-    def maybe_park(self, sched: "_ForkDFSScheduler") -> None:
-        """At a branch point: fork; the parent parks as the snapshot
-        holder for the current choice prefix, the child continues."""
-        depth = len(sched.choices)
-        if depth in self.skip or self.park_budget <= 0:
-            return
-        self.skip.add(depth)
-        try:
-            pid = os.fork()
-        except OSError:
-            return  # cannot snapshot here; the run continues unparked
-        if pid == 0:
-            self.park_budget -= 1
-            return  # child: carry on executing the schedule
-        # Parent: park.  The blocked recv below is the snapshot at rest.
-        try:
-            conn = _connect(self.addr)
-            _send_msg(conn, ("holder", os.getpid(), tuple(sched.choices)))
-        except OSError:
-            os._exit(1)
-        run_id, prefix, skip = _park_loop(conn)
-        # Forked runner: adopt the new run identity and resume inside
-        # pick() with the remainder of the target prefix forced.
-        if list(prefix[:depth]) != sched.choices:
-            _send_error(
-                conn,
-                run_id,
-                RuntimeError(
-                    f"snapshot mismatch: parked at {tuple(sched.choices)}, "
-                    f"asked to run {prefix}"
-                ),
-            )
-            os._exit(1)
-        self.conn = conn
-        self.run_id = run_id
-        self.skip = set(skip)
-        self.park_budget = self.park_budget_init
-        assert self.kernel is not None
-        self.steps_base = self.kernel.step
-        self.replayed = len(prefix) - depth
-        sched.prefix = list(prefix)
-        _send_safe(conn, ("begin", run_id, os.getpid()))
-
-
-class _ForkDFSScheduler(_DFSScheduler):
-    """DFS scheduler that parks a copy-on-write snapshot at every new
-    branch point before choosing."""
-
-    def __init__(self, prefix: Sequence[int], ctx: _ChildCtx) -> None:
-        super().__init__(prefix, bound=ctx.bound)
-        self.ctx = ctx
-
-    def pick(self, runnable: Sequence[SimThread], step: int) -> SimThread:
-        if len(runnable) > 1:
-            self.ctx.maybe_park(self)
-        return super().pick(runnable, step)
-
-
-def _park_loop(conn: socket.socket) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
-    """Block until asked to run; returns only in the forked runner."""
-    while True:
-        msg = _recv_msg(conn)
-        if msg is None or msg[0] == "die":
-            os._exit(0)
-        if msg[0] != "run":
-            continue
-        _, run_id, prefix, skip = msg
-        try:
-            pid = os.fork()
-        except OSError:
-            _send_safe(conn, ("error", run_id, None, "fork failed in holder"))
-            continue
-        if pid == 0:
-            return run_id, tuple(prefix), tuple(skip)
-        # Parent holder keeps parking, reusable for further runs.
-
-
-def _send_error(conn: Optional[socket.socket], run_id: int, err: BaseException) -> None:
-    if conn is None:
-        return
-    try:
-        payload = pickle.dumps(err, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception:
-        payload = None
-    _send_safe(
-        conn, ("error", run_id, payload, f"{type(err).__name__}: {err}")
-    )
-
-
-def _finish_run(ctx: _ChildCtx, result: RunResult) -> None:
-    kernel, sched = ctx.kernel, ctx.sched
-    assert kernel is not None and sched is not None and ctx.conn is not None
-    observed = ctx.observe(kernel) if ctx.observe is not None else None
-    extras = (
-        ctx.postprocess(kernel, sched) if ctx.postprocess is not None else None
-    )
-    rec = RunRecord(
-        choices=tuple(sched.choices),
-        runnable_sets=tuple(sched.runnable_sets),
-        result=_sanitize_result(result),
-        observed=observed,
-        signature=kernel.state_signature(),
-        extras=extras,
-        suffix_steps=kernel.step - ctx.steps_base,
-        replayed_choices=ctx.replayed,
-        preemptions=sched.preemptions,
-    )
-    _send_safe(ctx.conn, ("result", ctx.run_id, rec))
-
-
-def _child_main(ctx: _ChildCtx, inherited: List[socket.socket]) -> None:
-    """Root of the forked subtree; never returns."""
-    # Auto-reap every descendant: the disposition is inherited, so no
-    # holder or runner in this subtree ever leaves a zombie.  Set only
-    # here — the coordinator process must keep normal SIGCHLD semantics
-    # (multiprocessing and the coordinator's own waitpid rely on them).
-    signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-    for sock in inherited:
-        try:
-            sock.close()
-        except OSError:
-            pass
-    try:
-        conn = _connect(ctx.addr)
-        _send_msg(conn, ("holder", os.getpid(), None))
-    except OSError:
-        os._exit(1)
-    run_id, prefix, skip = _park_loop(conn)
-    # Runner forked from the pristine root: fresh kernel, full replay.
-    ctx.conn = conn
-    ctx.run_id = run_id
-    ctx.skip = set(skip)
-    ctx.park_budget = ctx.park_budget_init
-    _send_safe(conn, ("begin", run_id, os.getpid()))
-    try:
-        sched = _ForkDFSScheduler(prefix, ctx)
-        kernel = Kernel(
-            scheduler=sched, seed=ctx.seed, record_trace=ctx.record_trace
-        )
-        ctx.kernel = kernel
-        ctx.sched = sched
-        ctx.steps_base = 0
-        ctx.replayed = len(prefix)
-        ctx.build(kernel)
-        result = kernel.run(max_steps=ctx.max_steps, max_time=ctx.max_time)
-        # NOTE: if this run was handed off through parked holders, the
-        # lines below execute in a *descendant* process with ctx rebound
-        # to that run's identity — exactly what _finish_run needs.
-        _finish_run(ctx, result)
-    except BaseException as err:  # noqa: BLE001 — forwarded to coordinator
-        _send_error(ctx.conn, ctx.run_id, err)
-        os._exit(1)
-    os._exit(0)
-
-
-# ---------------------------------------------------------------------------
-# Coordinator side
-# ---------------------------------------------------------------------------
-
-
-class _CoordConn:
-    """Non-blocking connection with frame reassembly."""
-
-    def __init__(self, sock: socket.socket) -> None:
-        self.sock = sock
-        self.buf = b""
-        self.closed = False
-        self.prefix: Optional[Tuple[int, ...]] = None  # set for holders
-        self.pid: Optional[int] = None
-        self.touch = 0
-
-    def read(self) -> Tuple[List[Any], bool]:
-        msgs: List[Any] = []
-        eof = False
-        while True:
-            try:
-                chunk = self.sock.recv(65536)
-            except BlockingIOError:
-                break
-            except OSError:
-                eof = True
-                break
-            if not chunk:
-                eof = True
-                break
-            self.buf += chunk
-        while len(self.buf) >= _LEN.size:
-            (n,) = _LEN.unpack(self.buf[: _LEN.size])
-            if len(self.buf) < _LEN.size + n:
-                break
-            body = self.buf[_LEN.size : _LEN.size + n]
-            self.buf = self.buf[_LEN.size + n :]
-            msgs.append(pickle.loads(body))
-        return msgs, eof
-
-
-class ForkSnapshotPool:
-    """Copy-on-branch snapshot executor (see module docstring)."""
-
-    def __init__(
-        self,
-        build: Callable[[Kernel], None],
-        *,
-        seed: int = 0,
-        max_steps: int = 20_000,
-        max_time: float = float("inf"),
-        record_trace: bool = False,
-        observe: Optional[Callable[[Kernel], object]] = None,
-        postprocess: Optional[Callable[[Kernel, _DFSScheduler], dict]] = None,
-        max_holders: int = 48,
-        bound: Optional[Bound] = None,
-    ) -> None:
-        if not fork_available():
-            raise RuntimeError("ForkSnapshotPool requires os.fork and AF_UNIX")
-        self.stats = PoolStats(mode="fork")
-        self._max_holders = max_holders
-        self._serial = StatelessPool(
-            build,
-            seed=seed,
-            max_steps=max_steps,
-            max_time=max_time,
-            record_trace=record_trace,
-            observe=observe,
-            postprocess=postprocess,
-            sanitize=True,
-            bound=bound,
-        )
-        self._dir = tempfile.mkdtemp(prefix="repro-snap-")
-        self._addr = os.path.join(self._dir, "ctl.sock")
-        self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        self._listener.bind(self._addr)
-        self._listener.listen(128)
-        self._listener.setblocking(False)
-        self._sel = selectors.DefaultSelector()
-        self._sel.register(self._listener, selectors.EVENT_READ, None)
-        self._holders: Dict[Tuple[int, ...], _CoordConn] = {}
-        self._root: Optional[_CoordConn] = None
-        self._inbox: Dict[int, Tuple[str, Any, Any]] = {}
-        self._begun: Dict[int, int] = {}
-        self._next_run_id = 0
-        self._tick = 0
-        self._closed = False
-        ctx = _ChildCtx(
-            self._addr,
-            build,
-            observe,
-            postprocess,
-            seed,
-            max_steps,
-            max_time,
-            record_trace,
-            bound=bound,
-            park_budget=max_holders,
-        )
-        pid = os.fork()
-        if pid == 0:
-            _child_main(ctx, [self._listener])
-            os._exit(1)  # unreachable
-        self._root_pid = pid
-        # Wait for the root to register (it is doing interpreter-warm
-        # work only: connect + one send).
-        deadline = time.monotonic() + 10.0
-        while self._root is None and time.monotonic() < deadline:
-            self._pump(0.05)
-            if not _alive(self._root_pid):
-                break
-
-    # -- event pump ----------------------------------------------------
-    def _pump(self, timeout: float) -> None:
-        for key, _ in self._sel.select(timeout):
-            if key.fileobj is self._listener:
-                while True:
-                    try:
-                        sock, _ = self._listener.accept()
-                    except (BlockingIOError, OSError):
-                        break
-                    sock.setblocking(False)
-                    conn = _CoordConn(sock)
-                    self._sel.register(sock, selectors.EVENT_READ, conn)
-                continue
-            conn = key.data
-            msgs, eof = conn.read()
-            for msg in msgs:
-                self._dispatch(conn, msg)
-            if eof:
-                self._forget(conn)
-
-    def _dispatch(self, conn: _CoordConn, msg: Any) -> None:
-        kind = msg[0]
-        if kind == "holder":
-            _, pid, prefix = msg
-            conn.pid = pid
-            self._tick += 1
-            conn.touch = self._tick
-            if prefix is None:
-                self._root = conn
-                return
-            key = tuple(prefix)
-            conn.prefix = key
-            old = self._holders.get(key)
-            if old is not None and old is not conn:
-                self._kill_holder(old)
-            self._holders[key] = conn
-            self.stats.parks += 1
-        elif kind == "begin":
-            self._begun[msg[1]] = msg[2]
-        elif kind == "result":
-            self._inbox[msg[1]] = ("ok", msg[2], None)
-        elif kind == "error":
-            self._inbox[msg[1]] = ("error", msg[2], msg[3])
-
-    def _forget(self, conn: _CoordConn) -> None:
-        try:
-            self._sel.unregister(conn.sock)
-        except (KeyError, ValueError):
-            pass
-        try:
-            conn.sock.close()
-        except OSError:
-            pass
-        conn.closed = True
-        if conn.prefix is not None and self._holders.get(conn.prefix) is conn:
-            del self._holders[conn.prefix]
-        if self._root is conn:
-            self._root = None
-
-    def _kill_holder(self, conn: _CoordConn) -> None:
-        _send_coord(conn, ("die",))
-        self._forget(conn)
-
-    # -- serving -------------------------------------------------------
-    def _best_holder(self, prefix: Tuple[int, ...]) -> Optional[_CoordConn]:
-        best: Optional[_CoordConn] = None
-        best_len = -1
-        for key, conn in self._holders.items():
-            if len(key) > len(prefix) or conn.closed:
-                continue
-            if prefix[: len(key)] == key and len(key) > best_len:
-                best, best_len = conn, len(key)
-        if best is not None:
-            return best
-        return self._root
-
-    def _skip_depths(self, prefix: Tuple[int, ...]) -> Tuple[int, ...]:
-        return tuple(
-            sorted(
-                len(key)
-                for key in self._holders
-                if len(key) <= len(prefix) and prefix[: len(key)] == key
-            )
-        )
-
-    def run(self, prefix: Sequence[int]) -> RunRecord:
-        """Execute one schedule from the deepest parked prefix holder."""
-        prefix = tuple(int(x) for x in prefix)
-        self._pump(0.0)
-        while not self._closed:
-            holder = self._best_holder(prefix)
-            if holder is None:
-                break
-            run_id = self._next_run_id
-            self._next_run_id += 1
-            self._tick += 1
-            holder.touch = self._tick
-            if not _send_coord(
-                holder, ("run", run_id, prefix, self._skip_depths(prefix))
-            ):
-                self._forget(holder)
-                continue
-            outcome = self._await(run_id, holder)
-            if outcome is None:
-                # Lost runner/holder: drop the snapshot, retry shallower.
-                self._forget(holder)
-                continue
-            kind, payload, text = outcome
-            if kind == "error":
-                raise _unpickle_error(payload, text)
-            rec: RunRecord = payload
-            self.stats.runs += 1
-            self.stats.executed_steps += rec.suffix_steps
-            self.stats.replayed_choices += rec.replayed_choices
-            if holder.prefix is not None:
-                self.stats.restores += 1
-            self._evict()
-            return rec
-        # Every snapshot path failed: identical record, in-process.
-        self.stats.fallback_runs += 1
-        rec = self._serial.run(prefix)
-        self.stats.runs += 1
-        self.stats.executed_steps += rec.suffix_steps
-        self.stats.replayed_choices += rec.replayed_choices
-        return rec
-
-    def _await(self, run_id: int, serving: _CoordConn) -> Optional[Tuple[str, Any, Any]]:
-        grace: Optional[float] = None
-        while True:
-            self._pump(0.05)
-            if run_id in self._inbox:
-                self._begun.pop(run_id, None)
-                return self._inbox.pop(run_id)
-            if serving.closed:
-                return None
-            pid = self._begun.get(run_id, serving.pid)
-            if pid is not None and not _alive(pid):
-                # The runner is gone; give in-flight bytes a moment.
-                now = time.monotonic()
-                if grace is None:
-                    grace = now + 0.5
-                elif now > grace:
-                    self._begun.pop(run_id, None)
-                    return None
-
-    def _evict(self) -> None:
-        while len(self._holders) > self._max_holders:
-            victim = min(self._holders.values(), key=lambda c: c.touch)
-            self._kill_holder(victim)
-
-    # -- lifecycle -----------------------------------------------------
-    def close(self) -> None:
-        """Tear down the pool and reap every parked holder."""
-        if self._closed:
-            return
-        self._closed = True
-        for conn in list(self._holders.values()):
-            self._kill_holder(conn)
-        if self._root is not None:
-            self._kill_holder(self._root)
-        for key in list(self._sel.get_map().values()):
-            if key.fileobj is self._listener:
-                continue
-            self._forget(key.data)
-        try:
-            self._sel.unregister(self._listener)
-        except (KeyError, ValueError):
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        self._sel.close()
-        try:
-            os.unlink(self._addr)
-        except OSError:
-            pass
-        try:
-            os.rmdir(self._dir)
-        except OSError:
-            pass
-        # The root is this process's direct child; reap it.
-        deadline = time.monotonic() + 2.0
-        while _alive(self._root_pid) and time.monotonic() < deadline:
-            try:
-                pid, _ = os.waitpid(self._root_pid, os.WNOHANG)
-            except ChildProcessError:
-                return
-            if pid:
-                return
-            time.sleep(0.01)
-        try:
-            os.kill(self._root_pid, signal.SIGKILL)
-            os.waitpid(self._root_pid, 0)
-        except (ProcessLookupError, ChildProcessError, OSError):
-            pass
-
-    def __enter__(self) -> "ForkSnapshotPool":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # last-resort cleanup
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
-def _send_coord(conn: _CoordConn, obj: Any) -> bool:
-    if conn.closed:
-        return False
-    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    payload = _LEN.pack(len(data)) + data
-    try:
-        conn.sock.setblocking(True)
-        conn.sock.sendall(payload)
-        conn.sock.setblocking(False)
-        return True
-    except OSError:
-        return False
-
-
-def _unpickle_error(payload: Optional[bytes], text: Any) -> BaseException:
-    if payload is not None:
-        try:
-            err = pickle.loads(payload)
-            if isinstance(err, BaseException):
-                return err
-        except Exception:
-            pass
-    return RuntimeError(f"exploration worker failed: {text}")
-
-
-def make_pool(
-    build: Callable[[Kernel], None],
-    *,
-    snapshots: bool = False,
-    seed: int = 0,
-    max_steps: int = 20_000,
-    max_time: float = float("inf"),
-    record_trace: bool = False,
-    observe: Optional[Callable[[Kernel], object]] = None,
-    postprocess: Optional[Callable[[Kernel, _DFSScheduler], dict]] = None,
-    max_holders: int = 48,
-    bound: Optional[Bound] = None,
-):
-    """Pick the executor: fork-based snapshots when requested and
-    available, the seed stateless replayer otherwise."""
-    if snapshots and fork_available():
-        return ForkSnapshotPool(
-            build,
-            seed=seed,
-            max_steps=max_steps,
-            max_time=max_time,
-            record_trace=record_trace,
-            observe=observe,
-            postprocess=postprocess,
-            max_holders=max_holders,
-            bound=bound,
-        )
-    return StatelessPool(
-        build,
-        seed=seed,
-        max_steps=max_steps,
-        max_time=max_time,
-        record_trace=record_trace,
-        observe=observe,
-        postprocess=postprocess,
-        sanitize=snapshots,
-        bound=bound,
-    )

@@ -380,7 +380,6 @@ class ReproClient:
         *,
         dpor: bool = False,
         sleep_sets: bool = False,
-        snapshots: bool = False,
         workers: int = 0,
         max_schedules: int = 2000,
         seed: int = 0,
@@ -397,7 +396,6 @@ class ReproClient:
             bug=bug,
             dpor=dpor,
             sleep_sets=sleep_sets,
-            snapshots=snapshots,
             workers=workers,
             max_schedules=max_schedules,
             seed=seed,

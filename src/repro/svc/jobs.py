@@ -99,6 +99,8 @@ class JobSpec:
     # --- exploration parameters (repro.harness.explore_app) ---
     dpor: bool = False
     sleep_sets: bool = False
+    #: Named the removed fork snapshot executor.  Kept because the
+    #: ``repro.svc/1`` wire sends every field; ``validate`` refuses True.
     snapshots: bool = False
     shard_depth: int = 2
     max_schedules: int = 2000
@@ -155,6 +157,11 @@ class JobSpec:
         if self.kind == "infer" and self.steer_attempts < 0:
             raise JobValidationError(
                 f"steer_attempts must be >= 0, got {self.steer_attempts}"
+            )
+        if self.snapshots:
+            raise JobValidationError(
+                "snapshots is no longer supported: the fork snapshot "
+                "executor was removed (explorations replay statelessly)"
             )
         if self.kind == "explore" and self.max_schedules <= 0:
             raise JobValidationError(
@@ -322,7 +329,6 @@ def execute_job(
             cache=cache,
             dpor=spec.dpor,
             sleep_sets=spec.sleep_sets,
-            snapshots=spec.snapshots,
             workers=spec.workers or None,
             shard_depth=spec.shard_depth,
             max_schedules=spec.max_schedules,
@@ -390,7 +396,6 @@ def try_cached_result(cache: Optional[Any], spec: JobSpec) -> Optional[Dict[str,
                 ),
                 dpor=spec.dpor,
                 sleep_sets=spec.sleep_sets,
-                snapshots=spec.snapshots,
                 workers=spec.workers or None,
                 shard_depth=spec.shard_depth,
                 max_schedules=spec.max_schedules,

@@ -24,6 +24,10 @@ The harness fault model is preserved exactly:
 Workers are **recycled** (gracefully replaced) after
 ``max_jobs_per_worker`` jobs as leak hygiene, and are non-daemonic so a
 job may fan its trials over a nested :mod:`repro.harness.parallel` pool.
+A worker closes every parent-side pipe end its fork copied before it
+serves, so the daemon is the only holder of each worker's peer end: a
+daemon that dies without a goodbye (SIGKILL) reaches its idle workers
+as pipe EOF, and they exit instead of lingering as orphans.
 Because each worker rebinds the shared result cache to a private
 registry per job and ships the counter deltas back over the pipe, the
 service's ``cache.*`` metrics stay accurate across the fork boundary.
@@ -58,14 +62,20 @@ def _worker_main(
     conn,
     fault_hook: Optional[FaultHook],
     cache: Optional[Any],
+    inherited: List[Any],
 ) -> None:
     """Worker-process body: serve jobs off the pipe until told to exit.
 
     Message protocol (worker side): receive ``("job", spec, attempt)``,
     answer ``("ok", payload, cache_wire)`` or ``("err", message)``;
     receive ``("exit",)`` (or pipe EOF) and return.  A crash simply
-    never answers — the parent notices the dead process.
+    never answers — the parent notices the dead process.  ``inherited``
+    are the parent-side pipe ends the fork copied (this worker's own and
+    every other live worker's); they are closed first so that the
+    parent's death is seen here as EOF.
     """
+    for end in inherited:
+        end.close()
     while True:
         try:
             msg = conn.recv()
@@ -155,6 +165,9 @@ class WorkerPool:
         )
         self._workers: List[Optional[_Worker]] = [None] * slots
         self._lock = threading.Lock()
+        # Serialises pipe creation + fork, so no worker is forked while
+        # another worker's pipe exists but is not yet in ``_workers``.
+        self._spawn_lock = threading.Lock()
         self._stopping = False
 
     # ------------------------------------------------------------------
@@ -171,27 +184,34 @@ class WorkerPool:
         with self._lock:
             if self._stopping:
                 return None
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        # Non-daemonic: the job may spawn its own harness.parallel pool.
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(child_conn, self._fault_hook, self._cache),
-            name=f"svc-pool-{slot}",
-            daemon=False,
-        )
-        proc.start()
-        child_conn.close()
-        worker = _Worker(proc, parent_conn)
-        with self._lock:
-            if self._stopping:
-                # Lost the race with shutdown: don't publish the worker.
-                proc.kill()
-                proc.join(timeout=5)
-                worker.close()
-                return None
-            self._workers[slot] = worker
-            self._metrics.counter("svc.pool.spawned", volatile=True).inc()
-            self._count_workers_locked()
+        with self._spawn_lock:
+            parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+            inherited: List[Any] = []
+            if self._ctx.get_start_method() == "fork":
+                with self._lock:
+                    inherited = [parent_conn] + [
+                        w.conn for w in self._workers if w is not None
+                    ]
+            # Non-daemonic: the job may spawn its own harness.parallel pool.
+            proc = self._ctx.Process(
+                target=_worker_main,
+                args=(child_conn, self._fault_hook, self._cache, inherited),
+                name=f"svc-pool-{slot}",
+                daemon=False,
+            )
+            proc.start()
+            child_conn.close()
+            worker = _Worker(proc, parent_conn)
+            with self._lock:
+                if self._stopping:
+                    # Lost the race with shutdown: don't publish the worker.
+                    proc.kill()
+                    proc.join(timeout=5)
+                    worker.close()
+                    return None
+                self._workers[slot] = worker
+                self._metrics.counter("svc.pool.spawned", volatile=True).inc()
+                self._count_workers_locked()
         return worker
 
     def _count_workers_locked(self) -> None:

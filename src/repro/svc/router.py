@@ -130,7 +130,6 @@ def routing_fingerprint(spec: JobSpec) -> str:
             bug=spec.bug,
             dpor=spec.dpor,
             sleep_sets=spec.sleep_sets,
-            snapshots=spec.snapshots,
             sharded=sharded,
             shard_depth=spec.shard_depth if sharded else None,
             max_schedules=spec.max_schedules,

@@ -48,7 +48,6 @@ def _explore_kwargs(**overrides):
         bug="error1",
         dpor=False,
         sleep_sets=False,
-        snapshots=False,
         sharded=False,
         shard_depth=2,
         max_schedules=500,

@@ -295,11 +295,13 @@ class TestExplore:
         out = capsys.readouterr().out
         assert "dpor" in out
 
-    def test_snapshot_pool_reported(self, capsys):
-        assert run_cli("explore", "figure4", "--snapshots",
-                       "--max-schedules", "12") == 0
-        out = capsys.readouterr().out
-        assert "fork pool" in out
+    def test_snapshots_flag_is_rejected(self, capsys):
+        # The fork snapshot executor and its flag are gone: argparse
+        # refuses the unknown option with its usage exit code.
+        with pytest.raises(SystemExit) as exc:
+            run_cli("explore", "figure4", "--snapshots", "--max-schedules", "12")
+        assert exc.value.code == 2
+        assert "--snapshots" in capsys.readouterr().err
 
     def test_timed_app_rejected_for_dpor(self, capsys):
         assert run_cli("explore", "figure4", "--dpor") == 2

@@ -1,31 +1,25 @@
-"""Differential battery for prefix-sharing exploration.
+"""Differential battery for the exploration reductions.
 
-The copy-on-branch fork pool, the sleep-set reduction, and the sharded
-DPOR walk are all *performance* features: none of them may change what
-an exploration returns.  Every test here states that as an equality —
-snapshot runs fingerprint-identical to stateless replay, sleep sets and
-sharding behaviour-equal to the plain serial walk — plus the crash and
-weighting contracts that ride on the same machinery.
+The sleep-set reduction and the sharded DPOR walk are *performance*
+features: neither may change what an exploration returns.  Every test
+here states that as an equality — sleep sets and sharding
+behaviour-equal to the plain serial walk — plus the crash and weighting
+contracts that ride on the same machinery.
 """
 
 import os
 
 import pytest
 
-from repro.apps import ALL_APPS
-from repro.harness import explore_app
+from repro.harness import explore_app, explore_summary
 from repro.sim import SharedCell, SimLock
 from repro.sim.dpor import explore_dpor, explore_dpor_sharded
 from repro.sim.explore import explore
 from repro.sim.snapshot import fork_available
 
 pytestmark = pytest.mark.skipif(
-    not fork_available(), reason="fork snapshots unavailable on this platform"
+    not fork_available(), reason="sharded exploration needs fork"
 )
-
-#: Small caps: the equality must hold on truncated explorations too
-#: (both modes must truncate at the *same* schedule).
-APP_CAPS = dict(max_schedules=8, max_steps=1500)
 
 
 def fingerprint(ex):
@@ -51,48 +45,30 @@ def behaviours(ex):
 
 
 # ---------------------------------------------------------------------------
-# snapshot pool vs stateless replay — every registered app
+# the removed fork snapshot executor
 
 
-@pytest.mark.parametrize("app_name", sorted(ALL_APPS), ids=str)
-def test_snapshot_explore_matches_stateless(app_name):
-    runs = {
-        mode: explore_app(app_name, snapshots=mode, **APP_CAPS)
-        for mode in (False, True)
-    }
-    assert runs[True].pool_mode == "fork"
-    assert fingerprint(runs[True].exploration) == fingerprint(
-        runs[False].exploration
-    )
+def test_snapshots_keyword_is_refused():
+    with pytest.raises(ValueError, match="fork snapshot executor was removed"):
+        explore_app("bank", snapshots=True)
+    with pytest.raises(ValueError, match="fork snapshot executor was removed"):
+        explore_summary("bank", snapshots=True)
+    summary = explore_summary("bank", snapshots=False, max_schedules=3)
+    assert summary.to_wire()["pool_mode"] == "stateless"
 
 
-def test_snapshot_dpor_matches_stateless_on_bank():
-    fps = [
-        fingerprint(
-            explore_app(
-                "bank",
-                "lost_update",
-                dpor=True,
-                sleep_sets=sleep,
-                snapshots=snap,
-                max_schedules=5000,
-                params={"iters": 2},
-            ).exploration
-        )
-        for sleep in (False, True)
-        for snap in (False, True)
-    ]
-    assert fps[0] == fps[1]  # plain DPOR: fork == stateless
-    assert fps[2] == fps[3]  # sleep-set DPOR: fork == stateless
-    assert fps[0] != fps[2]  # and the modes genuinely differ in size
+# ---------------------------------------------------------------------------
+# timed programs
 
 
 def test_timed_apps_rejected_identically_in_both_modes():
     # Every Table 1/2 workload uses virtual-time sleeps; DPOR must
-    # refuse them no matter which pool executes the runs.
-    for snap in (False, True):
+    # refuse them, with or without sleep sets.
+    for sleep_sets in (False, True):
         with pytest.raises(ValueError, match="timed"):
-            explore_app("figure4", dpor=True, snapshots=snap, max_schedules=4)
+            explore_app(
+                "figure4", dpor=True, sleep_sets=sleep_sets, max_schedules=4
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -218,24 +194,23 @@ def _racy_pair_build(kernel):
 
 
 def test_weighted_probability_is_a_probability_measure():
-    for snapshots in (False, True):
-        ex = explore(
-            _racy_pair_build,
-            observe=lambda k: k._cells[0].peek(),
-            snapshots=snapshots,
-        )
-        assert ex.complete
-        total = ex.probability(lambda o: True, weighted=True)
-        assert total == pytest.approx(1.0)
-        lost = ex.probability(lambda o: o.observed == 1, weighted=True)
-        assert 0.0 < lost < 1.0
+    ex = explore(_racy_pair_build, observe=lambda k: k._cells[0].peek())
+    assert ex.complete
+    total = ex.probability(lambda o: True, weighted=True)
+    assert total == pytest.approx(1.0)
+    lost = ex.probability(lambda o: o.observed == 1, weighted=True)
+    assert 0.0 < lost < 1.0
 
 
 def test_hit_probability_consistent_between_modes():
-    runs = {
-        snap: explore_app("bank", "lost_update", dpor=True, sleep_sets=True,
-                          snapshots=snap, params={"iters": 2})
-        for snap in (False, True)
-    }
-    assert runs[True].hit_probability == runs[False].hit_probability
-    assert runs[True].hits == runs[False].hits
+    # The summary wire and a repeated run report the hit statistics of
+    # the first run exactly.
+    runs = [
+        explore_app("bank", "lost_update", dpor=True, sleep_sets=True,
+                    params={"iters": 2})
+        for _ in range(2)
+    ]
+    assert 0.0 < runs[0].hit_probability <= 1.0 and runs[0].hits > 0
+    assert runs[1].hit_probability == runs[0].hit_probability
+    assert runs[1].hits == runs[0].hits
+    assert runs[0].summary().to_wire()["hit_probability"] == runs[0].hit_probability

@@ -20,6 +20,7 @@ The claims under test are the hard ones from the operations runbook
 
 import json
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -56,6 +57,24 @@ REPO = Path(__file__).resolve().parents[2]
 
 #: A base URL nothing listens on (port 9 is reserved/discard).
 DEAD = "http://127.0.0.1:9"
+
+#: A daemon whose pool worker, on picking up a job, writes its pid to
+#: the inherited pipe ``argv[1]`` and then parks inside the job.
+_PARKING_DAEMON = """
+import os, signal, sys
+from repro.svc import ReproService, serve_forever
+
+fd, port_file = int(sys.argv[1]), sys.argv[2]
+
+def park(spec, attempt):
+    os.write(fd, b"%d\\n" % os.getpid())
+    signal.pause()
+
+sys.exit(serve_forever(
+    ReproService(slots=1, fault_hook=park).start(),
+    port_file=port_file, quiet=True,
+))
+"""
 
 
 def _sleep_hook(spec, attempt):
@@ -236,13 +255,21 @@ class TestSigkillMidJob:
         env["PYTHONPATH"] = str(REPO / "src")
         procs, urls = [], []
         router = None
+        worker_pid = None
+        # Shard 0's worker announces the job on this pipe, then parks.
+        started_r, started_w = os.pipe()
         try:
             for i in range(2):
                 pf = tmp_path / f"shard{i}.port"
+                if i == 0:
+                    argv = [sys.executable, "-c", _PARKING_DAEMON,
+                            str(started_w), str(pf)]
+                else:
+                    argv = [sys.executable, "-m", "repro", "serve", "--port", "0",
+                            "--slots", "1", "--port-file", str(pf)]
                 procs.append(subprocess.Popen(
-                    [sys.executable, "-m", "repro", "serve", "--port", "0",
-                     "--slots", "1", "--port-file", str(pf)],
-                    cwd=REPO, env=env, text=True,
+                    argv, cwd=REPO, env=env, text=True,
+                    pass_fds=(started_w,) if i == 0 else (),
                     stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
                 ))
                 deadline = time.monotonic() + 90
@@ -255,18 +282,19 @@ class TestSigkillMidJob:
             spec = _spec_owned_by(router, 0, trials=6)
             client = ReproClient(router.address)
             job_id = client.submit(spec)
-            # Wait for the owner to actually start executing, then kill
-            # it mid-run (SIGKILL: no drain, no goodbye).
-            owner = ReproClient(urls[0])
-            deadline = time.monotonic() + 60
-            while time.monotonic() < deadline:
-                if owner.metrics().get("svc.workers.busy", {}).get("value", 0) >= 1:
-                    break
-                time.sleep(0.05)
-            else:
+            # Block until the owner's worker is inside the job, then kill
+            # the daemon mid-run (SIGKILL: no drain, no goodbye) and the
+            # worker parked in the job.
+            os.close(started_w)
+            started_w = None
+            ready, _, _ = select.select([started_r], [], [], 60)
+            line = os.read(started_r, 64) if ready else b""
+            if not line:
                 pytest.fail("owning shard never started the job")
+            worker_pid = int(line)
             procs[0].send_signal(signal.SIGKILL)
             procs[0].wait(timeout=30)
+            os.kill(worker_pid, signal.SIGKILL)
             record = client.wait(job_id, timeout=120)
             assert record["state"] == "done"
             assert record["id"] == job_id  # the visible id never changed
@@ -284,6 +312,14 @@ class TestSigkillMidJob:
                 if p.poll() is None:
                     p.kill()
                     p.wait(timeout=30)
+            if worker_pid is not None:
+                try:
+                    os.kill(worker_pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            os.close(started_r)
+            if started_w is not None:
+                os.close(started_w)
 
 
 class TestTenantFairQueue:

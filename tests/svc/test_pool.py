@@ -9,14 +9,18 @@ jobs).
 """
 
 import os
+import select
+import signal
 import time
 
 import pytest
 
 from repro.apps import get_app
 from repro.harness import run_trials
+from repro.obs.metrics import MetricsRegistry
 from repro.svc import ReproService, ReproClient, JobSpec
 from repro.svc.jobs import stats_to_wire
+from repro.svc.pool import WorkerPool
 
 pytestmark = pytest.mark.skipif(
     not hasattr(os, "fork") and not hasattr(os, "posix_spawn"),
@@ -131,6 +135,53 @@ class TestFaultModel:
         svc.close()
         assert time.monotonic() - start < 10.0
         assert job_id  # the submission itself succeeded
+
+
+class TestDaemonDeath:
+    @pytest.mark.skipif(
+        not hasattr(os, "pidfd_open"), reason="needs os.pidfd_open (Linux)"
+    )
+    def test_workers_exit_when_their_daemon_is_sigkilled(self):
+        """A daemon SIGKILLed with idle workers must not orphan them:
+        each worker sees EOF on its pipe and exits."""
+        report_r, report_w = os.pipe()
+        daemon = os.fork()
+        if daemon == 0:  # the daemon: start a pool, report, wait to die
+            try:
+                os.close(report_r)
+                pool = WorkerPool(MetricsRegistry(), slots=2).start()
+                pids = " ".join(str(pool.worker_pid(s)) for s in range(2))
+                os.write(report_w, pids.encode())
+                signal.pause()
+            finally:
+                os._exit(0)
+        os.close(report_w)
+        reaped, alive = False, []
+        try:
+            ready, _, _ = select.select([report_r], [], [], 60)
+            workers = os.read(report_r, 256).split() if ready else []
+            assert len(workers) == 2, "the daemon never reported its workers"
+            # Opened while the daemon still holds them: no pid reuse.
+            alive = [os.pidfd_open(int(pid)) for pid in workers]
+            os.kill(daemon, signal.SIGKILL)
+            os.waitpid(daemon, 0)
+            reaped = True
+            deadline = time.monotonic() + 20
+            while alive and time.monotonic() < deadline:
+                timeout = max(0.0, deadline - time.monotonic())
+                ready, _, _ = select.select(alive, [], [], timeout)
+                for fd in ready:
+                    alive.remove(fd)
+                    os.close(fd)
+            assert not alive, "pool workers outlived their SIGKILLed daemon"
+        finally:
+            if not reaped:
+                os.kill(daemon, signal.SIGKILL)
+                os.waitpid(daemon, 0)
+            for fd in alive:
+                signal.pidfd_send_signal(fd, signal.SIGKILL)
+                os.close(fd)
+            os.close(report_r)
 
 
 def _sleep_long(spec, attempt):

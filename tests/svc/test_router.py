@@ -96,6 +96,18 @@ class TestRoutingFingerprint:
         with pytest.raises(KeyError):
             routing_fingerprint(JobSpec(app="nosuchapp"))
 
+    def test_explore_key_is_pinned(self):
+        """The explore placement key (and with it every cache key and
+        ring placement) is frozen: the spec still hashes the constant
+        ``"snapshots": false`` field of the removed fork executor."""
+        key = routing_fingerprint(
+            JobSpec(kind="explore", app="bank", dpor=True, sleep_sets=True,
+                    max_schedules=20, seed=7)
+        )
+        assert key == (
+            "923002875f79e9d8ffe34d8753c97d9cb9d3dbbe6a92d4d17f516c0f1e645405"
+        )
+
 
 @pytest.fixture()
 def fleet(tmp_path):

@@ -106,6 +106,12 @@ class TestEndpoints:
         assert exc.value.status == 400
         assert "unknown app" in exc.value.message
 
+    def test_snapshots_spec_400(self, client):
+        with pytest.raises(ServiceError) as exc:
+            client.submit(JobSpec(kind="explore", app="bank", snapshots=True))
+        assert exc.value.status == 400
+        assert "fork snapshot executor was removed" in exc.value.message
+
     def test_unknown_spec_field_400(self, client):
         status, doc = client._request("POST", "/jobs", body={"frobnicate": 1})
         assert status == 400
