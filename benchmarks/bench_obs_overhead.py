@@ -34,7 +34,7 @@ from repro.obs import ObsContext
 from conftest import emit
 
 #: (app, bug) pairs spanning the syscall mix (lock-heavy, condition-wait,
-#: semaphore) *and* the per-trial duration range (~120 µs to ~2.5 ms):
+#: semaphore) *and* the per-trial duration range (~160 µs to ~2 ms):
 #: the aggregate is time-weighted, so representative weighting needs the
 #: long subjects, while the short ones expose the fixed per-trial cost.
 SUBJECTS = [

@@ -83,6 +83,17 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
+def _trial_count(text: str) -> int:
+    """argparse type of every ``--trials`` flag: an integer of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"trials must be positive, got {n}")
+    return n
+
+
 def _workers_arg(args: argparse.Namespace):
     """Map the CLI flag to run_trials' ``workers``: 0 → serial (None),
     negative → auto-size to the machine."""
@@ -219,7 +230,7 @@ def main(argv=None) -> int:
     run_p.add_argument("bug")
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--timeout", type=float, default=0.1, help="pause time T (s)")
-    run_p.add_argument("--trials", type=int, default=1)
+    run_p.add_argument("--trials", type=_trial_count, default=1)
     run_p.add_argument("--no-bp", action="store_true", help="run without breakpoints")
     run_p.add_argument("--timeline", action="store_true",
                        help="print the event timeline around the breakpoints")
@@ -263,7 +274,7 @@ def main(argv=None) -> int:
                        help="activate a bug's breakpoints during the run")
     met_p.add_argument("--seed", type=int, default=0)
     met_p.add_argument("--timeout", type=float, default=0.1, help="pause time T (s)")
-    met_p.add_argument("--trials", type=int, default=1,
+    met_p.add_argument("--trials", type=_trial_count, default=1,
                        help="sweep seeds seed..seed+N-1 and merge the registries")
     met_p.add_argument("--out", default=None, metavar="FILE",
                        help="write JSON here instead of stdout")
@@ -349,7 +360,7 @@ def main(argv=None) -> int:
     sb_p.add_argument("--kind", choices=("trials", "explore", "infer"), default="trials")
     sb_p.add_argument("--steer-attempts", type=int, default=5, metavar="N",
                       help="infer jobs: active-testing runs per unmatched candidate")
-    sb_p.add_argument("--trials", type=int, default=100)
+    sb_p.add_argument("--trials", type=_trial_count, default=100)
     sb_p.add_argument("--seed", type=int, default=0)
     sb_p.add_argument("--timeout", type=float, default=0.1, help="pause time T (s)")
     sb_p.add_argument("--no-bp", action="store_true", help="run without breakpoints")
@@ -391,7 +402,7 @@ def main(argv=None) -> int:
     inf_p.add_argument("app")
     inf_p.add_argument("--seed", type=int, default=0,
                        help="seed of the plain traced run the detectors analyse")
-    inf_p.add_argument("--trials", type=int, default=20,
+    inf_p.add_argument("--trials", type=_trial_count, default=20,
                        help="confirmation sweep size per candidate order")
     inf_p.add_argument("--timeout", type=float, default=0.1, help="pause time T (s)")
     inf_p.add_argument("--base-seed", type=int, default=0,
@@ -411,7 +422,7 @@ def main(argv=None) -> int:
     suite_p.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
     report_p = sub.add_parser("report", help="regenerate the full evaluation report")
-    report_p.add_argument("--trials", type=int, default=100)
+    report_p.add_argument("--trials", type=_trial_count, default=100)
     report_p.add_argument("--out", default=None, help="write Markdown to this file")
     report_p.add_argument("--metrics-out", default=None, metavar="FILE",
                           help="dump the merged metrics of every sweep as JSON")
@@ -420,7 +431,7 @@ def main(argv=None) -> int:
 
     for name in _TABLES:
         tp = sub.add_parser(name, help=f"regenerate {name}")
-        tp.add_argument("--trials", type=int, default=100)
+        tp.add_argument("--trials", type=_trial_count, default=100)
         _add_parallel_flags(tp)
         _add_cache_flags(tp)
 

@@ -19,7 +19,9 @@ An app is a :class:`BaseApp` subclass:
   paper's ``triggerHere`` calls in or out.
 
 One instance = one execution; the harness creates a fresh instance per
-trial so no state leaks between runs.
+trial so no state leaks between runs.  An app may still share immutable,
+seed-independent reference data across runs, computed once per process
+(the raytracer's per-size reference render).
 """
 
 from __future__ import annotations

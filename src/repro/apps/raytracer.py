@@ -6,8 +6,8 @@ updates corrupt it — error column "test fail"); ``race3`` and ``race4``
 are silent races on auxiliary state.
 
 Re-created structure: worker threads render interleaved scan lines of a
-small procedural scene (NumPy shading between scheduling points) and fold
-per-row results into shared accumulators:
+small NumPy-shaded scene (the serial reference render runs once per image
+size per process) and fold per-row results into shared accumulators:
 
 * ``race1`` — the global pixel ``checksum`` RMW (the JGF bug: the
   original used an unsynchronised ``checksum1 += ...``) → test fail;
@@ -19,7 +19,8 @@ per-row results into shared accumulators:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import functools
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -72,8 +73,7 @@ class RayTracerApp(BaseApp):
         self.idle = SharedCell(0, name="rt.idle")
         self.maxdepth_updates = 0
         self.idle_updates = 0
-        # Deterministic expected checksum: render serially up front.
-        self.row_sums = [self._render_row(y) for y in range(self.height)]
+        self.row_sums = _reference_row_sums(self.width, self.height)
         self.expected_checksum = float(sum(self.row_sums))
         for tid in range(self.n_threads):
             kernel.spawn(self._renderer, tid, name=f"rtrunner{tid}")
@@ -154,3 +154,16 @@ class RayTracerApp(BaseApp):
         if self.cfg.bug == "race4" and self.idle.peek() < self.idle_updates:
             return "lost idle update"
         return None
+
+
+@functools.lru_cache(maxsize=8)
+def _reference_row_sums(width: int, height: int) -> Tuple[float, ...]:
+    """Per-row sums of the serial ``width`` x ``height`` reference render.
+
+    Like the JGF harness's fixed per-size validation checksum, they depend
+    on the image size alone, so each process renders each size once; the
+    tuple is immutable, so no run can alter what the next one reads.
+    """
+    probe = RayTracerApp()
+    probe.width, probe.height = width, height
+    return tuple(probe._render_row(y) for y in range(height))

@@ -69,6 +69,12 @@ class ParallelExecutionError(RuntimeError):
     """The pool lost track of a trial (a bug, not a workload failure)."""
 
 
+def check_trial_count(n: int) -> None:
+    """Refuse a negative sweep size; ``n == 0`` is the empty sweep."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0 (number of trials), got {n}")
+
+
 def default_workers() -> int:
     """Worker count used for ``workers="auto"``: one per CPU, min 2."""
     return max(2, os.cpu_count() or 1)
@@ -276,8 +282,9 @@ def run_trials_parallel(
     """
     from repro.obs.context import current_sink
 
+    check_trial_count(n)
     collect = collect_metrics or current_sink() is not None
-    if n <= 0:
+    if n == 0:
         return TrialAggregator(
             app_cls.name, bug, base_seed, 0, collect_metrics=collect
         ).finalize()

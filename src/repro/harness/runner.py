@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, Optional, Type, Union
 
 from repro.apps.base import AppConfig, BaseApp
 
-from .parallel import execute_trial, run_trials_parallel
+from .parallel import check_trial_count, execute_trial, run_trials_parallel
 from .stats import TrialAggregator, TrialStats
 
 __all__ = ["run_trials", "measure", "OverheadRow"]
@@ -83,6 +83,7 @@ def run_trials(
     is the parallel runner's fault-injection hook, forwarded verbatim
     (tests only; requires workers, never part of the cache fingerprint).
     """
+    check_trial_count(n)
     n_workers = _resolve_workers(workers)
     if trial_timeout is not None and not n_workers:
         raise ValueError("trial_timeout requires workers (serial trials cannot be preempted)")

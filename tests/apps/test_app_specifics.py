@@ -210,6 +210,37 @@ class TestRayTracerRendering:
             sums.add(app.expected_checksum)
         assert len(sums) == 1  # deterministic scene
 
+    def test_reference_render_runs_once_per_size(self, monkeypatch):
+        """setup reads a per-size reference instead of re-rendering: a
+        20-trial sweep renders each row once, another size gets its own
+        rows, and what every run shares is an immutable tuple."""
+        from repro.apps.raytracer import _reference_row_sums
+        from repro.harness import run_trials
+
+        _reference_row_sums.cache_clear()
+        render = RayTracerApp._render_row
+        calls = []
+
+        def counting(self, y):
+            calls.append((self.width, self.height, y))
+            return render(self, y)
+
+        monkeypatch.setattr(RayTracerApp, "_render_row", counting)
+        run_trials(RayTracerApp, n=20, bug="race1")
+        assert calls == [(32, 24, y) for y in range(24)]
+
+        small = RayTracerApp(AppConfig(bug="race1", params={"width": 16, "height": 12}))
+        small.run(seed=0)
+        assert calls[24:] == [(16, 12, y) for y in range(12)]
+        full = RayTracerApp(AppConfig(bug="race1"))
+        full.run(seed=0)
+        assert len(calls) == 24 + 12
+
+        for app, h in ((full, 24), (small, 12)):
+            assert isinstance(app.row_sums, tuple)
+            assert list(app.row_sums) == [app._render_row(y) for y in range(h)]
+        assert small.row_sums != full.row_sums[:12]
+
 
 class TestCache4jLRU:
     def test_eviction_keeps_capacity(self):

@@ -17,6 +17,7 @@ from repro.harness import (
     run_trials,
     wilson_interval,
 )
+from repro.harness.parallel import run_trials_parallel
 from repro.harness.stats import TrialStats
 
 
@@ -38,6 +39,24 @@ class TestRunTrials:
         a = run_trials(Figure4App, n=5, bug="error1", timeout=0.05, base_seed=0)
         b = run_trials(Figure4App, n=5, bug="error1", timeout=0.05, base_seed=0)
         assert a.runtimes == b.runtimes  # same seeds, same virtual times
+
+    @pytest.mark.parametrize("path", ["serial", "workers", "cache"])
+    def test_negative_n_is_rejected_on_every_path(self, path, tmp_path):
+        """n < 0 raises one ValueError naming n on every path; n == 0 is
+        still the empty sweep."""
+        kwargs = {}
+        if path == "workers":
+            kwargs["workers"] = 2
+            with pytest.raises(ValueError, match=r"^n must be >= 0 .* got -3$"):
+                run_trials_parallel(Figure4App, n=-3, bug="error1", workers=2)
+        elif path == "cache":
+            from repro.cache import ResultCache
+
+            kwargs["cache"] = ResultCache(str(tmp_path))
+        with pytest.raises(ValueError, match=r"^n must be >= 0 .* got -3$"):
+            run_trials(Figure4App, n=-3, bug="error1", **kwargs)
+        empty = run_trials(Figure4App, n=0, bug="error1", **kwargs)
+        assert (empty.trials, empty.bug_hits, empty.runtimes) == (0, 0, [])
 
     def test_str(self):
         stats = run_trials(Figure4App, n=3, bug="error1")

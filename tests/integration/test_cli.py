@@ -46,6 +46,24 @@ class TestRun:
             run_cli("run", "nosuchapp", "bug")
 
 
+@pytest.mark.parametrize("argv", [
+    ("run", "figure4", "error1", "--trials", "-3"),
+    ("run", "figure4", "error1", "--trials", "0"),
+    ("table1", "--trials", "-3"),
+    ("report", "--trials", "0"),
+    ("metrics", "figure4", "--trials", "-1"),
+    ("infer", "bank", "--trials", "0"),
+    ("submit", "figure4", "error1", "--trials", "-3"),
+], ids=["run-negative", "run-zero", "table1", "report", "metrics", "infer", "submit"])
+def test_trials_below_one_exits_2(argv, capsys):
+    """Every --trials flag refuses a count below 1 with the usage exit
+    code, as JobSpec refuses trials <= 0."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert "trials must be positive" in capsys.readouterr().err
+
+
 class TestTables:
     def test_section62_table(self, capsys):
         assert run_cli("section62", "--trials", "5") == 0
