@@ -16,12 +16,14 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-# The parallel-execution battery: differential parallel-vs-serial tests,
+# The parallel-execution battery: every caller of the process pool
+# (its own contract tests, trial sweeps, service workers, sharded DPOR),
 # engine invariants, and the kernel determinism stress suite.
 test-par:
-	$(PYTHON) -m pytest tests/harness/test_parallel_runner.py \
-	    tests/core/test_engine_invariants.py \
-	    tests/sim/test_kernel_determinism.py
+	$(PYTHON) -m pytest tests/pool/ tests/harness/test_parallel_runner.py \
+	    tests/svc/test_pool.py tests/sim/test_snapshot_explore.py \
+	    tests/sim/test_kernel_determinism.py \
+	    tests/core/test_engine_invariants.py
 
 # The cache battery: fingerprint canonicalization properties, store
 # atomicity/corruption/eviction, and the cached == fresh differentials.

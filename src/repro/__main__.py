@@ -95,8 +95,8 @@ def _trial_count(text: str) -> int:
 
 
 def _workers_arg(args: argparse.Namespace):
-    """Map the CLI flag to run_trials' ``workers``: 0 → serial (None),
-    negative → auto-size to the machine."""
+    """Map a ``--workers`` flag to the library's ``workers``: 0 → serial
+    (None), negative → auto-size to the machine."""
     w = getattr(args, "workers", 0)
     if w == 0:
         return None
@@ -252,7 +252,7 @@ def main(argv=None) -> int:
                        help="prune sleep-set-redundant schedules (requires --dpor)")
     exp_p.add_argument("--workers", type=int, default=0, metavar="N",
                        help="shard the DPOR tree over N worker processes "
-                            "(0 = serial; requires --dpor)")
+                            "(0 = serial, -1 = one per CPU; requires --dpor)")
     exp_p.add_argument("--max-schedules", type=int, default=2000, metavar="K")
     exp_p.add_argument("--max-steps", type=int, default=None)
     exp_p.add_argument("--seed", type=int, default=0)
@@ -755,7 +755,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             cache=_cache_from_args(args),
             dpor=args.dpor,
             sleep_sets=args.sleep_sets,
-            workers=args.workers or None,
+            workers=_workers_arg(args),
             shard_depth=args.shard_depth,
             max_schedules=args.max_schedules,
             max_steps=args.max_steps,

@@ -19,11 +19,13 @@ reproduction-probability column.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Union
 
 from repro.apps import AppConfig, get_app
 from repro.sim.dpor import DporStats, explore_dpor, explore_dpor_sharded
 from repro.sim.explore import Bound, Exploration, Outcome, explore
+
+from .runner import _resolve_workers
 
 __all__ = [
     "AppExploration",
@@ -201,7 +203,7 @@ def explore_app(
     dpor: bool = False,
     sleep_sets: bool = False,
     snapshots: bool = False,
-    workers: Optional[int] = None,
+    workers: Union[int, str, None] = None,
     shard_depth: int = 2,
     max_schedules: int = 10_000,
     max_steps: Optional[int] = None,
@@ -216,7 +218,8 @@ def explore_app(
 
     ``dpor`` switches to partial-order reduction (programs with timed
     operations are rejected — see :mod:`repro.sim.dpor`); ``workers``
-    > 0 additionally shards the DPOR tree over forked worker processes.
+    (0/None = serial, ``"auto"`` = one per CPU, negative is refused)
+    additionally shards the DPOR tree over that many worker processes.
     ``sleep_sets`` selects the reduction; ``snapshots=True`` raises
     ``ValueError`` (the fork snapshot executor was removed; the keyword
     stays for existing callers).  ``bound`` applies the composable
@@ -226,6 +229,7 @@ def explore_app(
     """
     if snapshots:
         raise ValueError(_SNAPSHOTS_REMOVED)
+    workers = _resolve_workers(workers)
     if bound is not None and not bound.active:
         bound = None
     if bug is not None:

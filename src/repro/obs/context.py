@@ -58,12 +58,6 @@ class SlotCounters:
             if n:
                 counters[names[idx]] = counters.get(names[idx], 0) + n
 
-    def nonzero(self) -> Dict[str, int]:
-        """The counted slots as a fresh ``{name: count}`` dict."""
-        out: Dict[str, int] = {}
-        self.fold_into(out)
-        return out
-
 
 @dataclasses.dataclass
 class ObsContext:

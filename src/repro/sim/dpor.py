@@ -84,9 +84,9 @@ from .explore import (
     Exploration,
     Outcome,
     _cut_verdict,
-    _fan_out,
     _flush_explore_obs,
     _frontier,
+    _map_shards,
     _name_footprints,
     _preemption_prefix_counts,
     _sanitize_outcome,
@@ -524,12 +524,13 @@ def explore_dpor_sharded(
     backtrack point a shard would add there exists as a sibling shard by
     construction.
 
-    Guarantees (mirroring the parallel trial runner's contract): the
-    merged ``Exploration`` and summed :class:`DporStats` are
-    bit-identical for any ``workers`` value, including 0/None (serial)
-    and including workers that crash mid-shard — lost shards are
-    recomputed serially in the parent (``fault_hook(worker_id,
-    shard_idx)`` is the crash-injection point the tests use).  Relative
+    Guarantees: the merged ``Exploration`` and summed
+    :class:`DporStats` are bit-identical for any ``workers`` value,
+    including 0/None (serial) and including workers that crash
+    mid-shard — shards run on :class:`repro.pool.Pool` with no retries,
+    and a failed shard is recomputed serially in the parent
+    (``fault_hook(shard_idx, attempt)`` runs in the worker before each
+    shard; it is the crash-injection point the tests use).  Relative
     to serial :func:`explore_dpor` the exhaustive frontier may execute
     *more* schedules (sharding overhead); per-behaviour coverage is the
     same.
@@ -555,8 +556,6 @@ def explore_dpor_sharded(
         )
         return ([_strip_outcome(o) for o in ex.outcomes], ex.complete, st)
 
-    results = _fan_out(task, shards, workers, fault_hook)
-
     shard_exs: List[Exploration] = []
     total = DporStats(
         schedules=0,
@@ -567,8 +566,7 @@ def explore_dpor_sharded(
         preemption_cuts=front_p,
         variable_cuts=front_v,
     )
-    for i in range(len(shards)):
-        outs, shard_complete, st = results[i]
+    for outs, shard_complete, st in _map_shards(task, shards, workers, fault_hook):
         shard_exs.append(
             Exploration(
                 outcomes=outs,

@@ -22,8 +22,9 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import math
-import multiprocessing
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+
+from repro.pool import FORKS, Pool
 
 from .kernel import Kernel, RunResult
 from .snapshot import Bound, PoolStats, StatelessPool, _DFSScheduler, count_preemptions
@@ -525,80 +526,35 @@ def _frontier(
     return prefixes, direct, (pcuts, vcuts)
 
 
-def _fan_worker(conn, task, assigned, fault_hook, wid):
-    """Run assigned (idx, item) tasks in a forked child; stream results."""
-    try:
-        for idx, item in assigned:
-            if fault_hook is not None:
-                fault_hook(wid, idx)
-            conn.send((idx, task(idx, item)))
-        conn.send(None)  # all assigned items done
-    except Exception:
-        pass  # parent recomputes missing items serially
-    finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
-
-
-def _fan_out(
+def _map_shards(
     task: Callable[[int, Any], Any],
-    items: Sequence[Any],
+    shards: Sequence[Any],
     workers: Optional[int],
     fault_hook: Optional[Callable[[int, int], None]] = None,
-) -> Dict[int, Any]:
-    """Compute ``task(idx, item)`` for every item, across forked workers
-    when possible.
+) -> List[Any]:
+    """``task(idx, shard)`` for every shard, in shard order.
 
-    The fault-tolerance contract mirrors ``harness/parallel.py``: a
-    worker that dies (or raises) simply leaves its unfinished items
-    unreported, and the parent recomputes exactly those serially —
-    results are a function of ``(task, items)`` alone, never of worker
-    count or timing.  ``fault_hook(worker_id, item_idx)`` is called in
-    the worker before each item (crash-injection point for tests).
+    With ``workers > 1`` (and fork, since ``task`` is a closure the
+    workers inherit) the shards run on a :class:`repro.pool.Pool` with no
+    retries; a shard that fails there is recomputed here, so results are
+    a function of ``(task, shards)`` alone, never of worker count or
+    faults.  ``fault_hook(shard_idx, attempt)`` runs in the worker before
+    each shard (the tests' crash-injection point).
     """
     results: Dict[int, Any] = {}
-    use_processes = (
-        workers is not None
-        and workers > 1
-        and len(items) > 1
-        and "fork" in multiprocessing.get_all_start_methods()
-    )
-    if use_processes:
-        ctx = multiprocessing.get_context("fork")
-        n_workers = min(workers, len(items))
-        assignments: List[List[Tuple[int, Any]]] = [[] for _ in range(n_workers)]
-        for idx, item in enumerate(items):
-            assignments[idx % n_workers].append((idx, item))
-        procs = []
-        for wid, assigned in enumerate(assignments):
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_fan_worker,
-                args=(child_conn, task, assigned, fault_hook, wid),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            procs.append((proc, parent_conn))
-        for proc, conn in procs:
-            try:
-                while True:
-                    msg = conn.recv()
-                    if msg is None:
-                        break
-                    idx, payload = msg
-                    results[idx] = payload
-            except (EOFError, OSError):
-                pass  # crashed worker; its items fall through to serial
-            finally:
-                proc.join()
-                conn.close()
-    for idx, item in enumerate(items):
-        if idx not in results:
-            results[idx] = task(idx, item)
-    return results
+    if workers is not None and workers > 1 and len(shards) > 1 and FORKS:
+
+        def run(idx: int, attempt: int) -> Any:
+            if fault_hook is not None:
+                fault_hook(idx, attempt)
+            return task(idx, shards[idx])
+
+        with Pool(run, min(workers, len(shards)), name="repro-shards") as pool:
+            results = {r.task: r.value for r in pool.map(range(len(shards))) if r.ok}
+    return [
+        results[idx] if idx in results else task(idx, shard)
+        for idx, shard in enumerate(shards)
+    ]
 
 
 def explore_sharded(
@@ -620,9 +576,8 @@ def explore_sharded(
     method available the shards run across worker processes — ``build``
     and ``observe`` may be ordinary closures because fork inherits them;
     per-outcome data returned across the process boundary must be
-    picklable.  A worker that dies simply causes its unfinished shards to
-    be re-explored serially in the parent: the walk degrades, it does not
-    abort.
+    picklable.  A shard whose worker dies is re-explored serially in the
+    parent: the walk degrades, it does not abort.
 
     ``max_schedules`` bounds each shard's walk (a capped exploration may
     therefore visit a different subset of leaves than capped serial
@@ -652,8 +607,7 @@ def explore_sharded(
             variable_cuts=ex.variable_cuts,
         )
 
-    results = _fan_out(task, shards, workers)
-    shard_results = [results[i] for i in range(len(shards))]
+    shard_results = _map_shards(task, shards, workers)
     shard_results.append(Exploration(outcomes=direct, complete=True))
     merged = merge_shards(shard_results)
     merged.preemption_cuts += front_p

@@ -1,35 +1,34 @@
 """Job executor: slot threads driving the persistent worker pool.
 
 Each of ``slots`` executor threads pulls one job at a time off the
-bounded queue and runs it on that slot's **pre-forked worker process**
-(:class:`~repro.svc.pool.WorkerPool`).  Workers import once and serve
-many jobs over a pipe — the fork + import tax the old
-fork-per-job-attempt model paid on every attempt is gone — while the
-fault model is byte-for-byte the harness's:
+bounded queue, serves it from the result cache when the cache covers it
+entirely, and otherwise runs it on that slot's **pre-forked worker
+process** (:class:`~repro.svc.pool.WorkerPool`).  Workers import once
+and serve many jobs over a pipe.
 
-* **Per-job wall-clock timeout** — a worker that exceeds the job's
-  budget is killed (and respawned) and the job fails with
-  ``kind="timeout"``; timeouts are *not* retried (the job is
-  deterministic — it would stall again), exactly the parallel runner's
-  rule.
-* **Bounded crash retry** — a worker that dies (segfault, ``os._exit``)
-  or a job that raises costs one attempt; the job is re-run up to
-  ``max_job_retries`` extra times (on a freshly spawned worker after a
-  crash), then accounted as a
-  :class:`~repro.harness.stats.TrialFailure` with the harness's kind
-  vocabulary.  Because a job is a pure function of its spec, a retried
-  job returns a bit-identical result — re-execution is invisible to the
-  client (the differential battery injects crashes to prove it).
+Faults follow the one contract of :mod:`repro.pool` under the
+executor's budget:
+
+* **Per-job wall-clock timeout** — a job over its budget has its worker
+  killed (and replaced) and fails with ``kind="timeout"``; it is *not*
+  retried (the job is deterministic — it would stall again).
+* **Bounded retry** — a job that raises, or whose worker dies
+  (segfault, ``os._exit``), is re-run up to ``max_job_retries`` extra
+  times, then accounted as a :class:`~repro.harness.stats.TrialFailure`
+  with the harness's kind vocabulary and attempt count.  Because a job
+  is a pure function of its spec, a retried job returns a bit-identical
+  result — re-execution is invisible to the client (the differential
+  battery injects crashes to prove it).  After a hard shutdown nothing
+  is retried.
 * **Utilization metrics** — every transition updates the ``svc.*``
   families (busy gauge, latency and queue-wait histograms, completion
   and retry counters) plus the pool's ``svc.pool.*`` family, all
   volatile: they describe service operation, never reproduction
   results.
 
-Jobs may themselves fan trials over the existing
-:mod:`repro.harness.parallel` pool (``spec.workers > 0``); pool workers
-are therefore non-daemonic so they can own nested worker processes, and
-the executor kills any still-running workers on hard shutdown.
+A job may itself fan its trials or DPOR shards over a nested pool
+(``spec.workers > 0``); pool workers are non-daemonic so they can own
+worker processes of their own.
 """
 
 from __future__ import annotations
@@ -186,7 +185,7 @@ class JobExecutor:
                 self._queue.note_finished(record)
 
     def _run_job(self, slot: int, record: JobRecord) -> None:
-        """Drive one job through its bounded attempts to a terminal state."""
+        """Drive one job to a terminal state: the cache, else the pool."""
         spec = record.spec
         record.mark_running()
         wait = record.queue_wait()
@@ -203,27 +202,22 @@ class JobExecutor:
             record.finish(cached)
             return
         budget = spec.job_timeout if spec.job_timeout is not None else self.job_timeout
-        kind = "crash"
-        message = ""
-        for attempt in range(self.max_job_retries + 1):
-            record.attempts = attempt + 1
-            ok, payload, kind, message = self.pool.run(slot, spec, attempt, budget)
-            if ok:
-                self._note_done(record, failed=False)
-                record.finish(payload)
-                return
-            if kind == "timeout":
-                break  # deterministic job: re-running would stall again
-            if self._stop:
-                break  # shutting down: don't burn retries on killed workers
-            if attempt < self.max_job_retries:
-                with self._lock:
-                    self._metrics.counter("svc.jobs.retries", volatile=True).inc()
+        record.attempts = 1
+        result = self.pool.run(slot, spec, budget, self.max_job_retries)
+        record.attempts = result.attempts
+        if result.attempts > 1:
+            with self._lock:
+                self._metrics.counter("svc.jobs.retries", volatile=True).inc(
+                    result.attempts - 1
+                )
+        self._note_done(record, failed=not result.ok)
+        if result.ok:
+            record.finish(result.value)
+            return
         seed = spec.seed if spec.kind == "explore" else spec.base_seed
-        self._note_done(record, failed=True)
-        record.fail(
-            TrialFailure(seed=seed, kind=kind, attempts=record.attempts, message=message)
-        )
+        record.fail(TrialFailure(
+            seed=seed, kind=result.kind, attempts=result.attempts, message=result.message
+        ))
 
     def _note_done(self, record: JobRecord, failed: bool) -> None:
         """Fold a finishing job into the metrics and the latency EMA.

@@ -11,7 +11,7 @@ round-trip so the client can reconstruct results **bit-identical** to a
 direct in-process call (``tests/svc/test_differential.py`` enforces
 this).
 
-Job-level failures (a job child that crashes, times out, or raises)
+Job-level failures (a job whose worker crashes, times out, or raises)
 reuse the harness's :class:`~repro.harness.stats.TrialFailure` record —
 same ``kind`` vocabulary (``"crash"`` / ``"timeout"`` / ``"exception"``),
 same attempt accounting — so a service client reads failures exactly the
@@ -73,10 +73,12 @@ class JobSpec:
     service's determinism argument a one-liner: same spec, same seeds,
     same code path, same result.
 
-    ``workers`` fans the job's trials over the existing
-    :mod:`repro.harness.parallel` pool *inside* the job child (0 keeps
-    the serial loop); ``job_timeout`` is the per-job wall-clock budget
-    enforced by the executor (None defers to the service default).
+    ``workers`` fans the job's trials (or, with ``dpor``, its
+    exploration shards) over a nested :class:`repro.pool.Pool` of that
+    many processes *inside* the job's worker; 0 keeps the serial loop
+    and negative counts are refused.  ``job_timeout`` is the per-job
+    wall-clock budget enforced by the executor (None defers to the
+    service default).
     """
 
     kind: str = "trials"
@@ -148,6 +150,10 @@ class JobSpec:
             )
         if self.kind in ("trials", "infer") and self.trials <= 0:
             raise JobValidationError(f"trials must be positive, got {self.trials}")
+        if self.workers < 0:
+            raise JobValidationError(
+                f"workers must be >= 0 (0 = serial), got {self.workers}"
+            )
         if self.kind == "trials" and self.trial_timeout is not None and self.workers == 0:
             raise JobValidationError("trial_timeout requires workers > 0")
         if self.kind == "infer" and self.bug is not None:
@@ -265,17 +271,6 @@ def stats_from_wire(doc: Dict[str, Any]) -> TrialStats:
     )
 
 
-def _exploration_to_wire(res: Any, witness_limit: int) -> Dict[str, Any]:
-    """Summarise an :class:`~repro.harness.exploration.AppExploration`.
-
-    The full outcome list can be tens of thousands of entries; the wire
-    form carries the decision-relevant summary (counts, fractions,
-    reduction stats) plus up to ``witness_limit`` bug-hitting schedules
-    as explicit choice lists — enough to replay a witness locally.
-    """
-    return res.summary(witness_limit=witness_limit).to_wire()
-
-
 def execute_job(
     spec: JobSpec,
     cache: Optional[Any] = None,
@@ -283,7 +278,7 @@ def execute_job(
 ) -> Dict[str, Any]:
     """Run one job to completion and return its wire-form result.
 
-    This runs inside the executor's job child process.  It is a thin
+    This runs inside the service's pool worker process.  It is a thin
     dispatch onto the library entry points — the service adds no
     semantics here, which is exactly the differential battery's claim.
     ``cache`` is the service's shared :class:`repro.cache.ResultCache`
@@ -365,9 +360,9 @@ def try_cached_result(cache: Optional[Any], spec: JobSpec) -> Optional[Dict[str,
     """Parent-side full-coverage cache lookup for a job spec.
 
     Returns the job's wire payload when the cache can serve it entirely
-    (letting the executor skip the job fork), or None when any part
-    would have to run — partial coverage is left to the job child, which
-    runs only the missing seeds.
+    (letting the executor skip the pool worker), or None when any part
+    would have to run — partial coverage is left to the pool worker,
+    which runs only the missing seeds.
     """
     if cache is None or spec.no_cache:
         return None

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps import get_app
-from repro.harness import run_trials
+from repro.harness import explore_app, run_trials
 from repro.harness.parallel import default_workers
 from repro.harness.runner import _resolve_workers
 
@@ -33,3 +33,18 @@ class TestResolveWorkers:
 def test_run_trials_rejects_negative_workers():
     with pytest.raises(ValueError, match="workers must be >= 0"):
         run_trials(get_app("figure4"), n=2, bug="error1", workers=-2)
+
+
+def test_explore_app_rejects_negative_workers():
+    with pytest.raises(ValueError, match="workers must be >= 0"):
+        explore_app("bank", "lost_update", dpor=True, workers=-2)
+
+
+def test_explore_app_auto_workers_shard_like_two_workers():
+    def sharded(workers):
+        res = explore_app("bank", "lost_update", dpor=True, sleep_sets=True,
+                          workers=workers, max_schedules=2000)
+        outcomes = [(tuple(o.choices), o.observed) for o in res.exploration.outcomes]
+        return outcomes, res.dpor_stats
+
+    assert sharded("auto") == sharded(2)

@@ -313,6 +313,23 @@ class TestExplore:
         out = capsys.readouterr().out
         assert "dpor" in out
 
+    def test_negative_workers_mean_one_per_cpu(self, monkeypatch, capsys):
+        import repro.harness
+
+        seen = {}
+        real = repro.harness.explore_summary
+
+        def spy(*args, **kwargs):
+            seen["workers"] = kwargs["workers"]
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(repro.harness, "explore_summary", spy)
+        assert run_cli("explore", "bank", "lost_update", "--dpor",
+                       "--sleep-sets", "--workers", "-1",
+                       "--max-schedules", "2000") == 0
+        assert seen["workers"] == "auto"
+        assert "dpor" in capsys.readouterr().out
+
     def test_snapshots_flag_is_rejected(self, capsys):
         # The fork snapshot executor and its flag are gone: argparse
         # refuses the unknown option with its usage exit code.

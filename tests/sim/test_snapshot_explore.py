@@ -153,9 +153,9 @@ def test_sharded_dpor_survives_worker_crash():
         _locked_counter_build, observe=_observe_cells, workers=2
     )
 
-    def crash(worker_id, shard_idx):
-        if worker_id == 0:
-            os._exit(1)  # kill the whole worker before its first shard
+    def crash(shard_idx, attempt):
+        if shard_idx == 0:
+            os._exit(1)  # kill the worker whenever it starts shard 0
 
     crashed, crash_stats = explore_dpor_sharded(
         _locked_counter_build,

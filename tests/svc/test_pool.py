@@ -122,6 +122,23 @@ class TestFaultModel:
             assert exc.value.failure.kind == "crash"
             assert exc.value.failure.attempts == 2
 
+    def test_timeout_is_neither_a_crash_nor_a_retry(self):
+        from repro.svc.client import JobFailed
+
+        with ReproService(
+            slots=1, queue_size=8, fault_hook=_sleep_long, job_timeout=0.5,
+            max_job_retries=2,
+        ) as svc:
+            client = ReproClient(svc.address)
+            with pytest.raises(JobFailed) as exc:
+                client.run_trials("figure4", bug="error1", n=1, timeout=0.2)
+            assert (exc.value.failure.kind, exc.value.failure.attempts) == ("timeout", 1)
+            snap = client.metrics()
+            assert _counter_value(snap, "svc.pool.crashes") == 0
+            assert _counter_value(snap, "svc.jobs.retries") == 0
+            # The killed worker was replaced: two forks in all.
+            assert _counter_value(snap, "svc.pool.spawned") == 2
+
     def test_pool_survives_shutdown_with_hung_worker(self):
         """Hard close while a worker is hung must not wedge the service."""
         svc = ReproService(

@@ -112,6 +112,12 @@ class TestEndpoints:
         assert exc.value.status == 400
         assert "fork snapshot executor was removed" in exc.value.message
 
+    def test_negative_workers_spec_400(self, client):
+        with pytest.raises(ServiceError) as exc:
+            client.submit(JobSpec(app="figure4", bug="error1", trials=2, workers=-1))
+        assert exc.value.status == 400
+        assert "workers must be >= 0" in exc.value.message
+
     def test_unknown_spec_field_400(self, client):
         status, doc = client._request("POST", "/jobs", body={"frobnicate": 1})
         assert status == 400
