@@ -49,6 +49,8 @@ Multi-trial commands accept ``--workers N`` (0 = serial, the default;
 ``-1`` = one worker per CPU) to fan the seeded trials over a process
 pool, and ``--trial-timeout SECONDS`` to bound each trial's wall-clock
 time; results are identical to serial runs for the same seeds.
+``submit --workers`` names the daemon's worker processes for the job
+and must be 0 or more (the client cannot know the daemon's CPU count).
 ``run``/``report`` accept ``--metrics-out FILE`` to dump the merged
 metrics registry of everything they executed.
 """
@@ -203,10 +205,11 @@ def main(argv=None) -> int:
 
     sub.add_parser("list", help="list benchmark apps and bugs")
 
-    def _add_parallel_flags(p):
+    def _add_parallel_flags(
+        p, workers_help="trial worker processes (0 = serial, -1 = one per CPU)"
+    ):
         p.add_argument(
-            "--workers", type=int, default=0, metavar="N",
-            help="trial worker processes (0 = serial, -1 = one per CPU)",
+            "--workers", type=int, default=0, metavar="N", help=workers_help,
         )
         p.add_argument(
             "--trial-timeout", type=float, default=None, metavar="SECONDS",
@@ -384,7 +387,10 @@ def main(argv=None) -> int:
     sb_p.add_argument("--tenant", default="anon", metavar="NAME",
                       help="fair-share accounting label (multi-tenant fleets); "
                            "never affects results or cache identity")
-    _add_parallel_flags(sb_p)
+    _add_parallel_flags(
+        sb_p,
+        workers_help="worker processes the daemon uses for this job; 0 = serial",
+    )
 
     an_p = sub.add_parser("analyze", help="run all detectors over one traced execution")
     an_p.add_argument("app")
@@ -445,6 +451,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "trial_timeout", None) is not None and getattr(args, "workers", 0) == 0:
         parser.error("--trial-timeout requires --workers (serial trials cannot be preempted)")
+    if args.command == "submit" and args.workers < 0:
+        # The client cannot know the daemon's CPU count, so "one per
+        # CPU" has no meaning on the wire.
+        parser.error(f"submit --workers must be 0 or more, got {args.workers}")
     if args.command == "list":
         return _cmd_list(args)
     if args.command == "run":
@@ -579,7 +589,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         spec = JobSpec(
             kind="trials", app=args.app, bug=bug, trials=args.trials,
             timeout=args.timeout, base_seed=args.seed,
-            workers=max(0, getattr(args, "workers", 0)),
+            workers=args.workers,
             trial_timeout=args.trial_timeout, job_timeout=args.job_timeout,
             no_cache=args.no_cache, tenant=tenant,
         )
@@ -588,7 +598,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             kind="infer", app=args.app, bug=None, trials=args.trials,
             timeout=args.timeout, base_seed=0, seed=args.seed,
             steer_attempts=args.steer_attempts,
-            workers=max(0, getattr(args, "workers", 0)),
+            workers=args.workers,
             trial_timeout=args.trial_timeout, job_timeout=args.job_timeout,
             no_cache=args.no_cache, tenant=tenant,
         )
@@ -597,7 +607,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             kind="explore", app=args.app, bug=bug, dpor=args.dpor,
             sleep_sets=args.sleep_sets, max_schedules=args.max_schedules,
             seed=args.seed, timeout=args.timeout,
-            workers=max(0, getattr(args, "workers", 0)),
+            workers=args.workers,
             bound_preemptions=args.bound_preemptions,
             bound_variables=args.bound_variables,
             job_timeout=args.job_timeout,

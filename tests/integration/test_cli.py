@@ -292,6 +292,21 @@ class TestServeAndSubmit:
                        "--server", "http://127.0.0.1:9") == 2
         assert "cannot reach" in capsys.readouterr().out
 
+    def test_submit_negative_workers_exits_2(self, monkeypatch, capsys):
+        # The daemon's CPU count is not the client's to know: a negative
+        # count is refused before anything reaches the wire.
+        from repro.svc import ReproClient
+
+        def no_submit(self, spec):
+            raise AssertionError(f"submitted {spec!r}")
+
+        monkeypatch.setattr(ReproClient, "submit", no_submit)
+        with pytest.raises(SystemExit) as exc:
+            run_cli("submit", "figure4", "error1", "--workers", "-1",
+                    "--server", "http://127.0.0.1:9")
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
 
 class TestExplore:
     def test_plain_exploration(self, capsys):

@@ -12,13 +12,17 @@ serial DFS at every worker count.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import (
+    Bound,
     Exploration,
     Kernel,
     Outcome,
     SharedCell,
     SimLock,
+    SimThread,
     Sleep,
     explore,
     explore_sharded,
@@ -26,13 +30,14 @@ from repro.sim import (
     render_timeline,
 )
 from repro.sim._reference import ReferenceKernel
-from repro.sim.replay import RecordingScheduler
+from repro.sim.replay import RecordingScheduler, ReplayDivergence
 from repro.sim.scheduler import (
     NoiseScheduler,
     PCTScheduler,
     RandomScheduler,
     RoundRobinScheduler,
 )
+from repro.sim.snapshot import _DFSScheduler
 from repro.sim.trace import trace_fingerprint
 
 # ---------------------------------------------------------------------------
@@ -284,12 +289,124 @@ def test_fast_kernel_matches_reference_on_apps():
     from repro.apps.registry import get_app
     from repro.goldens import golden_entry
 
-    for app_name in ("bank", "figure4"):
+    for app_name in ("bank", "figure4", "log4j", "mysql-4.0.12"):
         app_cls = get_app(app_name)
         for bug in [None] + sorted(app_cls.bugs)[:1]:
             fast = golden_entry(app_cls, seed=3, bug=bug, kernel_cls=Kernel)
             ref = golden_entry(app_cls, seed=3, bug=bug, kernel_cls=ReferenceKernel)
             assert fast == ref, f"{app_name} bug={bug} diverged"
+
+
+# ---------------------------------------------------------------------------
+# The DFS explorers' scheduler: both kernels, and its pre-change form
+# ---------------------------------------------------------------------------
+
+_BOUNDS = {
+    "unbounded": None,
+    "preemptions-1": Bound(preemptions=1),
+    "preemptions-0": Bound(preemptions=0),
+}
+
+
+def _dfs_facts(kernel_cls, prog_seed, prefix, bound):
+    sched = _DFSScheduler(prefix, bound=bound)
+    k = kernel_cls(scheduler=sched, seed=prog_seed)
+    random_program(prog_seed)(k)
+    k.run()
+    return sched.choices, sched.runnable_sets, sched.preemptions, k.state_signature()
+
+
+@pytest.mark.parametrize("bound_name", list(_BOUNDS))
+def test_dfs_scheduler_matches_reference(bound_name):
+    """The explorers' scheduler drives both kernels through the same
+    choices over the random programs (sleeps included): the lowest-tid
+    descent, and a replay with its deepest branching choice flipped
+    into a forced prefix."""
+    bound = _BOUNDS[bound_name]
+    for prog_seed in range(10):
+        fast = _dfs_facts(Kernel, prog_seed, [], bound)
+        assert fast == _dfs_facts(ReferenceKernel, prog_seed, [], bound)
+        choices, runnable_sets = fast[0], fast[1]
+        depth = max(d for d, tids in enumerate(runnable_sets) if len(tids) > 1)
+        alt = next(t for t in runnable_sets[depth] if t != choices[depth])
+        prefix = choices[:depth] + [alt]
+        flipped = _dfs_facts(Kernel, prog_seed, prefix, bound)
+        assert flipped[0][: depth + 1] == prefix
+        assert flipped == _dfs_facts(ReferenceKernel, prog_seed, prefix, bound)
+
+
+class _PreChangeDFSScheduler(_DFSScheduler):
+    """``_DFSScheduler.pick`` before its single-runnable fast path and
+    index lookups, kept as the oracle of the property below."""
+
+    def pick(self, runnable, step):
+        tids = tuple(t.tid for t in runnable)
+        depth = len(self.choices)
+        if depth < len(self.prefix):
+            wanted = self.prefix[depth]
+            chosen = next(t for t in runnable if t.tid == wanted)
+        else:
+            chosen = runnable[0]
+            b = self.bound
+            if (
+                b is not None
+                and b.preemptions is not None
+                and self.choices
+                and self.preemptions >= b.preemptions
+            ):
+                prev = self.choices[-1]
+                if chosen.tid != prev and prev in tids:
+                    chosen = next(t for t in runnable if t.tid == prev)
+        if self.choices:
+            prev = self.choices[-1]
+            if chosen.tid != prev and prev in tids:
+                self.preemptions += 1
+        self.choices.append(chosen.tid)
+        self.runnable_sets.append(tids)
+        return chosen
+
+
+_THREADS = [SimThread(tid, f"T{tid}", None) for tid in range(5)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    steps=st.lists(
+        st.sets(st.integers(0, 4), min_size=1).map(sorted), min_size=1, max_size=25
+    ),
+    bound=st.none() | st.builds(
+        Bound,
+        preemptions=st.none() | st.integers(0, 3),
+        variables=st.none() | st.integers(0, 2),
+    ),
+)
+def test_dfs_pick_matches_pre_change_formulation(data, steps, bound):
+    """Over random tid-sorted runnable sets, forced prefixes (now and
+    then naming a thread that is not runnable) and budgets, the pick
+    chooses the same thread and keeps the same record as its pre-change
+    form; where that form raised a bare StopIteration, the pick raises
+    ReplayDivergence."""
+    prefix = []
+    for tids in steps[: data.draw(st.integers(0, len(steps)), label="forced")]:
+        if data.draw(st.integers(0, 9), label="diverge?") == 0:
+            prefix.append(data.draw(st.integers(0, 4), label="any tid"))
+        else:
+            prefix.append(data.draw(st.sampled_from(tids), label="runnable tid"))
+    new = _DFSScheduler(prefix, bound=bound)
+    old = _PreChangeDFSScheduler(prefix, bound=bound)
+    for step, tids in enumerate(steps):
+        runnable = [_THREADS[t] for t in tids]
+        try:
+            want = old.pick(runnable, step)
+        except StopIteration:
+            with pytest.raises(ReplayDivergence):
+                new.pick(runnable, step)
+            return
+        assert new.pick(runnable, step) is want
+        assert (new.choices, new.runnable_sets, new.preemptions) == (
+            old.choices, old.runnable_sets, old.preemptions
+        )
 
 
 def test_observe_snapshots_survive_sharding():

@@ -12,6 +12,8 @@ from repro.sim import (
     ReplayScheduler,
     SharedCell,
     SimLock,
+    StatelessPool,
+    Yield,
     explore,
 )
 
@@ -190,3 +192,46 @@ class TestExplore:
 
     def test_probability_empty_exploration(self):
         assert Exploration([], True).probability(lambda o: True) == 0.0
+
+
+def _drifting_build(first, later):
+    """A build that is not a function of its kernel: ``first`` threads
+    on the first call, ``later`` threads on every call after it."""
+    calls = []
+
+    def build(kernel):
+        n = first if not calls else later
+        calls.append(n)
+
+        def w():
+            for _ in range(3):
+                yield Yield()
+
+        for _ in range(n):
+            kernel.spawn(w)
+
+    return build
+
+
+class TestForcedPrefixDivergence:
+    """A forced prefix that the rebuilt program cannot follow is a loud
+    :class:`ReplayDivergence`, never a bare ``StopIteration``."""
+
+    @pytest.mark.parametrize(
+        "later, runnable",
+        [(1, r"\[0\]"), (2, r"\[0, 1\]")],
+        ids=["one-runnable", "two-runnable"],
+    )
+    def test_pool_run_raises_with_depth_tid_and_runnable(self, later, runnable):
+        # One runnable thread takes the pick's fast path, two the
+        # general one.
+        pool = StatelessPool(_drifting_build(3, later))
+        assert pool.run([]).result.ok
+        with pytest.raises(
+            ReplayDivergence, match=rf"depth 2: tid 2 .*runnable tids {runnable}"
+        ):
+            pool.run([0, 0, 2])
+
+    def test_explore_raises(self):
+        with pytest.raises(ReplayDivergence, match="forced prefix diverged"):
+            explore(_drifting_build(3, 1))
