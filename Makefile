@@ -5,7 +5,7 @@ TRIALS ?= 100
 # -1 = one worker per CPU
 WORKERS ?= -1
 
-.PHONY: install test test-par test-cache test-infer test-bounded test-e2e \
+.PHONY: install test test-par test-cache test-infer test-bounded test-explore test-e2e \
 	lint docstrings serve-smoke fleet-smoke bench bench-par bench-explore \
 	bench-svc bench-cache bench-kernel bench-infer bench-bounding bench-e2e \
 	golden report examples all
@@ -41,6 +41,15 @@ test-infer:
 # large-scale app family (bounded DPOR + PCT fallback).
 test-bounded:
 	$(PYTHON) -m pytest tests/sim/test_bounding.py tests/apps/test_large_apps.py
+
+# The explorer battery: the committed exploration corpus (byte for
+# byte), bounded == unbounded, the reduction and sharding
+# differentials, DPOR, replay, and the frontier/determinism checks.
+test-explore:
+	$(PYTHON) -m pytest tests/sim/test_golden_explore.py \
+	    tests/sim/test_bounding.py tests/sim/test_snapshot_explore.py \
+	    tests/sim/test_dpor.py tests/sim/test_replay_explore.py \
+	    tests/sim/test_kernel_determinism.py
 
 # The end-to-end benchmark's own unit tests (job generation, metrics,
 # span attribution); pytest's default testpaths do not include them.
@@ -124,8 +133,8 @@ bench-bounding:
 bench-e2e:
 	python3 benchmarks/e2e/run.py
 
-# Re-record the golden trace corpus (only after a deliberate
-# trace-content change; the golden tests diff byte-for-byte).
+# Re-record the golden corpora, traces and explorations (only after a
+# deliberate content change; the golden tests diff byte-for-byte).
 golden:
 	PYTHONPATH=src $(PYTHON) tools/record_golden.py
 

@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro.harness import default_workers, explore_app
-from repro.sim.snapshot import fork_available
+from repro.pool import FORKS
 
 from conftest import emit
 
@@ -42,7 +42,7 @@ def _fingerprint(res):
 
 
 def test_sharded_dpor_scaling(benchmark, worker_count):
-    if not fork_available():
+    if not FORKS:
         pytest.skip("sharded exploration needs fork")
     pool = default_workers() if worker_count < 0 else worker_count
 

@@ -45,7 +45,7 @@ import pytest
 
 from repro.apps import get_app
 from repro.harness import run_trials
-from repro.sim.snapshot import fork_available
+from repro.pool import FORKS
 
 from conftest import emit, emit_bench_doc, gate_bench_doc
 
@@ -106,7 +106,7 @@ def _concurrent_service():
 
 
 def test_service_throughput_vs_sequential_cli(benchmark):
-    if not fork_available():
+    if not FORKS:
         pytest.skip("the service executor forks pool workers")
 
     def experiment():
@@ -175,7 +175,7 @@ def test_client_keepalive_vs_fresh_connections(benchmark):
     is paid by *every* poll of *every* client, and under long-poll load
     it is the difference between N sockets and N x requests sockets.
     """
-    if not fork_available():
+    if not FORKS:
         pytest.skip("the service executor forks pool workers")
     from repro.svc import ReproClient, ReproService
 
@@ -274,7 +274,7 @@ def test_fleet_throughput_vs_single_daemon(benchmark, tmp_path):
     re-executes — the paper-shaped claim that a reproduction service
     under steady load is cache-bound, not compute-bound.
     """
-    if not fork_available():
+    if not FORKS:
         pytest.skip("the service executor forks pool workers")
     from repro.svc import FleetRouter, ReproClient, ReproService
 
@@ -406,7 +406,7 @@ def test_fleet_failover_overhead(benchmark, tmp_path):
     exactly the overhead under test.  Acceptance bar: the hardened
     router costs at most 25% over legacy (in practice it is noise).
     """
-    if not fork_available():
+    if not FORKS:
         pytest.skip("the service executor forks pool workers")
     from repro.svc import FleetRouter, ReproService
 
@@ -481,7 +481,7 @@ def test_fleet_failover_overhead(benchmark, tmp_path):
 def test_bench_svc_doc_and_gate():
     """Assemble ``BENCH_svc.json`` from the sections above and gate the
     machine-relative speedups against the committed baseline."""
-    if not fork_available():
+    if not FORKS:
         pytest.skip("the service executor forks pool workers")
     required = ("svc_speedup", "fleet_speedup", "keepalive_speedup",
                 "fleet_failover_overhead")

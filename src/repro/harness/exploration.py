@@ -42,6 +42,18 @@ _SNAPSHOTS_REMOVED = (
 )
 
 
+def _refuse_modes(snapshots: bool, dpor: bool, sleep_sets: bool) -> None:
+    """Raise ``ValueError`` for flag combinations no explorer runs.
+
+    ``sleep_sets`` prunes only the DPOR walk; without ``dpor`` it would
+    change nothing but the cache key, storing the plain walk's result
+    twice under two keys."""
+    if snapshots:
+        raise ValueError(_SNAPSHOTS_REMOVED)
+    if sleep_sets and not dpor:
+        raise ValueError("sleep_sets requires dpor: sleep sets prune the DPOR walk")
+
+
 @dataclasses.dataclass(frozen=True)
 class ExplorationSummary:
     """The decision-relevant reduction of an :class:`AppExploration`.
@@ -220,15 +232,15 @@ def explore_app(
     operations are rejected — see :mod:`repro.sim.dpor`); ``workers``
     (0/None = serial, ``"auto"`` = one per CPU, negative is refused)
     additionally shards the DPOR tree over that many worker processes.
-    ``sleep_sets`` selects the reduction; ``snapshots=True`` raises
-    ``ValueError`` (the fork snapshot executor was removed; the keyword
-    stays for existing callers).  ``bound`` applies the composable
-    preemption/variable cut strategies of
+    ``sleep_sets`` selects the reduction and requires ``dpor``;
+    ``snapshots=True`` raises ``ValueError`` (the fork snapshot executor
+    was removed; the keyword stays for existing callers).  ``bound``
+    applies the composable preemption/variable cut strategies of
     :class:`~repro.sim.explore.Bound` in every explorer mode (the bound
-    is result-relevant: it joins the cache fingerprint).
+    is result-relevant: it joins the cache fingerprint).  ``obs``
+    collects the walk's ``explore.*`` counters, sharded or not.
     """
-    if snapshots:
-        raise ValueError(_SNAPSHOTS_REMOVED)
+    _refuse_modes(snapshots, dpor, sleep_sets)
     workers = _resolve_workers(workers)
     if bound is not None and not bound.active:
         bound = None
@@ -259,6 +271,7 @@ def explore_app(
             shard_depth=shard_depth,
             sleep_sets=sleep_sets,
             bound=bound,
+            obs=obs,
         )
     elif dpor:
         exploration, stats = explore_dpor(
@@ -312,10 +325,12 @@ def explore_summary(
     :class:`repro.cache.ResultCache` the summary comes from the
     content-addressed store (running the exploration only on a miss),
     without one it is computed directly — identical either way, which is
-    what ``tests/cache/test_differential.py`` asserts.
+    what ``tests/cache/test_differential.py`` asserts.  Refused flag
+    combinations raise before any cache lookup.
     """
-    if snapshots:
-        raise ValueError(_SNAPSHOTS_REMOVED)
+    _refuse_modes(
+        snapshots, kwargs.get("dpor", False), kwargs.get("sleep_sets", False)
+    )
     if cache is not None:
         return cache.explore(
             app_name, bug, witness_limit=witness_limit, **kwargs

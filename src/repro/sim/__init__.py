@@ -66,7 +66,7 @@ from .syscalls import (
     Yield,
 )
 from .dpor import DporStats, explore_dpor, explore_dpor_sharded
-from .explore import Exploration, Outcome, explore, explore_sharded, merge_shards
+from .explore import Exploration, Outcome, explore, merge_shards
 from .replay import RecordingScheduler, ReplayDivergence, ReplayScheduler
 from .snapshot import (
     Bound,
@@ -74,7 +74,6 @@ from .snapshot import (
     RunRecord,
     StatelessPool,
     count_preemptions,
-    fork_available,
 )
 from .thread import SimThread, TState
 from .timeline import around_breakpoints, render_choice_path, render_timeline
@@ -107,7 +106,6 @@ __all__ = [
     "Exploration",
     "Outcome",
     "explore",
-    "explore_sharded",
     "merge_shards",
     "explore_dpor",
     "explore_dpor_sharded",
@@ -115,7 +113,6 @@ __all__ = [
     "RunRecord",
     "PoolStats",
     "StatelessPool",
-    "fork_available",
     "render_timeline",
     "render_choice_path",
     "around_breakpoints",

@@ -6,7 +6,11 @@ one prefix into one executed schedule: a fresh kernel, the forced
 prefix replayed from step 0, then a lowest-tid free descent
 (:class:`_DFSScheduler`), handed back as a :class:`RunRecord`.  The
 kernel is deterministic given the choices, so replay is exact; its cost
-is O(steps) per schedule.
+is O(steps) per schedule.  Whatever an explorer derives from a run
+(DPOR step footprints, variable-bound charges) it reads off the record's
+``result.trace``: that is the run's own :class:`~repro.sim.trace.Trace`,
+whose events hold the touched objects, so ``id`` keys stay valid after
+the run.
 
 Schedules are deliberately not resumed from forked snapshots of a
 shared prefix: registry schedules are 8–483 kernel steps, and a fork
@@ -20,7 +24,6 @@ scheduler enforces the preemption budget during the free descent.
 from __future__ import annotations
 
 import dataclasses
-import os
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -35,7 +38,6 @@ __all__ = [
     "PoolStats",
     "StatelessPool",
     "count_preemptions",
-    "fork_available",
 ]
 
 _tid = attrgetter("tid")
@@ -195,12 +197,6 @@ class _DFSScheduler(Scheduler):
         )
 
 
-def fork_available() -> bool:
-    """True when this platform can fork worker processes (sharded
-    exploration, the service's worker pool)."""
-    return hasattr(os, "fork")
-
-
 @dataclasses.dataclass
 class RunRecord:
     """Everything one executed schedule hands back to a DFS loop."""
@@ -209,9 +205,6 @@ class RunRecord:
     runnable_sets: Tuple[Tuple[int, ...], ...]
     result: RunResult
     observed: Any
-    #: Explorer-specific extension data (e.g. DPOR step footprints,
-    #: which key on object identities of this run's kernel).
-    extras: Optional[dict]
     #: Preemptive context switches in this schedule (see
     #: :func:`count_preemptions`, of which this is the incremental form).
     preemptions: int = 0
@@ -238,7 +231,6 @@ class StatelessPool:
         max_time: float = float("inf"),
         record_trace: bool = False,
         observe: Optional[Callable[[Kernel], object]] = None,
-        postprocess: Optional[Callable[[Kernel, _DFSScheduler], dict]] = None,
         bound: Optional[Bound] = None,
     ) -> None:
         self._build = build
@@ -247,7 +239,6 @@ class StatelessPool:
         self._max_time = max_time
         self._record_trace = record_trace
         self._observe = observe
-        self._postprocess = postprocess
         self._bound = bound
         self.stats = PoolStats()
 
@@ -260,11 +251,6 @@ class StatelessPool:
         self._build(kernel)
         result = kernel.run(max_steps=self._max_steps, max_time=self._max_time)
         observed = self._observe(kernel) if self._observe is not None else None
-        extras = (
-            self._postprocess(kernel, sched)
-            if self._postprocess is not None
-            else None
-        )
         self.stats.runs += 1
         self.stats.executed_steps += kernel.step
         self.stats.replayed_choices += len(sched.prefix)
@@ -273,6 +259,5 @@ class StatelessPool:
             runnable_sets=tuple(sched.runnable_sets),
             result=result,
             observed=observed,
-            extras=extras,
             preemptions=sched.preemptions,
         )

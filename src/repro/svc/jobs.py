@@ -169,6 +169,10 @@ class JobSpec:
                 "snapshots is no longer supported: the fork snapshot "
                 "executor was removed (explorations replay statelessly)"
             )
+        if self.kind == "explore" and self.sleep_sets and not self.dpor:
+            raise JobValidationError(
+                "sleep_sets requires dpor: sleep sets prune the DPOR walk"
+            )
         if self.kind == "explore" and self.max_schedules <= 0:
             raise JobValidationError(
                 f"max_schedules must be positive, got {self.max_schedules}"
@@ -285,8 +289,9 @@ def execute_job(
     (ignored when the spec opts out); cached and fresh results are
     bit-identical by the cache's own contract.  ``metrics`` is an
     optional :class:`~repro.obs.metrics.MetricsRegistry` the explore
-    path flushes its cut counters into (``explore.dpor.*``) — purely
-    observational, never result-affecting.
+    path flushes its ``explore.*`` counters into (schedules, steps,
+    cuts, ``explore.dpor.*``), sharded or not — purely observational,
+    never result-affecting.
     """
     if spec.no_cache:
         cache = None

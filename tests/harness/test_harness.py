@@ -12,6 +12,8 @@ from repro.harness import (
     build_section63,
     build_table1,
     build_table2,
+    explore_app,
+    explore_summary,
     measure,
     render,
     run_trials,
@@ -165,3 +167,16 @@ class TestReportGeneration:
 
         text = generate_report(trials=4, markdown=False)
         assert "Benchmark" in text and "|" not in text.splitlines()[0]
+
+
+class TestExploreModes:
+    def test_sleep_sets_without_dpor_refused_before_any_cache_lookup(self):
+        class NoLookups:
+            def explore(self, *args, **kwargs):
+                raise AssertionError("the cache must not be consulted")
+
+        with pytest.raises(ValueError, match="sleep_sets requires dpor"):
+            explore_app("figure4", "error1", sleep_sets=True, max_schedules=4)
+        with pytest.raises(ValueError, match="sleep_sets requires dpor"):
+            explore_summary("figure4", "error1", sleep_sets=True,
+                            max_schedules=4, cache=NoLookups())

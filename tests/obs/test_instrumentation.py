@@ -2,8 +2,10 @@
 parallel == serial determinism contract, and the ambient sink."""
 
 from repro.apps import AppConfig, get_app
-from repro.harness import run_trials
+from repro.harness import explore_app, run_trials
+from repro.harness.exploration import _make_build_and_observe
 from repro.obs import ObsContext, collecting, deterministic_view
+from repro.sim.dpor import explore_dpor_sharded
 
 
 def _run_one(seed=0, bug="atomicity1"):
@@ -101,3 +103,41 @@ class TestHarnessMetrics:
         with collecting(reg):
             run_trials(cls, n=4, bug="atomicity1")
         assert reg.counter("harness.trials").value == 8
+
+
+class TestExploreMetrics:
+    """Sharded DPOR flushes the ``explore.*`` counters its shard walks
+    would flush serially, once, in the calling process."""
+
+    @staticmethod
+    def _counters(obs):
+        return {name: m["value"] for name, m in obs.metrics.snapshot().items()}
+
+    def _sharded(self, workers):
+        _, build, observe = _make_build_and_observe(
+            "bank", AppConfig(bug="lost_update", params={"iters": 2})
+        )
+        obs = ObsContext.create(bus_enabled=False)
+        _, stats = explore_dpor_sharded(
+            build, observe=observe, workers=workers, sleep_sets=True, obs=obs
+        )
+        return self._counters(obs), stats
+
+    def test_sharded_dpor_counters_are_worker_count_independent(self):
+        serial, stats = self._sharded(workers=0)
+        forked, forked_stats = self._sharded(workers=2)
+        assert forked == serial and forked_stats == stats
+        assert serial["explore.schedules"] > 0
+        assert serial["explore.dpor.sleep_set_prunes"] == stats.sleep_set_prunes > 0
+        assert serial["explore.steps_executed"] == stats.executed_steps
+
+    def test_explore_app_passes_obs_to_the_sharded_walk(self):
+        obs = ObsContext.create(bus_enabled=False)
+        res = explore_app("bank", "lost_update", dpor=True, sleep_sets=True,
+                          workers=2, params={"iters": 2}, obs=obs)
+        counters = self._counters(obs)
+        assert counters["explore.steps_executed"] == res.dpor_stats.executed_steps
+        assert (
+            counters["explore.dpor.sleep_set_prunes"]
+            == res.dpor_stats.sleep_set_prunes
+        )

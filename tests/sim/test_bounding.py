@@ -21,10 +21,11 @@ from hypothesis import strategies as st
 from repro.apps import ALL_APPS
 from repro.apps.large import EXPLORE_PARAMS
 from repro.harness import explore_app
+from repro.pool import FORKS
 from repro.sim import Bound, SharedCell, SimLock, count_preemptions
 from repro.sim.dpor import explore_dpor, explore_dpor_sharded
 from repro.sim.explore import _var_key, explore
-from repro.sim.snapshot import StatelessPool, fork_available
+from repro.sim.snapshot import StatelessPool
 
 #: A budget no finite program here can spend: bounded(HUGE) must be
 #: bit-identical to unbounded.
@@ -128,7 +129,7 @@ def test_huge_bound_is_identity_under_dpor(app_name, bug, params, sleep_sets):
     assert runs[HUGE].dpor_stats == runs[None].dpor_stats
 
 
-@pytest.mark.skipif(not fork_available(), reason="sharding requires fork")
+@pytest.mark.skipif(not FORKS, reason="sharding requires fork")
 def test_huge_bound_is_identity_under_sharded_dpor():
     def walk(bound):
         return explore_app(

@@ -12,13 +12,13 @@ import os
 import pytest
 
 from repro.harness import explore_app, explore_summary
+from repro.pool import FORKS
 from repro.sim import SharedCell, SimLock
 from repro.sim.dpor import explore_dpor, explore_dpor_sharded
 from repro.sim.explore import explore
-from repro.sim.snapshot import fork_available
 
 pytestmark = pytest.mark.skipif(
-    not fork_available(), reason="sharded exploration needs fork"
+    not FORKS, reason="sharded exploration needs fork"
 )
 
 

@@ -59,6 +59,16 @@ class TestJobSpec:
         spec = JobSpec(app="figure4", bug="error1", trials=3)
         assert spec.validate() is spec
 
+    def test_sleep_sets_without_dpor_rejected(self):
+        # The plain walk ignores sleep sets, so the flag would only fork
+        # the cache key and the routing fingerprint.
+        with pytest.raises(JobValidationError, match="sleep_sets requires dpor"):
+            JobSpec(kind="explore", app="figure4", bug="error1",
+                    sleep_sets=True).validate()
+        spec = JobSpec(kind="explore", app="bank", bug="lost_update",
+                       dpor=True, sleep_sets=True)
+        assert spec.validate() is spec
+
 
 class TestStatsWire:
     def test_stats_round_trip_is_bit_identical(self):

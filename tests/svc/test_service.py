@@ -112,6 +112,13 @@ class TestEndpoints:
         assert exc.value.status == 400
         assert "fork snapshot executor was removed" in exc.value.message
 
+    def test_sleep_sets_without_dpor_spec_400(self, client):
+        with pytest.raises(ServiceError) as exc:
+            client.submit(JobSpec(kind="explore", app="figure4", bug="error1",
+                                  sleep_sets=True))
+        assert exc.value.status == 400
+        assert "sleep_sets requires dpor" in exc.value.message
+
     def test_negative_workers_spec_400(self, client):
         with pytest.raises(ServiceError) as exc:
             client.submit(JobSpec(app="figure4", bug="error1", trials=2, workers=-1))
