@@ -25,6 +25,13 @@ A second corpus pins the *explorers* the same way
 ``tests/sim/test_golden_explore.py``): every registry app walked by the
 plain DFS, and the untimed subjects by plain, sleep-set and sharded
 DPOR, each unbounded and under one preemption or one variable.
+
+A third pins what *instrumented* runs report
+(``tests/sim/golden/metrics/corpus.json``, checked by
+``tests/sim/test_golden_metrics.py``): the metric names and a digest of
+the deterministic metrics view of a collected trial sweep of every
+registry app, and of a sleep-set DPOR explore job on every untimed
+subject, serial and sharded.
 """
 
 from __future__ import annotations
@@ -40,13 +47,16 @@ from typing import Any, Dict, List, Optional, Tuple, Type
 from repro.apps.base import AppConfig, BaseApp
 from repro.apps.large import EXPLORE_PARAMS
 from repro.apps.registry import ALL_APPS
+from repro.harness import runner
 from repro.harness.exploration import _make_build_and_observe
+from repro.obs.metrics import MetricsRegistry, deterministic_view
 from repro.sim import primitives as _primitives
 from repro.sim.dpor import explore_dpor, explore_dpor_sharded
 from repro.sim.explore import explore
 from repro.sim.kernel import Kernel
 from repro.sim.snapshot import Bound
 from repro.sim.trace import trace_fingerprint
+from repro.svc import jobs
 
 __all__ = [
     "GOLDEN_DIR",
@@ -59,6 +69,10 @@ __all__ = [
     "explore_cases",
     "explore_entry",
     "render_explore_corpus",
+    "METRICS_GOLDEN",
+    "metrics_cases",
+    "metrics_entry",
+    "render_metrics_corpus",
 ]
 
 #: Committed corpus location (repo-relative, resolved from this file).
@@ -137,8 +151,8 @@ def record_corpus(
     out_dir: Path = GOLDEN_DIR, kernel_cls: type = Kernel, echo: bool = False
 ) -> List[Path]:
     """(Re)record the full corpus: one JSON file per registry app, and
-    the exploration corpus (which ``kernel_cls`` does not affect) in
-    the ``explore/`` subdirectory."""
+    the exploration and metrics corpora (which ``kernel_cls`` does not
+    affect) in the ``explore/`` and ``metrics/`` subdirectories."""
     out_dir.mkdir(parents=True, exist_ok=True)
     written: List[Path] = []
     for app_cls in ALL_APPS.values():
@@ -147,12 +161,14 @@ def record_corpus(
         written.append(path)
         if echo:
             print(f"recorded {path}")
-    path = out_dir / "explore" / "corpus.json"
-    path.parent.mkdir(exist_ok=True)
-    path.write_text(render_explore_corpus())
-    written.append(path)
-    if echo:
-        print(f"recorded {path}")
+    for sub, render in (("explore", render_explore_corpus),
+                        ("metrics", render_metrics_corpus)):
+        path = out_dir / sub / "corpus.json"
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(render())
+        written.append(path)
+        if echo:
+            print(f"recorded {path}")
     return written
 
 
@@ -233,4 +249,68 @@ def explore_entry(app: str, bug: Optional[str], mode: str, bound: str) -> Dict[s
 def render_explore_corpus() -> str:
     """The exploration corpus document, canonically serialized."""
     entries = [explore_entry(*case) for case in explore_cases()]
+    return json.dumps(entries, indent=1, sort_keys=True) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Metrics corpus
+# ---------------------------------------------------------------------------
+
+#: Committed metrics corpus, one directory below the trace corpus.
+METRICS_GOLDEN = GOLDEN_DIR / "metrics" / "corpus.json"
+
+#: Trials per collected sweep, and the first seed of each sweep.
+METRICS_TRIALS, METRICS_BASE_SEED = 4, 1
+
+#: Worker counts of the explore jobs: the serial walk and the sharded one.
+METRICS_EXPLORE_WORKERS = (0, 2)
+
+
+def metrics_cases() -> List[Tuple[str, str, Optional[str], int]]:
+    """The ``(kind, app, bug, workers)`` matrix: a collected trial sweep
+    of every registry app without a bug and with its first bug, and a
+    sleep-set DPOR explore job with the first bug of every DPOR
+    subject, at each of :data:`METRICS_EXPLORE_WORKERS`."""
+    trials = [
+        ("trials", name, bug, 0)
+        for name in sorted(ALL_APPS)
+        for bug in [None] + sorted(ALL_APPS[name].bugs)[:1]
+    ]
+    explore_jobs = [
+        ("explore", name, sorted(ALL_APPS[name].bugs)[0], workers)
+        for name in sorted(DPOR_SUBJECTS)
+        for workers in METRICS_EXPLORE_WORKERS
+    ]
+    return trials + explore_jobs
+
+
+def metrics_entry(kind: str, app: str, bug: Optional[str], workers: int) -> Dict[str, Any]:
+    """One instrumented run, reduced to its corpus entry: the sorted
+    metric names and a SHA-256 of the deterministic metrics view as
+    canonical JSON."""
+    with _fresh_primitive_ids():
+        if kind == "trials":
+            stats = runner.run_trials(
+                ALL_APPS[app], n=METRICS_TRIALS, bug=bug,
+                base_seed=METRICS_BASE_SEED, collect_metrics=True,
+            )
+            snapshot = stats.metrics
+        else:
+            registry = MetricsRegistry()
+            spec = jobs.JobSpec(
+                kind="explore", app=app, bug=bug, dpor=True, sleep_sets=True,
+                max_schedules=EXPLORE_CAP, params=dict(DPOR_SUBJECTS[app]),
+                workers=workers,
+            )
+            jobs.execute_job(spec, metrics=registry)
+            snapshot = registry.snapshot()
+    view = json.dumps(deterministic_view(snapshot), sort_keys=True, separators=(",", ":"))
+    return {"kind": kind, "app": app, "bug": bug, "workers": workers,
+            "metrics": sorted(snapshot),
+            "digest": hashlib.sha256(view.encode()).hexdigest()}
+
+
+def render_metrics_corpus() -> str:
+    """The metrics corpus document, canonically serialized."""
+    entries = [metrics_entry(*case) for case in metrics_cases()]
     return json.dumps(entries, indent=1, sort_keys=True) + "\n"
