@@ -5,7 +5,7 @@ TRIALS ?= 100
 # -1 = one worker per CPU
 WORKERS ?= -1
 
-.PHONY: install test test-par test-cache test-infer test-bounded test-explore test-e2e \
+.PHONY: install test test-par test-cache test-infer test-bounded test-explore test-obs test-e2e \
 	lint docstrings serve-smoke fleet-smoke bench bench-par bench-explore \
 	bench-svc bench-cache bench-kernel bench-infer bench-bounding bench-e2e \
 	golden report examples all
@@ -50,6 +50,13 @@ test-explore:
 	    tests/sim/test_bounding.py tests/sim/test_snapshot_explore.py \
 	    tests/sim/test_dpor.py tests/sim/test_replay_explore.py \
 	    tests/sim/test_kernel_determinism.py
+
+# The observability battery: instrumentation and metrics units, the
+# metrics corpus (byte for byte), and the trace corpus rendered both
+# plain and instrumented against the same committed files.
+test-obs:
+	$(PYTHON) -m pytest tests/obs/ tests/sim/test_golden_metrics.py \
+	    tests/sim/test_golden_traces.py
 
 # The end-to-end benchmark's own unit tests (job generation, metrics,
 # span attribution); pytest's default testpaths do not include them.
@@ -133,8 +140,8 @@ bench-bounding:
 bench-e2e:
 	python3 benchmarks/e2e/run.py
 
-# Re-record the golden corpora, traces and explorations (only after a
-# deliberate content change; the golden tests diff byte-for-byte).
+# Re-record the golden corpora: traces, explorations and metrics (only
+# after a deliberate content change; the golden tests diff byte-for-byte).
 golden:
 	PYTHONPATH=src $(PYTHON) tools/record_golden.py
 

@@ -1,10 +1,10 @@
 """E-obs — the observability overhead gate.
 
-The design contract of :mod:`repro.obs` is that instrumentation which
-nobody consumes is close to free: enabling metrics collection (per-sweep
-``ObsContext``, no bus subscribers) must cost **less than 5 %** of
-end-to-end experiment wall-clock time.  This benchmark enforces the gate
-on representative subjects — the same apps Table 1 exercises.
+The design contract of :mod:`repro.obs` is that instrumentation is close
+to free: enabling metrics collection (one per-sweep ``MetricsRegistry``,
+reset per trial) must cost **less than 5 %** of end-to-end experiment
+wall-clock time.  This benchmark enforces the gate on representative
+subjects — the same apps Table 1 exercises.
 
 Methodology: machine-level timing on shared runners drifts on the
 millisecond scale (CPU frequency scaling, co-tenants), so sequential
@@ -29,7 +29,7 @@ import time
 
 from repro.apps import AppConfig, get_app
 from repro.harness.parallel import execute_trial
-from repro.obs import ObsContext
+from repro.obs import MetricsRegistry
 
 from conftest import emit
 
@@ -67,7 +67,7 @@ def _paired_overhead(app, bug, pairs):
     cls = get_app(app)
     cfg_base = AppConfig(bug=bug, collect_metrics=False)
     cfg_obs = AppConfig(bug=bug, collect_metrics=True)
-    reuse = ObsContext.create(bus_enabled=False)
+    reuse = MetricsRegistry()
     for seed in range(WARMUP):
         execute_trial(cls, cfg_base, seed)
         execute_trial(cls, cfg_obs, seed, reuse_obs=reuse)

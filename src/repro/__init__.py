@@ -24,9 +24,8 @@ Package map:
 :mod:`repro.apps`         the 18 evaluation subjects, re-created
 :mod:`repro.harness`      the 100-trial experiment protocol and all table
                           builders (Table 1, Table 2, Section 5, 6.2, 6.3)
-:mod:`repro.obs`          observability: structured event bus, metrics
-                          registry, Chrome-trace / JSONL trace export
-                          with replayable schedules
+:mod:`repro.obs`          observability: metrics registry, Chrome-trace /
+                          JSONL trace export with replayable schedules
 ========================  ====================================================
 
 Quickstart (real threads)::

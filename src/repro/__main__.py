@@ -153,13 +153,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if metrics_out is not None:
             _write_metrics(metrics_out, stats.metrics)
         return 0
-    obs_ctx = None
+    registry = None
     if metrics_out is not None:
-        from repro.obs import ObsContext
+        from repro.obs import MetricsRegistry
 
-        obs_ctx = ObsContext.create()
+        registry = MetricsRegistry()
     app = cls(AppConfig(bug=bug, timeout=args.timeout))
-    run = app.run(seed=args.seed, record_trace=args.timeline, obs=obs_ctx)
+    run = app.run(seed=args.seed, record_trace=args.timeline, obs=registry)
     print(f"{args.app}/{args.bug} seed={args.seed}:")
     print(f"  bug reproduced : {run.bug_hit}")
     print(f"  error symptom  : {run.error}")
@@ -172,8 +172,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         window = around_breakpoints(run.result.trace, context=4)
         print("\nTimeline around the breakpoints:")
         print(render_timeline(window if window else run.result.trace, limit=40))
-    if obs_ctx is not None:
-        _write_metrics(metrics_out, obs_ctx.metrics.snapshot())
+    if registry is not None:
+        _write_metrics(metrics_out, registry.snapshot())
     return 0
 
 
@@ -725,12 +725,12 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         )
         snapshot = stats.metrics
     else:
-        from repro.obs import ObsContext
+        from repro.obs import MetricsRegistry
 
-        obs_ctx = ObsContext.create()
+        registry = MetricsRegistry()
         app = cls(AppConfig(bug=args.bug, timeout=args.timeout))
-        app.run(seed=args.seed, obs=obs_ctx)
-        snapshot = obs_ctx.metrics.snapshot()
+        app.run(seed=args.seed, obs=registry)
+        snapshot = registry.snapshot()
     if args.out:
         _write_metrics(args.out, snapshot)
     else:

@@ -77,7 +77,7 @@ class AppConfig:
                        its named breakpoints (ablating Table 2's #CBR
                        column: a proper subset should not reproduce);
     ``params``       — app-specific workload overrides;
-    ``collect_metrics`` — run under a fresh :class:`repro.obs.ObsContext`
+    ``collect_metrics`` — run under a fresh :class:`repro.obs.MetricsRegistry`
                        and attach the trial's metrics snapshot to its
                        outcome (set by the harness; travels with the
                        config across worker-process boundaries).
@@ -274,9 +274,9 @@ class BaseApp(abc.ABC):
     ) -> AppRun:
         """Execute the app once and evaluate its oracle.
 
-        ``obs`` is an optional :class:`repro.obs.ObsContext`; the kernel
-        and breakpoint engine record metrics and publish bus events into
-        it.  Observability never changes scheduling, so instrumented and
+        ``obs`` is an optional :class:`repro.obs.MetricsRegistry`; the
+        kernel and breakpoint engine record their metrics into it.
+        Observability never changes scheduling, so instrumented and
         plain runs of the same seed are identical executions.
 
         ``kernel_cls`` swaps the execution engine — the golden-trace

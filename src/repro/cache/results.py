@@ -409,7 +409,7 @@ class ResultCache:
         from repro.harness.exploration import ExplorationSummary
 
         obs = kwargs.pop("obs", None)
-        del obs  # fetch never executes, so an obs context is irrelevant
+        del obs  # fetch never executes, so a metrics registry is irrelevant
         workers = kwargs.pop("workers", None)
         shard_depth = kwargs.pop("shard_depth", 2)
         dpor = kwargs.get("dpor", False)

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Tuple, Union
 from .spec import BTrigger
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a core<->obs cycle
-    from repro.obs import ObsContext
+    from repro.obs import MetricsRegistry
 
 __all__ = [
     "BreakpointStats",
@@ -139,44 +139,26 @@ class BreakpointEngine:
     simulation backend).
     """
 
-    def __init__(self, obs: Optional["ObsContext"] = None) -> None:
+    def __init__(self, obs: Optional["MetricsRegistry"] = None) -> None:
         self._postponed: Dict[str, List[PostponedEntry]] = {}
         self._tokens = itertools.count(1)
         self.stats: Dict[str, BreakpointStats] = {}
         #: Total matches across all names, cheap liveness signal for tests.
         self.total_hits = 0
-        #: Observability context (duck-typed; ``None`` disables entirely).
+        #: Metrics registry (duck-typed; ``None`` disables entirely).
         self.obs = obs
-        #: Assigned unconditionally (None when uninstrumented) to keep
-        #: one instance shape — see the matching note in
-        #: ``Kernel.__init__`` about CPython shared-keys dicts.
-        self._pause_log: Optional[List[float]] = None
-        self._sig_postpone = None
-        self._sig_match = None
-        self._sig_timeout = None
-        if obs is not None:
-            #: Pause durations of matched/expired entries, flushed into
-            #: the ``engine.pause_seconds`` histogram at end of run.  The
-            #: counters (arrivals, skips, ...) need no hot-path work at
-            #: all — they are derived from :attr:`stats` at flush time.
-            self._pause_log = []
-            # Signal endpoints are get-or-create on the bus, so caching
-            # the three lookups on the context is free sharing — a sweep
-            # constructs one engine per trial against one reused context
-            # and skips the bus round trips after the first.
-            sigs = getattr(obs, "_engine_sigs", None)
-            if sigs is None:
-                sig = obs.bus.signal
-                sigs = (sig("bp.postpone"), sig("bp.match"), sig("bp.timeout"))
-                try:
-                    obs._engine_sigs = sigs
-                except AttributeError:  # exotic duck-typed context
-                    pass
-            self._sig_postpone, self._sig_match, self._sig_timeout = sigs
+        #: Pause durations of matched/expired entries, flushed into the
+        #: ``engine.pause_seconds`` histogram at end of run.  The
+        #: counters (arrivals, skips, ...) need no hot-path work at all —
+        #: they are derived from :attr:`stats` at flush time.  Assigned
+        #: unconditionally (None when uninstrumented) to keep one
+        #: instance shape — see the matching note in ``Kernel.__init__``
+        #: about CPython shared-keys dicts.
+        self._pause_log: Optional[List[float]] = None if obs is None else []
 
     # ------------------------------------------------------------------
     def flush_metrics(self, into: Optional[Dict[str, int]] = None) -> None:
-        """Fold this run's breakpoint bookkeeping into the obs registry.
+        """Fold this run's breakpoint bookkeeping into the metrics registry.
 
         Called once at end of run (the kernel's ``_flush_obs``).  The hot
         paths maintain only :attr:`stats` — which they did before
@@ -191,9 +173,9 @@ class BreakpointEngine:
         the whole run lands in one ``add_counters`` registry call;
         without it the counters are registered directly.
         """
-        if self.obs is None or not self.stats:
+        m = self.obs
+        if m is None or not self.stats:
             return
-        m = self.obs.metrics
         visits = skips = postpones = hits = timeouts = 0
         for st in self.stats.values():
             visits += st.visits
@@ -292,19 +274,10 @@ class BreakpointEngine:
                         side.inst.policy.record_trigger()
                 if obs is not None:
                     self._pause_log.append(now - parked.park_time)
-                    if self._sig_match.active:
-                        self._sig_match(
-                            name=inst.name,
-                            threads=(entry.thread_key, parked.thread_key),
-                            pause=now - parked.park_time,
-                            time=now,
-                        )
                 return Matched(entry=entry, partner=parked)
 
         self._postponed.setdefault(inst.name, []).append(entry)
         st.postpones += 1
-        if obs is not None and self._sig_postpone.active:
-            self._sig_postpone(name=inst.name, thread=thread_key, time=now)
         return Postponed(entry=entry)
 
     def _arrive_group(self, inst, entry: PostponedEntry, st: BreakpointStats) -> ArrivalResult:
@@ -324,10 +297,6 @@ class BreakpointEngine:
         if len(partners) < inst.parties - 1:
             self._postponed.setdefault(inst.name, []).append(entry)
             st.postpones += 1
-            if self.obs is not None and self._sig_postpone.active:
-                self._sig_postpone(
-                    name=inst.name, thread=entry.thread_key, time=entry.park_time
-                )
             return Postponed(entry=entry)
         for parked in partners:
             self._postponed[inst.name].remove(parked)
@@ -346,12 +315,6 @@ class BreakpointEngine:
             now = entry.park_time  # the completing arrival's timestamp
             for parked in partners:
                 self._pause_log.append(now - parked.park_time)
-            if self._sig_match.active:
-                self._sig_match(
-                    name=inst.name,
-                    threads=tuple(m.thread_key for m in group),
-                    time=now,
-                )
         return MatchedGroup(entry=entry, ordered=group)
 
     @staticmethod
@@ -384,12 +347,6 @@ class BreakpointEngine:
             self.stats_for(entry.inst.name).timeouts += 1
             if self.obs is not None:
                 self._pause_log.append(entry.deadline - entry.park_time)
-                if self._sig_timeout.active:
-                    self._sig_timeout(
-                        name=entry.inst.name,
-                        thread=entry.thread_key,
-                        pause=entry.deadline - entry.park_time,
-                    )
             return True
         return False
 

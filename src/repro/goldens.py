@@ -117,11 +117,17 @@ def golden_entry(
     seed: int,
     bug: Optional[str] = None,
     kernel_cls: type = Kernel,
+    instrumented: bool = False,
 ) -> Dict[str, Any]:
-    """One traced run, reduced to its canonical corpus entry."""
+    """One traced run, reduced to its canonical corpus entry.
+
+    ``instrumented`` runs the case with a fresh metrics registry; an
+    instrumented run is the same execution, so the entry is the same.
+    """
+    obs = MetricsRegistry() if instrumented else None
     with _fresh_primitive_ids():
         app = app_cls(AppConfig(bug=bug))
-        run = app.run(seed=seed, record_trace=True, kernel_cls=kernel_cls)
+        run = app.run(seed=seed, record_trace=True, kernel_cls=kernel_cls, obs=obs)
     r = run.result
     assert r.trace is not None
     return {
@@ -138,10 +144,12 @@ def golden_entry(
     }
 
 
-def render_app_corpus(app_cls: Type[BaseApp], kernel_cls: type = Kernel) -> str:
+def render_app_corpus(
+    app_cls: Type[BaseApp], kernel_cls: type = Kernel, instrumented: bool = False
+) -> str:
     """The app's corpus document, canonically serialized."""
     entries = [
-        golden_entry(app_cls, seed, bug, kernel_cls=kernel_cls)
+        golden_entry(app_cls, seed, bug, kernel_cls=kernel_cls, instrumented=instrumented)
         for seed, bug in golden_cases(app_cls)
     ]
     return json.dumps(entries, indent=2, sort_keys=True) + "\n"

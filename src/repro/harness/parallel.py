@@ -28,7 +28,7 @@ import time
 from typing import Any, Callable, Dict, Optional, Type
 
 from repro.apps.base import AppConfig, BaseApp
-from repro.obs.context import ObsContext
+from repro.obs.metrics import MetricsRegistry
 from repro.pool import ParallelExecutionError, Pool
 
 from .stats import TrialAggregator, TrialFailure, TrialOutcome, TrialStats
@@ -54,7 +54,7 @@ def default_workers() -> int:
 
 def execute_trial(
     app_cls: Type[BaseApp], cfg: AppConfig, seed: int,
-    reuse_obs: Optional[ObsContext] = None,
+    reuse_obs: Optional[MetricsRegistry] = None,
 ) -> TrialOutcome:
     """Run one seeded trial and reduce it to a picklable scalar record.
 
@@ -62,14 +62,14 @@ def execute_trial(
     :mod:`repro.harness.runner` and every pool worker call exactly this,
     so the two execution modes cannot diverge semantically.  When the
     config asks for metrics, the trial runs under a per-trial
-    :class:`repro.obs.ObsContext` and its registry travels back on the
-    outcome in wire form; wall-clock latency is recorded as a *volatile*
-    metric (excluded from the parallel == serial determinism contract).
+    :class:`repro.obs.MetricsRegistry` that travels back on the outcome
+    in wire form; wall-clock latency is recorded as a *volatile* metric
+    (excluded from the parallel == serial determinism contract).
 
-    ``reuse_obs`` lets a sweep share one context across its trials (the
-    registry is reset before each trial) — allocating ~20 metric objects
-    per trial costs more in allocation + GC than the trial's entire
-    flush, so both runners pass a sweep-scoped context.  Reuse is an
+    ``reuse_obs`` lets a sweep share one registry across its trials (it
+    is reset before each trial) — allocating ~20 metric objects per
+    trial costs more in allocation + GC than the trial's entire flush,
+    so both runners pass a sweep-scoped registry.  Reuse is an
     optimisation only: zeroed metrics left over from earlier trials
     merge as exact no-ops, so the merged sweep registry is identical.
     """
@@ -79,11 +79,9 @@ def execute_trial(
     if cfg.collect_metrics:
         if reuse_obs is not None:
             obs = reuse_obs
-            obs.metrics.reset()
+            obs.reset()
         else:
-            # Bus disabled: nothing outside this function could have
-            # subscribed, so trials take the compiled no-op signal path.
-            obs = ObsContext.create(bus_enabled=False)
+            obs = MetricsRegistry()
         t0 = time.perf_counter()
     run = app.run(seed=seed, obs=obs)
     wire = None
@@ -92,7 +90,7 @@ def execute_trial(
         # travels as a plain float and is folded into one histogram by
         # the aggregator — no per-trial Histogram allocation here.
         wall = time.perf_counter() - t0
-        wire = obs.metrics.to_wire()
+        wire = obs.to_wire()
     return TrialOutcome(
         seed=seed,
         bug_hit=bool(run.bug_hit),
@@ -108,7 +106,7 @@ def _run_trial(
     app_cls: Type[BaseApp],
     cfg: AppConfig,
     trial_hook: Optional[Callable[[int, int], None]],
-    reuse: Optional[ObsContext],
+    reuse: Optional[MetricsRegistry],
     seed: int,
     attempt: int,
 ) -> TrialOutcome:
@@ -117,7 +115,7 @@ def _run_trial(
     ``trial_hook(seed, attempt)`` runs first; it exists for
     fault-injection tests (raise → trial error; ``os._exit`` → worker
     crash) and is None in production use.  ``reuse`` is copied into each
-    worker, so every worker shares one context across its trials.
+    worker, so every worker shares one registry across its trials.
     """
     if trial_hook is not None:
         trial_hook(seed, attempt)
@@ -176,7 +174,7 @@ def run_trials_parallel(
         # ~4 chunks per worker, so one slow chunk cannot leave the rest
         # of the pool idle at the tail of the sweep.
         chunk_size = max(1, n // (workers * 4))
-    reuse = ObsContext.create(bus_enabled=False) if collect else None
+    reuse = MetricsRegistry() if collect else None
     task = functools.partial(_run_trial, app_cls, cfg, trial_hook, reuse)
     agg = TrialAggregator(app_cls.name, bug, base_seed, n, collect_metrics=collect)
 

@@ -68,8 +68,8 @@ def run_trials(
     simulation); ``trial_timeout`` is a per-trial *wall-clock* budget and
     requires workers (a serial loop cannot preempt itself).
 
-    ``collect_metrics`` runs every trial under a fresh observability
-    context and attaches the merged registry snapshot to the returned
+    ``collect_metrics`` runs every trial under a fresh metrics registry
+    and attaches the merged registry snapshot to the returned
     stats (``TrialStats.metrics``); it is implied when an ambient sink is
     active (:func:`repro.obs.collecting`).  Merging happens in ascending
     seed order inside the aggregator, so the non-volatile metrics are
@@ -134,11 +134,11 @@ def run_trials(
     agg = TrialAggregator(app_cls.name, bug, base_seed, n, collect_metrics=collect)
     reuse = None
     if collect:
-        from repro.obs.context import ObsContext
+        from repro.obs.metrics import MetricsRegistry
 
-        # One context for the whole sweep (registry reset per trial);
-        # see execute_trial for why reuse matters.
-        reuse = ObsContext.create(bus_enabled=False)
+        # One registry for the whole sweep (reset per trial); see
+        # execute_trial for why reuse matters.
+        reuse = MetricsRegistry()
     for i in range(n):
         outcome = execute_trial(app_cls, cfg, base_seed + i, reuse_obs=reuse)
         agg.add(outcome)

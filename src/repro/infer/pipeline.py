@@ -22,7 +22,7 @@ thin wrappers around it):
 Every stage is deterministic given the configuration, so the whole
 report is cacheable under one canonical-JSON fingerprint
 (:func:`repro.cache.infer_fingerprint`); ``infer.*`` counters land in
-the passed obs context or the ambient sink.
+the passed metrics registry or the ambient sink.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ INFER_VERSION = 1
 
 def _counter(obs: Any, name: str, by: int = 1) -> None:
     """Bump an ``infer.*`` counter in ``obs`` or the ambient sink."""
-    registry = getattr(obs, "metrics", None) if obs is not None else current_sink()
+    registry = obs if obs is not None else current_sink()
     if registry is not None:
         registry.counter(name).inc(by)
 

@@ -1,19 +1,22 @@
-"""``repro.obs`` — observability: event bus, metrics, trace export.
+"""``repro.obs`` — observability: metrics and trace export.
 
 The measurement substrate for the reproduction's evaluation claims
-(overhead, hit probability, pause-time distributions).  Three parts:
+(overhead, hit probability, pause-time distributions).  Two parts, plus
+the ambient sink (:mod:`repro.obs.context`):
 
-* :mod:`repro.obs.bus` — structured event bus with a compiled no-op
-  fast path; instrumented components publish breakpoint/kernel/harness
-  events that subscribers consume inline and in deterministic order;
 * :mod:`repro.obs.metrics` — counters, gauges, fixed-bucket histograms
   in a registry that snapshots to JSON and merges exactly (the parallel
   trial runner merges per-trial registries in seed order, so parallel
   and serial sweeps agree bit-for-bit on every non-volatile metric);
+  instrumented components (kernel, breakpoint engine, explorers) take
+  a registry as their ``obs`` argument;
 * :mod:`repro.obs.traceio` — Chrome trace-event export (Perfetto) and a
   versioned JSONL serialization of :class:`repro.sim.Trace` whose
   header carries the recorded schedule, making every exported trace
-  replayable via :mod:`repro.sim.replay`.
+  replayable via :mod:`repro.sim.replay`.  The trace is also the
+  structured event record: spawns, thread ends and breakpoint
+  postpones, hits and timeouts are its ``FORK``, ``END``/``FAIL`` and
+  ``TRIGGER_POSTPONE``/``TRIGGER_HIT``/``TRIGGER_TIMEOUT`` ops.
 
 Quick example::
 
@@ -28,8 +31,7 @@ export-trace <app> --seed S --format chrome|jsonl``, and
 ``--metrics-out`` on ``run``/``report``.
 """
 
-from .bus import NULL_SIGNAL, EventBus, NullSignal, ObsEvent, Signal
-from .context import ObsContext, collecting, current_sink, not_collecting
+from .context import collecting, current_sink, not_collecting
 from .metrics import (
     DEFAULT_TIME_BUCKETS,
     Counter,
@@ -54,12 +56,6 @@ from .traceio import (
 )
 
 __all__ = [
-    "EventBus",
-    "Signal",
-    "NullSignal",
-    "NULL_SIGNAL",
-    "ObsEvent",
-    "ObsContext",
     "collecting",
     "current_sink",
     "not_collecting",

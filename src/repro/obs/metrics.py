@@ -1,7 +1,9 @@
 """Metrics registry: counters, gauges, and fixed-bucket histograms.
 
-The registry is the numeric half of the observability subsystem (the
-event bus is the structured half).  Three properties drive the design:
+The registry is what instrumented code reports into: the kernel, the
+breakpoint engine and the explorers take one as their ``obs`` argument
+(the simulated trace, exported by :mod:`repro.obs.traceio`, is the
+structured record).  Three properties drive the design:
 
 * **Determinism** — a metric snapshot is a sorted, JSON-able dict and a
   merge is performed in a caller-chosen (seed) order, so the parallel
@@ -24,7 +26,7 @@ semantics, plus an overflow bucket) so merging is exact bucket-wise
 addition — no approximation, no order sensitivity in the counts.
 
 The schedule explorers flush their own counter families here when given
-an obs context (the service's explore jobs always pass one):
+a registry (the service's explore jobs always pass one):
 ``explore.schedules`` / ``explore.steps_executed`` /
 ``explore.replayed_choices`` for any walk, and
 ``explore.dpor.branches_added|conservative_fallbacks|sleep_set_prunes``

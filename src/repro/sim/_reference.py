@@ -254,11 +254,8 @@ class ReferenceKernel(Kernel):
         if not isinstance(call, sc.Syscall):
             raise SimSyscallError(f"thread {t.name} yielded non-syscall {call!r}")
         mix = self._syscall_mix
-        if mix is not None:
-            try:
-                mix[call._mix_idx] += 1
-            except (AttributeError, IndexError):
-                self._count_unslotted_syscall(call.__class__)
+        if mix is not None and hasattr(call, "_mix_idx"):
+            mix[call._mix_idx] += 1
         loc = self._loc(call, t)
 
         if isinstance(call, sc.Acquire):

@@ -512,9 +512,9 @@ def explore_dpor_sharded(
     def task(shard_prefix: Tuple[int, ...]):
         shard_obs = None
         if obs is not None:
-            from repro.obs.context import ObsContext
+            from repro.obs.metrics import MetricsRegistry
 
-            shard_obs = ObsContext.create(bus_enabled=False)
+            shard_obs = MetricsRegistry()
         ex, st = explore_dpor(
             build,
             max_schedules=max_schedules,
@@ -527,7 +527,7 @@ def explore_dpor_sharded(
             bound=bound,
         )
         counters = {} if shard_obs is None else {
-            name: row["value"] for name, row in shard_obs.metrics.snapshot().items()
+            name: row["value"] for name, row in shard_obs.snapshot().items()
         }
         return [_strip_outcome(o) for o in ex.outcomes], ex.complete, st, counters
 
@@ -559,5 +559,5 @@ def explore_dpor_sharded(
     merged.variable_cuts += front_v
     total.schedules = merged.count
     if obs is not None:
-        obs.metrics.add_counters(summed)
+        obs.add_counters(summed)
     return merged, total

@@ -250,9 +250,9 @@ def _cutter(bound: Bound, rec: RunRecord) -> Callable[[int, int], Optional[str]]
 
 
 def _flush_explore_obs(obs: Any, stats: PoolStats, extra: Optional[Dict[str, int]] = None) -> None:
-    """Fold executor counters into an ``ObsContext`` metrics registry
-    (``explore.*`` namespace; zero counts are skipped like the kernel's
-    own flush does)."""
+    """Fold executor counters into a metrics registry (``explore.*``
+    namespace; zero counts are skipped like the kernel's own flush
+    does)."""
     if obs is None:
         return
     counts = {
@@ -262,7 +262,7 @@ def _flush_explore_obs(obs: Any, stats: PoolStats, extra: Optional[Dict[str, int
     }
     if extra:
         counts.update(extra)
-    obs.metrics.add_counters({k: v for k, v in counts.items() if v})
+    obs.add_counters({k: v for k, v in counts.items() if v})
 
 
 def explore(
@@ -290,7 +290,7 @@ def explore(
     Subtrees of distinct same-length prefixes are disjoint by
     construction, which is what sharding builds on.
 
-    ``obs`` (an :class:`repro.obs.ObsContext`) collects ``explore.*``
+    ``obs`` (a :class:`repro.obs.MetricsRegistry`) collects ``explore.*``
     counters: schedules, steps executed, replayed choices, cuts.
 
     ``bound`` applies the composable cut strategies of :class:`Bound`:

@@ -86,7 +86,7 @@ from .trace import OP, Trace
 __all__ = ["Kernel", "RunResult"]
 
 
-def _assign_mix_slots() -> List[str]:
+def _assign_mix_slots() -> Tuple[str, ...]:
     """Give every syscall class a small integer ``_mix_idx`` and return
     the matching metric names.
 
@@ -94,8 +94,10 @@ def _assign_mix_slots() -> List[str]:
     observability adds, so it has to be as close to free as Python
     allows: ``mix[call._mix_idx] += 1`` (one cached class-attribute load
     plus a list subscript) beats hashing the class into a dict by ~30 %.
-    Classes defined after import (tests, extensions) are registered
-    lazily via :meth:`Kernel._count_unslotted_syscall`.
+    A class defined after import (tests, extensions) inherits the slot of
+    the syscall class it extends, so it is counted under that class's
+    name; a class with no handled base is refused by dispatch before
+    any count.
     """
     names: List[str] = []
 
@@ -106,10 +108,10 @@ def _assign_mix_slots() -> List[str]:
             walk(sub)
 
     walk(sc.Syscall)
-    return names
+    return tuple(names)
 
 
-_MIX_NAMES: List[str] = _assign_mix_slots()
+_MIX_NAMES: Tuple[str, ...] = _assign_mix_slots()
 
 # Thread states the timer paths test by identity (module globals load
 # faster than ``TState.X`` attribute lookups).
@@ -117,16 +119,6 @@ _RUNNABLE = TState.RUNNABLE
 _SLEEPING = TState.SLEEPING
 _DONE = TState.DONE
 _FAILED = TState.FAILED
-
-#: Zero slab matching the import-time slot count — the common case when
-#: re-zeroing a pooled :class:`SlotCounters` (slabs that grew lazy slots
-#: fall back to a fresh zero list of their own length).
-_MIX_ZEROS: List[int] = [0] * len(_MIX_NAMES)
-
-#: Lazily bound :class:`repro.obs.context.SlotCounters` — resolved on
-#: the first instrumented construction so the module keeps no static
-#: obs dependency.
-_SlotCounters = None
 
 
 @dataclasses.dataclass
@@ -195,15 +187,13 @@ class Kernel:
         Virtual seconds charged per scheduling step (models instruction
         time between synchronisation points).
     obs:
-        Optional :class:`repro.obs.ObsContext` (duck-typed, no import
-        dependency).  When given, the kernel counts steps, context
-        switches, and the syscall mix into the metrics registry —
-        accumulated in a flat :class:`~repro.obs.context.SlotCounters`
-        slab during the run and folded once at the end, so the per-step
-        cost stays inside the obs overhead gate — and publishes
-        low-frequency bus events (thread lifecycle, deadlock/stall, run
-        end).  Breakpoint instrumentation lives in the shared
-        :class:`BreakpointEngine`, which receives the same context.
+        Optional :class:`repro.obs.MetricsRegistry` (duck-typed, no
+        import dependency).  When given, the kernel counts steps,
+        context switches, and the syscall mix into it — the mix is
+        accumulated in a flat per-run list and folded once at the end,
+        so the per-step cost stays inside the obs overhead gate.
+        Breakpoint instrumentation lives in the shared
+        :class:`BreakpointEngine`, which receives the same registry.
     """
 
     def __init__(
@@ -229,66 +219,18 @@ class Kernel:
         #: previous one (tracked unconditionally; it is two attribute ops).
         self.ctx_switches = 0
         self._last_tid = -1
-        #: Per-syscall dispatch counts in a flat slot slab, indexed by
-        #: each class's ``_mix_idx`` (see :func:`_assign_mix_slots`);
-        #: folded into ``kernel.syscall.*`` counters at flush.
-        self._mix_counters = None
-        self._syscall_mix: Optional[List[int]] = None
-        self._obs_scratch = None
+        #: Per-syscall dispatch counts, indexed by each class's
+        #: ``_mix_idx`` (see :func:`_assign_mix_slots`); folded into
+        #: ``kernel.syscall.*`` counters at flush.  Assigned
+        #: unconditionally (None when uninstrumented) so plain and
+        #: instrumented kernels materialise the *same* attribute set in
+        #: the same order — divergent instance shapes would knock the
+        #: class off CPython's shared-keys dicts and tax every attribute
+        #: access in a mixed plain/instrumented sweep.
+        self._syscall_mix: Optional[List[int]] = (
+            None if obs is None else [0] * len(_MIX_NAMES)
+        )
         self._obs_flushed = False
-        # Assigned unconditionally (None when uninstrumented) so plain
-        # and instrumented kernels materialise the *same* attribute set
-        # in the same order — divergent instance shapes would knock the
-        # class off CPython's shared-keys dicts and tax every attribute
-        # access in a mixed plain/instrumented sweep.
-        self._sig_spawn = None
-        self._sig_thread_end = None
-        self._sig_run_end = None
-        if obs is not None:
-            global _SlotCounters
-            if _SlotCounters is None:
-                # Deferred import: the kernel keeps no static obs
-                # dependency, and a caller passing ``obs`` has already
-                # imported the package.
-                from repro.obs.context import SlotCounters
-
-                _SlotCounters = SlotCounters
-            # Per-context construction scratch.  A sweep constructs one
-            # instrumented kernel per trial against a shared context
-            # (``reuse_obs``), so the signal endpoints — get-or-create
-            # on the bus anyway — and the slot slab are cached on the
-            # context: steady-state obs construction zeroes a short int
-            # list instead of re-walking import + allocation + bus
-            # lookups.  The slab is checked out here and checked back
-            # in by :meth:`_flush_obs`; a second kernel constructed
-            # before the first flushes just allocates a fresh slab.
-            scratch = getattr(obs, "_kernel_scratch", None)
-            if scratch is None:
-                sig = obs.bus.signal
-                scratch = [
-                    None,
-                    sig("kernel.spawn"),
-                    sig("kernel.thread_end"),
-                    sig("kernel.run_end"),
-                ]
-                try:
-                    obs._kernel_scratch = scratch
-                except AttributeError:  # exotic duck-typed context
-                    pass
-            mc = scratch[0]
-            if mc is not None:
-                mc.counts[:] = _MIX_ZEROS if len(mc.counts) == len(
-                    _MIX_ZEROS
-                ) else [0] * len(mc.counts)
-            else:
-                mc = _SlotCounters(_MIX_NAMES)
-            scratch[0] = None  # checked out until flush
-            self._obs_scratch = scratch
-            self._mix_counters = mc
-            self._syscall_mix = mc.counts
-            self._sig_spawn = scratch[1]
-            self._sig_thread_end = scratch[2]
-            self._sig_run_end = scratch[3]
         self.threads: List[SimThread] = []
         #: Tid-sorted list of RUNNABLE threads — the scheduler's view.
         #: Invariant: a thread appears here exactly when its state is
@@ -361,8 +303,6 @@ class Kernel:
         self.scheduler.on_spawn(t)
         if self.trace is not None:
             self._record(OP.FORK, obj=t, loc=self.current.location() if self.current else "main")
-        if self.obs is not None and self._sig_spawn.active:
-            self._sig_spawn(tid=tid, name=t.name, daemon=daemon, time=self.now)
         return t
 
     # ------------------------------------------------------------------
@@ -642,10 +582,7 @@ class Kernel:
                         except KeyError:
                             h = self._resolve_handler(thread, item)
                         if mix is not None:
-                            try:
-                                mix[item._mix_idx] += 1
-                            except (AttributeError, IndexError):
-                                self._count_unslotted_syscall(item.__class__)
+                            mix[item._mix_idx] += 1
                         h(self, thread, item)
                 except SimSyscallError as err:
                     # Misuse of a primitive surfaces inside the offending thread.
@@ -707,11 +644,6 @@ class Kernel:
         if not thread.daemon:
             self._live_foreground -= 1
         self._record(OP.END, obj=thread, loc="?", thread=thread)
-        if self.obs is not None and self._sig_thread_end.active:
-            self._sig_thread_end(
-                tid=thread.tid, name=thread.name, outcome="done",
-                steps=thread.steps, time=self.now,
-            )
         for j in thread.joiners:
             self._wake(j, True)
             self._record(OP.JOINED, obj=thread, loc="?", thread=j)
@@ -726,11 +658,6 @@ class Kernel:
             self._live_foreground -= 1
         self.failures.append(ThreadFailure(thread.name, err, self.now, self.step))
         self._record(OP.FAIL, obj=thread, loc="?", extra=repr(err), thread=thread)
-        if self.obs is not None and self._sig_thread_end.active:
-            self._sig_thread_end(
-                tid=thread.tid, name=thread.name, outcome="failed",
-                error=repr(err), steps=thread.steps, time=self.now,
-            )
         for j in thread.joiners:
             self._wake(j, True)
             self._record(OP.JOINED, obj=thread, loc="?", thread=j)
@@ -747,10 +674,7 @@ class Kernel:
             h = self._resolve_handler(t, call)
         mix = self._syscall_mix
         if mix is not None:
-            try:
-                mix[call._mix_idx] += 1
-            except (AttributeError, IndexError):
-                self._count_unslotted_syscall(call.__class__)
+            mix[call._mix_idx] += 1
         h(self, t, call)
 
     def _resolve_handler(self, t: SimThread, call: Any) -> Callable[..., None]:
@@ -1155,20 +1079,6 @@ class Kernel:
                 break
         return SimDeadlockError(waiters, cycle)
 
-    def _count_unslotted_syscall(self, cls: type) -> None:
-        """Cold path of the mix accounting: register a syscall class
-        defined after import (no ``_mix_idx`` yet, or one beyond this
-        kernel's slot list) and count the dispatch."""
-        idx = getattr(cls, "_mix_idx", None)
-        if idx is None:
-            idx = cls._mix_idx = len(_MIX_NAMES)
-            _MIX_NAMES.append(f"kernel.syscall.{cls.__name__}")
-        mix = self._syscall_mix
-        assert mix is not None
-        if idx >= len(mix):
-            mix.extend([0] * (idx + 1 - len(mix)))
-        mix[idx] += 1
-
     def _check_step_accounting(self) -> None:
         """End-of-run consistency cross-check of the three independent
         step counts: the kernel's global counter (what obs flush
@@ -1198,19 +1108,19 @@ class Kernel:
         flat slot counters so instrumented runs stay within the <5 %
         obs-overhead gate (``benchmarks/bench_obs_overhead.py``).
         """
-        obs = self.obs
-        if obs is None or self._obs_flushed:
+        m = self.obs
+        if m is None or self._obs_flushed:
             return
         self._obs_flushed = True
-        m = obs.metrics
         counts = {
             "kernel.runs": 1,
             "kernel.steps": self.step,
             "kernel.ctx_switches": self.ctx_switches,
             "kernel.threads_spawned": len(self.threads),
         }
-        if self._mix_counters is not None:
-            self._mix_counters.fold_into(counts)
+        for name, n in zip(_MIX_NAMES, self._syscall_mix):
+            if n:
+                counts[name] = n
         if self.failures:
             counts["kernel.thread_failures"] = len(self.failures)
         if self._deadlock is not None:
@@ -1224,24 +1134,6 @@ class Kernel:
         self.engine.flush_metrics(into=counts)
         m.add_counters(counts)
         m.histogram("kernel.virtual_seconds").observe(self.now)
-        if self._sig_run_end.active:
-            self._sig_run_end(
-                time=self.now,
-                steps=self.step,
-                deadlocked=self._deadlock is not None,
-                stalled=self._stalled,
-                failures=len(self.failures),
-            )
-        scratch = self._obs_scratch
-        if scratch is not None and scratch[0] is None:
-            # Check the slab back into the per-context pool.  This
-            # kernel is done counting (flush runs once); dropping the
-            # references makes any post-flush counting attempt a silent
-            # no-op instead of corrupting the next trial's slab.
-            scratch[0] = self._mix_counters
-            self._obs_scratch = None
-            self._mix_counters = None
-            self._syscall_mix = None
 
     def _result(self) -> RunResult:
         completed = all(not t.alive or t.daemon for t in self.threads)

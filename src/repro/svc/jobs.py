@@ -316,12 +316,6 @@ def execute_job(
         from repro.harness import explore_summary
         from repro.sim.explore import Bound
 
-        obs = None
-        if metrics is not None:
-            from repro.obs.bus import EventBus
-            from repro.obs.context import ObsContext
-
-            obs = ObsContext(bus=EventBus(enabled=False), metrics=metrics)
         summary = explore_summary(
             spec.app,
             spec.bug,
@@ -338,7 +332,7 @@ def execute_job(
             use_policies=spec.use_policies,
             params=dict(spec.params),
             bound=Bound.from_values(spec.bound_preemptions, spec.bound_variables),
-            obs=obs,
+            obs=metrics,
         )
         return summary.to_wire()
     from repro.harness import run_trials

@@ -139,18 +139,18 @@ class TestRanking:
 
 class TestObservability:
     def test_infer_counters_land_in_the_passed_context(self):
-        obs = types.SimpleNamespace(metrics=MetricsRegistry())
+        obs = MetricsRegistry()
         run_inference("bank", obs=obs, **FAST)
-        snap = obs.metrics.snapshot()
+        snap = obs.snapshot()
         assert snap["infer.candidates.generated"]["value"] >= 1
         assert snap["infer.candidates.confirmed"]["value"] >= 1
         assert snap["infer.sweeps"]["value"] >= 2  # confirmation + baseline
         assert snap["infer.reports.total"]["value"] >= 1
 
     def test_steered_and_unmatched_are_counted(self):
-        obs = types.SimpleNamespace(metrics=MetricsRegistry())
+        obs = MetricsRegistry()
         report = run_inference("jigsaw", obs=obs, **FAST)
-        snap = obs.metrics.snapshot()
+        snap = obs.snapshot()
         unconfirmed = [r for r in report.results if r.status != "confirmed"]
         counted = sum(
             snap.get(f"infer.candidates.{s}", {}).get("value", 0)

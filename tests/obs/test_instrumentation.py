@@ -1,15 +1,20 @@
 """Instrumentation: engine/kernel metrics, harness merging, the
 parallel == serial determinism contract, and the ambient sink."""
 
+import pytest
+
 from repro.apps import AppConfig, get_app
 from repro.harness import explore_app, run_trials
 from repro.harness.exploration import _make_build_and_observe
-from repro.obs import ObsContext, collecting, deterministic_view
+from repro.obs import MetricsRegistry, collecting, deterministic_view
+from repro.sim import syscalls as sc
+from repro.sim._reference import ReferenceKernel
 from repro.sim.dpor import explore_dpor_sharded
+from repro.sim.kernel import Kernel
 
 
 def _run_one(seed=0, bug="atomicity1"):
-    obs = ObsContext.create()
+    obs = MetricsRegistry()
     cls = get_app("stringbuffer")
     run = cls(AppConfig(bug=bug)).run(seed=seed, obs=obs)
     return run, obs
@@ -18,28 +23,28 @@ def _run_one(seed=0, bug="atomicity1"):
 class TestEngineMetrics:
     def test_arrival_and_match_counters(self):
         run, obs = _run_one(seed=0)
-        snap = obs.metrics.snapshot()
+        snap = obs.snapshot()
         assert snap["engine.arrivals"]["value"] > 0
         assert snap["engine.matches"]["value"] >= 1
         assert run.bp_hit()
 
     def test_pause_histogram_tracks_matches(self):
         _, obs = _run_one()
-        h = obs.metrics.histogram("engine.pause_seconds")
-        assert h.count == obs.metrics.counter("engine.matches").value
+        h = obs.histogram("engine.pause_seconds")
+        assert h.count == obs.counter("engine.matches").value
         assert h.sum >= 0.0
 
     def test_no_breakpoints_no_engine_metrics(self):
         # An engine no thread visited emits nothing — plain runs pay no
         # engine-metric cost and engine.* keys imply real activity.
         _, obs = _run_one(bug=None)
-        assert not [n for n in obs.metrics.names() if n.startswith("engine.")]
+        assert not [n for n in obs.names() if n.startswith("engine.")]
 
 
 class TestKernelMetrics:
     def test_run_counters_flushed_once(self):
         run, obs = _run_one()
-        snap = obs.metrics.snapshot()
+        snap = obs.snapshot()
         assert snap["kernel.runs"]["value"] == 1
         assert snap["kernel.steps"]["value"] == run.result.steps
         assert snap["kernel.threads_spawned"]["value"] >= 2
@@ -47,26 +52,49 @@ class TestKernelMetrics:
 
     def test_syscall_mix_recorded(self):
         _, obs = _run_one()
-        mix = [n for n in obs.metrics.names() if n.startswith("kernel.syscall.")]
+        mix = [n for n in obs.names() if n.startswith("kernel.syscall.")]
         assert mix, "expected per-syscall counters"
-        total = sum(obs.metrics.counter(n).value for n in mix)
+        total = sum(obs.counter(n).value for n in mix)
         assert total > 0
-
-    def test_bus_topics_published(self):
-        obs = ObsContext.create()
-        seen = []
-        obs.bus.subscribe("*", lambda ev: seen.append(ev.topic))
-        cls = get_app("stringbuffer")
-        cls(AppConfig(bug="atomicity1")).run(seed=0, obs=obs)
-        topics = set(seen)
-        assert "kernel.spawn" in topics
-        assert "kernel.run_end" in topics
-        assert "bp.match" in topics
 
     def test_disabled_obs_costs_nothing(self):
         cls = get_app("stringbuffer")
         run = cls(AppConfig(bug="atomicity1")).run(seed=0)  # obs=None
         assert run.bug_hit  # plain path still works
+
+
+@pytest.mark.parametrize("kernel_cls", [Kernel, ReferenceKernel], ids=lambda k: k.__name__)
+class TestLateSyscallClasses:
+    """A syscall class defined after the kernel numbered the syscall mix
+    is counted the same way by the fast and the reference kernel."""
+
+    @staticmethod
+    def _run_one_call(kernel_cls, call):
+        obs = MetricsRegistry()
+        kernel = kernel_cls(seed=0, obs=obs)
+
+        def body():
+            yield call
+
+        kernel.spawn(body)
+        result = kernel.run()
+        return result, [n for n in obs.names() if n.startswith("kernel.syscall.")]
+
+    def test_subclass_of_a_handled_syscall_counts_as_its_base(self, kernel_cls):
+        class LateYield(sc.Yield):
+            pass
+
+        result, mix = self._run_one_call(kernel_cls, LateYield())
+        assert result.ok
+        assert mix == ["kernel.syscall.Yield"]
+
+    def test_unhandled_syscall_fails_its_thread_uncounted(self, kernel_cls):
+        class Bare(sc.Syscall):
+            pass
+
+        result, mix = self._run_one_call(kernel_cls, Bare())
+        assert len(result.failures) == 1
+        assert mix == []
 
 
 class TestHarnessMetrics:
@@ -111,13 +139,13 @@ class TestExploreMetrics:
 
     @staticmethod
     def _counters(obs):
-        return {name: m["value"] for name, m in obs.metrics.snapshot().items()}
+        return {name: m["value"] for name, m in obs.snapshot().items()}
 
     def _sharded(self, workers):
         _, build, observe = _make_build_and_observe(
             "bank", AppConfig(bug="lost_update", params={"iters": 2})
         )
-        obs = ObsContext.create(bus_enabled=False)
+        obs = MetricsRegistry()
         _, stats = explore_dpor_sharded(
             build, observe=observe, workers=workers, sleep_sets=True, obs=obs
         )
@@ -132,7 +160,7 @@ class TestExploreMetrics:
         assert serial["explore.steps_executed"] == stats.executed_steps
 
     def test_explore_app_passes_obs_to_the_sharded_walk(self):
-        obs = ObsContext.create(bus_enabled=False)
+        obs = MetricsRegistry()
         res = explore_app("bank", "lost_update", dpor=True, sleep_sets=True,
                           workers=2, params={"iters": 2}, obs=obs)
         counters = self._counters(obs)

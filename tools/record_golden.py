@@ -5,9 +5,9 @@ Usage::
 
     PYTHONPATH=src python tools/record_golden.py [--out DIR] [--reference]
 
-Writes the per-app trace corpus into ``--out`` and the exploration
-corpus into its ``explore/`` subdirectory.  ``--reference`` records the
-trace corpus through the pre-rewrite
+Writes the per-app trace corpus into ``--out``, and the exploration and
+metrics corpora into its ``explore/`` and ``metrics/`` subdirectories.
+``--reference`` records the trace corpus through the pre-rewrite
 :class:`repro.sim._reference.ReferenceKernel` instead of the fast
 kernel.  Both must write byte-identical files — recording with the flag
 and diffing against a plain recording is a manual end-to-end check of
