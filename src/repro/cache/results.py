@@ -22,6 +22,12 @@ Two structural decisions carry the correctness argument:
   a seed that timed out or crashed is re-run on every request, so a
   transient failure can never be replayed as if it were a result.
 
+The rows of one config live in immutable segment files, one per
+contiguous run of fresh successful seeds (:meth:`CacheStore.segments`):
+a store writes only the seeds it ran, and a lookup lists the config's
+directory once and opens only the segments its range overlaps — a
+lookup whose range no segment name covers opens no file at all.
+
 Counters (all volatile — they describe this process's luck, not the
 computation): ``cache.hit`` (full coverage), ``cache.partial_hit``,
 ``cache.miss``, ``cache.store``, ``cache.evict``, ``cache.corrupt``.
@@ -45,7 +51,7 @@ from .fingerprint import (
     storage_config_doc,
     trial_config_doc,
 )
-from .store import DEFAULT_MAX_BYTES, CacheStore, StoreStats
+from .store import DEFAULT_MAX_BYTES, CacheStore, Segment, StoreStats
 
 __all__ = ["ResultCache"]
 
@@ -55,15 +61,24 @@ def _normalized(doc: Dict[str, Any]) -> Dict[str, Any]:
     return json.loads(canonical_json(doc))
 
 
-def _segments(seeds: List[int]) -> List[Tuple[int, int]]:
+def _segments(seeds: List[int]) -> List[Segment]:
     """Group sorted seeds into contiguous ``(start, count)`` runs."""
-    out: List[Tuple[int, int]] = []
+    out: List[Segment] = []
     for s in seeds:
         if out and s == out[-1][0] + out[-1][1]:
             out[-1] = (out[-1][0], out[-1][1] + 1)
         else:
             out.append((s, 1))
     return out
+
+
+def _covers(segments: List[Segment], lo: int, hi: int) -> bool:
+    """Whether the seed runs ``segments`` together hold every seed in ``lo..hi-1``."""
+    for start, count in sorted(segments):
+        if start > lo:
+            break
+        lo = max(lo, start + count)
+    return lo >= hi
 
 
 class ResultCache:
@@ -132,17 +147,24 @@ class ResultCache:
         )
         return fingerprint_doc(doc), _normalized(doc)
 
-    def _load_rows(self, key: str, config: Dict[str, Any]) -> Dict[int, List[Any]]:
-        entry = self.store.load(key, expect_config=config)
-        if entry is None:
-            return {}
-        rows = entry.get("seeds")
-        if not isinstance(rows, dict):
-            return {}
-        try:
-            return {int(seed): row for seed, row in rows.items()}
-        except (TypeError, ValueError):
-            return {}
+    def _overlapping(self, key: str, lo: int, hi: int) -> List[Segment]:
+        """The stored segments of ``key`` holding any seed in ``lo..hi-1``."""
+        return [seg for seg in self.store.segments(key) if seg[0] < hi and lo < seg[0] + seg[1]]
+
+    def _load_rows(
+        self, key: str, config: Dict[str, Any], segments: List[Segment]
+    ) -> Dict[int, List[Any]]:
+        """Rows of every readable segment in ``segments``, keyed by seed."""
+        rows: Dict[int, List[Any]] = {}
+        for seg in segments:
+            doc = self.store.load(key, segment=seg, expect_config=config)
+            seeds = doc.get("seeds") if doc is not None else None
+            if isinstance(seeds, dict):
+                try:
+                    rows.update({int(seed): row for seed, row in seeds.items()})
+                except ValueError:
+                    pass
+        return rows
 
     @staticmethod
     def _outcome_from_row(seed: int, row: List[Any]):
@@ -193,7 +215,8 @@ class ResultCache:
         (in contiguous segments, through the ordinary runner) with the
         ambient sink suppressed so metrics fold into the final
         aggregation exactly once.  Fresh *successful* outcomes are then
-        merged back into the entry.
+        stored as new segments, one per contiguous run (a failed seed
+        splits a run); no stored segment is rewritten.
         """
         from repro.harness.stats import TrialAggregator
         from repro.obs.context import not_collecting
@@ -209,8 +232,8 @@ class ResultCache:
             collect=collect,
             trial_timeout=trial_timeout,
         )
-        rows = self._load_rows(key, config)
         requested = range(base_seed, base_seed + n)
+        rows = self._load_rows(key, config, self._overlapping(key, base_seed, base_seed + n))
         covered = [s for s in requested if s in rows]
         missing = [s for s in requested if s not in rows]
         if not missing:
@@ -248,18 +271,20 @@ class ResultCache:
                     )
                     for failure in part.failures:
                         agg.add_failure(failure)
+            new_rows = {}
             for outcome in fresh:
                 agg.add(outcome)
-                rows[outcome.seed] = self._row_from_outcome(outcome)
-            if fresh:
+                new_rows[outcome.seed] = self._row_from_outcome(outcome)
+            for start, count in _segments(sorted(new_rows)):
                 self.store.store(
                     key,
                     {
                         "schema": CACHE_SCHEMA,
                         "kind": "trials",
                         "config": config,
-                        "seeds": {str(s): rows[s] for s in sorted(rows)},
+                        "seeds": {str(s): new_rows[s] for s in range(start, start + count)},
                     },
+                    segment=(start, count),
                 )
         return agg.finalize()
 
@@ -282,7 +307,9 @@ class ResultCache:
         Used by the svc executor's parent-side fast path (a full hit
         skips the job fork entirely).  Counts ``cache.hit`` only when it
         serves — a miss here is not a cache miss yet, the job child will
-        look again and count the real outcome.
+        look again and count the real outcome.  A range the segment
+        names do not cover is a miss decided by one directory listing,
+        without opening a file.
         """
         from repro.harness.stats import TrialAggregator
 
@@ -296,8 +323,11 @@ class ResultCache:
             collect=collect_metrics,
             trial_timeout=trial_timeout,
         )
-        rows = self._load_rows(key, config)
         requested = range(base_seed, base_seed + n)
+        segments = self._overlapping(key, base_seed, base_seed + n)
+        if not _covers(segments, base_seed, base_seed + n):
+            return None
+        rows = self._load_rows(key, config, segments)
         if any(s not in rows for s in requested):
             return None
         self._count("cache.hit")

@@ -1,8 +1,10 @@
 """On-disk entry store: atomic writes, LRU eviction, corruption fallback.
 
 The store is deliberately dumb — it maps a hex fingerprint to one JSON
-document and knows nothing about trials or explorations.  Four
-robustness rules, each proven in ``tests/cache/test_store.py``:
+document, or to a directory of immutable *segment* documents named by
+the ``(start, count)`` seed run each holds, and knows nothing about
+trials or explorations.  Four robustness rules, each proven in
+``tests/cache/test_store.py``, hold for entries and segments alike:
 
 * **Atomic writes.**  Each store writes its own ``tempfile.mkstemp``
   sibling (``*.tmp``) and publishes it with :func:`os.replace`, so a
@@ -28,7 +30,8 @@ robustness rules, each proven in ``tests/cache/test_store.py``:
   pass, one ``stat`` each), evict the least-recently-used ones (by file
   mtime, then path; hits re-touch) until the bound holds, and rewrite
   the exact total — all under the lock.  Once concurrent stores have
-  returned, the entries fit in ``max_bytes``.
+  returned, the entries fit in ``max_bytes``.  A segment is evicted on
+  its own; losing it loses only its seeds.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from __future__ import annotations
 import fcntl
 import json
 import os
+import re
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -44,7 +48,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from .fingerprint import CACHE_SCHEMA
 
-__all__ = ["CacheStore", "StoreStats", "DEFAULT_MAX_BYTES", "LEDGER_NAME"]
+__all__ = ["CacheStore", "StoreStats", "DEFAULT_MAX_BYTES", "LEDGER_NAME", "Segment"]
 
 #: Default size bound — generous for this repo's JSON entries (a 1000-trial
 #: sweep with metrics is ~1 MB), small enough to exercise eviction in tests.
@@ -57,6 +61,15 @@ LEDGER_NAME = ".bytes"
 # Twenty zero-padded digits and a newline: any other content is unparsable.
 _LEDGER_DIGITS = 20
 _LEDGER_SIZE = _LEDGER_DIGITS + 1
+
+#: A segment file name, ``<start>+<count>.json``, in the one spelling
+#: ``"%d+%d.json"`` writes (so ``-5+10.json`` holds seeds -5..4); any
+#: other name in a key's directory is not a segment and is never read.
+#: Matched line by line over one newline-joined directory listing.
+_SEGMENT_NAMES = re.compile(r"^(0|-?[1-9][0-9]*)\+([1-9][0-9]*)\.json$", re.MULTILINE)
+
+#: A seed run ``(start, count)``: the name of one segment of an entry.
+Segment = Tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -72,11 +85,14 @@ class StoreStats:
 class CacheStore:
     """Filesystem store of fingerprint-keyed JSON entries.
 
-    Layout is ``root/<key[:2]>/<key>.json`` plus the byte ledger
-    ``root/.bytes`` — two-hex-char fan-out keeps directory listings small
-    without mattering for correctness.  The store never raises on a bad
-    entry; every failure mode degrades to a miss (``on_event("corrupt")``
-    lets the owner count it).
+    A whole entry lives at ``root/<key[:2]>/<key>.json``; a segmented
+    entry is the directory ``root/<key[:2]>/<key>/`` of segment files
+    ``<start>+<count>.json``, each a complete document that is written
+    once and never rewritten.  The byte ledger is ``root/.bytes``.  The
+    two-hex-char fan-out keeps directory listings small without
+    mattering for correctness.  The store never raises on a bad entry;
+    every failure mode degrades to a miss (``on_event("corrupt")`` lets
+    the owner count it).
     """
 
     def __init__(
@@ -89,6 +105,7 @@ class CacheStore:
         self.root = Path(root)
         self.max_bytes = int(max_bytes)
         self._on_event = on_event
+        self._root = os.fspath(self.root)
 
     # -- internals ---------------------------------------------------------
 
@@ -96,30 +113,42 @@ class CacheStore:
         if self._on_event is not None:
             self._on_event(name)
 
+    def _file(self, key: str, segment: Optional[Segment] = None) -> str:
+        if segment is None:
+            return os.path.join(self._root, key[:2], key + ".json")
+        return os.path.join(self._root, key[:2], key, "%d+%d.json" % segment)
+
     def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        return Path(self._file(key))
 
     def _scan(self) -> Tuple[List[Tuple[float, str, int]], List[str]]:
-        """List the shard directories once.
+        """List the shard directories, and the key directories in them, once.
 
-        Returns ``(mtime, path, size)`` for every entry, one ``stat``
-        each, and the paths of stray ``*.tmp`` files.  Files that vanish
-        mid-scan (a concurrent corrupt-entry delete) are skipped.
+        Returns ``(mtime, path, size)`` for every entry and segment, one
+        ``stat`` each, and the paths of stray ``*.tmp`` files.  Files
+        that vanish mid-scan (a concurrent corrupt-entry delete) are
+        skipped.
         """
         entries: List[Tuple[float, str, int]] = []
         temps: List[str] = []
         try:
-            shards = [d.path for d in os.scandir(self.root) if d.is_dir()]
+            # (directory, is a shard): a shard's subdirectories are key
+            # directories, and nothing below those is read.
+            dirs = [(d.path, True) for d in os.scandir(self.root) if d.is_dir()]
         except OSError:
             return entries, temps
-        for shard in shards:
+        while dirs:
+            path, shard = dirs.pop()
             try:
-                files = list(os.scandir(shard))
+                files = list(os.scandir(path))
             except OSError:
                 continue
             for f in files:
                 if f.name.endswith(".tmp"):
                     temps.append(f.path)
+                elif f.is_dir():
+                    if shard:
+                        dirs.append((f.path, False))
                 elif f.name.endswith(".json") and f.is_file():
                     try:
                         st = f.stat()
@@ -162,8 +191,26 @@ class CacheStore:
 
     # -- read/write --------------------------------------------------------
 
-    def load(self, key: str, *, expect_config: Optional[Dict[str, Any]] = None) -> Optional[Dict[str, Any]]:
-        """Return the entry for ``key``, or ``None`` on any failure.
+    def segments(self, key: str) -> List[Segment]:
+        """The ``(start, count)`` segments stored under ``key``, in no order.
+
+        One listing of the key's directory; no segment is opened, so a
+        caller can tell which seeds are stored before reading any.
+        """
+        try:
+            names = os.listdir(os.path.join(self._root, key[:2], key))
+        except OSError:
+            return []
+        return [(int(s), int(c)) for s, c in _SEGMENT_NAMES.findall("\n".join(names))]
+
+    def load(
+        self,
+        key: str,
+        *,
+        segment: Optional[Segment] = None,
+        expect_config: Optional[Dict[str, Any]] = None,
+    ) -> Optional[Dict[str, Any]]:
+        """Return the entry for ``key`` (or one segment of it), or ``None`` on any failure.
 
         ``expect_config`` is hash-collision paranoia: the caller passes
         the normalized config document it fingerprinted and the entry is
@@ -172,39 +219,52 @@ class CacheStore:
         they cannot fail again (the ledger keeps counting them until the
         next scan: an over-count, never an under-count).
         """
-        path = self._path(key)
+        path = self._file(key, segment)
         try:
-            raw = path.read_text(encoding="utf-8")
+            fd = os.open(path, os.O_RDONLY)
         except OSError:
             return None
         try:
-            doc = json.loads(raw)
-        except ValueError:
+            chunks = []
+            while True:
+                chunk = os.read(fd, 65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        except OSError:
+            return None
+        finally:
+            os.close(fd)
+        try:
+            doc = json.loads(b"".join(chunks))
+        except ValueError:  # includes a UnicodeDecodeError
+            doc = None
+        if (
+            not isinstance(doc, dict)
+            or doc.get("schema") != CACHE_SCHEMA
+            or (expect_config is not None and doc.get("config") != expect_config)
+        ):
             self._event("corrupt")
             self._discard(path)
             return None
-        if not isinstance(doc, dict) or doc.get("schema") != CACHE_SCHEMA:
-            self._event("corrupt")
-            self._discard(path)
-            return None
-        if expect_config is not None and doc.get("config") != expect_config:
-            self._event("corrupt")
-            self._discard(path)
-            return None
-        self.touch(key)
+        try:
+            os.utime(path)  # a hit refreshes the LRU position
+        except OSError:
+            pass
         return doc
 
-    def store(self, key: str, doc: Dict[str, Any]) -> None:
-        """Atomically publish ``doc`` under ``key``, then enforce the bound.
+    def store(self, key: str, doc: Dict[str, Any], *, segment: Optional[Segment] = None) -> None:
+        """Atomically publish ``doc`` under ``key`` (or as one segment of it), then enforce the bound.
 
         Lists the entries only when the ledger says the bound is
         exceeded (or the ledger must be rebuilt).
         """
-        path = self._path(key)
+        path = self._file(key, segment)
+        parent = os.path.dirname(path)
         data = json.dumps(doc, separators=(",", ":")).encode("utf-8")
-        path.parent.mkdir(parents=True, exist_ok=True)
+        os.makedirs(parent, exist_ok=True)
         with self._ledger() as fd:
-            tmp_fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            tmp_fd, tmp = tempfile.mkstemp(dir=parent, suffix=".tmp")
             try:
                 with os.fdopen(tmp_fd, "wb") as f:
                     f.write(data)
@@ -230,13 +290,6 @@ class CacheStore:
                 self._write_total(fd, total)
         if total > self.max_bytes:
             self._evict()
-
-    def touch(self, key: str) -> None:
-        """Refresh the entry's LRU position (mtime) after a hit."""
-        try:
-            os.utime(self._path(key))
-        except OSError:
-            pass
 
     # -- maintenance -------------------------------------------------------
 

@@ -35,6 +35,7 @@ interesting lives in the lifecycle:
 from __future__ import annotations
 
 import collections
+import itertools
 import signal
 import threading
 import urllib.parse
@@ -288,13 +289,17 @@ class ReproService:
             return record
 
     def _evict_locked(self) -> None:
-        """Drop the oldest *finished* records beyond the history limit."""
+        """Drop the oldest *finished* records beyond the history limit.
+
+        The walk stops at the ``excess``-th finished record, so a submit
+        pays for the unfinished records older than it, not for the whole
+        history.
+        """
         excess = len(self._jobs) - _HISTORY_LIMIT
         if excess <= 0:
             return
-        for job_id in [
-            jid for jid, rec in self._jobs.items() if rec.terminal
-        ][:excess]:
+        finished = (jid for jid, rec in self._jobs.items() if rec.terminal)
+        for job_id in list(itertools.islice(finished, excess)):
             del self._jobs[job_id]
 
     def get_job(self, job_id: str) -> Optional[JobRecord]:
