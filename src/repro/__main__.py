@@ -129,6 +129,17 @@ def _write_metrics(path: str, snapshot) -> None:
     print(f"wrote metrics to {path}")
 
 
+def _print_trials(label: str, stats) -> None:
+    """Print a trial sweep's :class:`~repro.harness.TrialStats` (``run``, ``submit``)."""
+    print(
+        f"{label}: reproduced {stats.bug_hits}/{stats.trials} "
+        f"(bp hit rate {stats.bp_hit_rate:.2f}, mean runtime {stats.mean_runtime:.4f}s"
+        + (f", MTTE {stats.mtte:.3f}s)" if stats.mtte is not None else ")")
+    )
+    for f in stats.failures:
+        print(f"  seed {f.seed}: {f.kind} after {f.attempts} attempt(s) {f.message}")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     cls = get_app(args.app)
     bug = None if args.no_bp else args.bug
@@ -143,13 +154,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             collect_metrics=metrics_out is not None,
             cache=_cache_from_args(args),
         )
-        print(
-            f"{args.app}/{args.bug}: reproduced {stats.bug_hits}/{stats.trials} "
-            f"(bp hit rate {stats.bp_hit_rate:.2f}, mean runtime {stats.mean_runtime:.4f}s"
-            + (f", MTTE {stats.mtte:.3f}s)" if stats.mtte is not None else ")")
-        )
-        for f in stats.failures:
-            print(f"  seed {f.seed}: {f.kind} after {f.attempts} attempt(s) {f.message}")
+        _print_trials(f"{args.app}/{args.bug}", stats)
         if metrics_out is not None:
             _write_metrics(metrics_out, stats.metrics)
         return 0
@@ -633,50 +638,11 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     elif result["type"] == "trials":
         from repro.svc import stats_from_wire
 
-        stats = stats_from_wire(result)
-        print(
-            f"{args.app}/{args.bug}: reproduced {stats.bug_hits}/{stats.trials} "
-            f"(bp hit rate {stats.bp_hit_rate:.2f}, mean runtime {stats.mean_runtime:.4f}s"
-            + (f", MTTE {stats.mtte:.3f}s)" if stats.mtte is not None else ")")
-        )
-        for f in stats.failures:
-            print(f"  seed {f.seed}: {f.kind} after {f.attempts} attempt(s) {f.message}")
+        _print_trials(f"{args.app}/{args.bug}", stats_from_wire(result))
     else:
-        coverage = "complete" if result["complete"] else "capped"
-        print(f"{args.app}" + (f"/{args.bug}" if bug else "") + ":")
-        print(f"  schedules      : {result['schedules']} explored "
-              f"({coverage}, {result['pool_mode']} pool)")
-        print(
-            f"  bug hit        : {result['hits']}/{result['schedules']} schedules "
-            f"(fraction {result['hit_fraction']:.4f}, "
-            f"weighted {result['hit_probability']:.4f})"
-        )
-        if result.get("bound") is not None:
-            limits = ", ".join(
-                f"{k} <= {v}"
-                for k, v in sorted(result["bound"].items())
-                if v is not None
-            )
-            cuts = result.get("cuts") or {}
-            print(
-                f"  bounding       : {limits}; cuts: "
-                f"{cuts.get('preemption_cuts', 0)} preemption, "
-                f"{cuts.get('variable_cuts', 0)} variable"
-            )
-        if result["dpor"] is not None:
-            st = result["dpor"]
-            line = (
-                f"  dpor           : {st['branches_added']} branches, "
-                f"{st['conservative_fallbacks']} fallbacks, "
-                f"{st['sleep_set_prunes']} sleep-set prunes, "
-                f"{st['executed_steps']} steps executed"
-            )
-            if st.get("preemption_cuts") or st.get("variable_cuts"):
-                line += (
-                    f", {st.get('preemption_cuts', 0)} preemption cuts, "
-                    f"{st.get('variable_cuts', 0)} variable cuts"
-                )
-            print(line)
+        from repro.harness import ExplorationSummary
+
+        _print_exploration(ExplorationSummary.from_wire(result), args.max_schedules)
     print(f"  job            : {record['id']} ({record['attempts']} attempt(s), "
           f"{record['latency_seconds']:.2f}s end-to-end)")
     return 0
@@ -738,10 +704,48 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_exploration(res, max_schedules: int) -> None:
+    """Print an :class:`~repro.harness.ExplorationSummary` (``explore``, ``submit``)."""
+    from repro.sim.timeline import render_choice_path
+
+    coverage = "complete" if res.complete else f"capped at {max_schedules}"
+    print(f"{res.app}" + (f"/{res.bug}" if res.bug else "") + ":")
+    print(f"  schedules      : {res.schedules} explored ({coverage}, {res.pool_mode} pool)")
+    print(
+        f"  bug hit        : {res.hits}/{res.schedules} schedules "
+        f"(fraction {res.hit_fraction:.4f}, weighted {res.hit_probability:.4f})"
+    )
+    if res.bound is not None:
+        limits = ", ".join(
+            f"{k} <= {v}" for k, v in sorted(res.bound.items()) if v is not None
+        )
+        cuts = res.cuts or {}
+        print(
+            f"  bounding       : {limits}; cuts: "
+            f"{cuts.get('preemption_cuts', 0)} preemption, "
+            f"{cuts.get('variable_cuts', 0)} variable"
+        )
+    if res.dpor is not None:
+        st = res.dpor
+        line = (
+            f"  dpor           : {st['branches_added']} branches, "
+            f"{st['conservative_fallbacks']} fallbacks, "
+            f"{st['sleep_set_prunes']} sleep-set prunes, "
+            f"{st['executed_steps']} steps executed"
+        )
+        if st.get("preemption_cuts") or st.get("variable_cuts"):
+            line += (
+                f", {st.get('preemption_cuts', 0)} preemption cuts, "
+                f"{st.get('variable_cuts', 0)} variable cuts"
+            )
+        print(line)
+    for choices in res.witnesses:
+        print(f"  witness        : {render_choice_path(choices)}")
+
+
 def _cmd_explore(args: argparse.Namespace) -> int:
     from repro.harness import explore_summary
     from repro.sim.explore import Bound
-    from repro.sim.timeline import render_choice_path
 
     cls = get_app(args.app)
     if args.bug is not None and args.bug not in cls.bugs:
@@ -777,39 +781,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         print(f"error: {exc}")
         return 2
 
-    coverage = "complete" if res.complete else f"capped at {args.max_schedules}"
-    print(f"{args.app}" + (f"/{args.bug}" if args.bug else "") + ":")
-    print(f"  schedules      : {res.schedules} explored ({coverage}, {res.pool_mode} pool)")
-    print(
-        f"  bug hit        : {res.hits}/{res.schedules} schedules "
-        f"(fraction {res.hit_fraction:.4f}, weighted {res.hit_probability:.4f})"
-    )
-    if res.bound is not None:
-        limits = ", ".join(
-            f"{k} <= {v}" for k, v in sorted(res.bound.items()) if v is not None
-        )
-        cuts = res.cuts or {}
-        print(
-            f"  bounding       : {limits}; cuts: "
-            f"{cuts.get('preemption_cuts', 0)} preemption, "
-            f"{cuts.get('variable_cuts', 0)} variable"
-        )
-    if res.dpor is not None:
-        st = res.dpor
-        line = (
-            f"  dpor           : {st['branches_added']} branches, "
-            f"{st['conservative_fallbacks']} fallbacks, "
-            f"{st['sleep_set_prunes']} sleep-set prunes, "
-            f"{st['executed_steps']} steps executed"
-        )
-        if st.get("preemption_cuts") or st.get("variable_cuts"):
-            line += (
-                f", {st.get('preemption_cuts', 0)} preemption cuts, "
-                f"{st.get('variable_cuts', 0)} variable cuts"
-            )
-        print(line)
-    for choices in res.witnesses:
-        print(f"  witness        : {render_choice_path(choices)}")
+    _print_exploration(res, args.max_schedules)
     return 0
 
 

@@ -1,8 +1,10 @@
 """Content-addressed result cache for trial sweeps and explorations.
 
 Public surface: :class:`ResultCache` (the memoizing store the harness,
-svc executor and CLI share), the fingerprint helpers that define its
-content addresses, and :class:`CacheStore` for the raw on-disk layer.
+svc executor and CLI share), the key functions that define its content
+addresses (one per cacheable kind: :func:`trials_key`,
+:func:`explore_key`, :func:`infer_key`) with the fingerprint helpers
+under them, and :class:`CacheStore` for the raw on-disk layer.
 See :mod:`repro.cache.results` for the correctness argument and
 ``docs/architecture.md`` for where the cache sits in the pipeline.
 """
@@ -12,13 +14,13 @@ from .fingerprint import (
     canonical_json,
     explore_config_doc,
     explore_fingerprint,
+    explore_key,
     fingerprint_doc,
     infer_config_doc,
-    infer_fingerprint,
-    storage_config_doc,
-    storage_fingerprint,
+    infer_key,
     trial_config_doc,
     trial_fingerprint,
+    trials_key,
 )
 from .results import ResultCache
 from .store import DEFAULT_MAX_BYTES, CacheStore, StoreStats
@@ -32,11 +34,11 @@ __all__ = [
     "canonical_json",
     "explore_config_doc",
     "explore_fingerprint",
+    "explore_key",
     "fingerprint_doc",
     "infer_config_doc",
-    "infer_fingerprint",
-    "storage_config_doc",
-    "storage_fingerprint",
+    "infer_key",
     "trial_config_doc",
     "trial_fingerprint",
+    "trials_key",
 ]

@@ -22,6 +22,14 @@ this module:
   results bit-identical across them, so a sweep computed at any worker
   count may serve a request at any other.
 
+Each cacheable kind has one key function — :func:`trials_key`,
+:func:`explore_key`, :func:`infer_key` — taking the keyword arguments
+of its library call (``run_trials``, ``explore_summary``,
+``infer_app``) and returning ``(key, config)``: the storage key and the
+config document a stored entry embeds.  The result cache looks entries
+up and stores them under it, and the fleet router places jobs by it,
+so two jobs land on one shard exactly when they could share an entry.
+
 The app version tag is :attr:`repro.apps.base.BaseApp.cache_version`;
 bump it whenever an app's workload or oracle changes in a way that
 alters trial outcomes.  ``CACHE_SCHEMA`` versions the wire layout of
@@ -33,7 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, Mapping, Optional, Type
+from typing import Any, Dict, Mapping, Optional, Tuple, Type
 
 __all__ = [
     "CACHE_SCHEMA",
@@ -44,9 +52,9 @@ __all__ = [
     "explore_config_doc",
     "explore_fingerprint",
     "infer_config_doc",
-    "infer_fingerprint",
-    "storage_config_doc",
-    "storage_fingerprint",
+    "trials_key",
+    "explore_key",
+    "infer_key",
 ]
 
 #: Version of the cache's on-disk entry layout; a bump invalidates all
@@ -93,13 +101,13 @@ def _app_version(app_cls: Type) -> str:
 def trial_config_doc(
     app_cls: Type,
     *,
-    bug: Optional[str],
-    timeout: float,
-    flip_order: bool,
-    use_policies: bool,
-    params: Optional[Dict[str, Any]],
-    collect_metrics: bool,
-    trial_timeout: Optional[float],
+    bug: Optional[str] = None,
+    timeout: float = 0.100,
+    flip_order: bool = False,
+    use_policies: bool = True,
+    params: Optional[Dict[str, Any]] = None,
+    collect_metrics: bool = False,
+    trial_timeout: Optional[float] = None,
     only_breakpoints: Optional[frozenset] = None,
 ) -> Dict[str, Any]:
     """The fingerprint-relevant fields of one trial-sweep configuration.
@@ -110,7 +118,8 @@ def trial_config_doc(
     the workload params, whether metrics travel with the outcomes, and
     the per-trial wall-clock budget (it decides which seeds can fail).
     The seed range is *not* here — it keys the per-seed rows inside the
-    entry, which is what makes partial-range reuse possible.
+    entry, which is what makes partial-range reuse possible.  Defaults
+    are :func:`repro.harness.run_trials`'s.
     """
     return {
         "schema": CACHE_SCHEMA,
@@ -170,16 +179,16 @@ def explore_config_doc(
     *,
     bug: Optional[str],
     dpor: bool,
-    sleep_sets: bool,
     sharded: bool,
-    shard_depth: Optional[int],
-    max_schedules: int,
     max_steps: Optional[int],
-    seed: int,
-    timeout: float,
-    use_policies: bool,
-    params: Optional[Dict[str, Any]],
-    witness_limit: int,
+    sleep_sets: bool = False,
+    shard_depth: Optional[int] = 2,
+    max_schedules: int = 10_000,
+    seed: int = 0,
+    timeout: float = 0.100,
+    use_policies: bool = True,
+    params: Optional[Dict[str, Any]] = None,
+    witness_limit: int = 3,
     bound: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Fingerprint-relevant fields of one exploration summary.
@@ -195,6 +204,7 @@ def explore_config_doc(
     cuts schedules, so it is result-relevant and must key the entry
     (``None`` = unbounded; an *active* bound equal in effect to
     unbounded still hashes separately, which only costs a re-run).
+    Defaults are :func:`repro.harness.explore_summary`'s.
 
     ``"snapshots"`` is a constant ``False``: it named the removed fork
     snapshot executor, and keeping it leaves every existing cache key
@@ -231,14 +241,14 @@ def infer_config_doc(
     app_cls: Type,
     *,
     trace_seed: int,
-    trials: int,
-    base_seed: int,
-    timeout: float,
-    use_policies: bool,
-    params: Optional[Dict[str, Any]],
-    trial_timeout: Optional[float],
-    steer_attempts: int,
     infer_version: int,
+    trials: int = 20,
+    base_seed: int = 0,
+    timeout: float = 0.100,
+    use_policies: bool = True,
+    params: Optional[Dict[str, Any]] = None,
+    trial_timeout: Optional[float] = None,
+    steer_attempts: int = 5,
 ) -> Dict[str, Any]:
     """Fingerprint-relevant fields of one inference report.
 
@@ -250,7 +260,8 @@ def infer_config_doc(
     the steering budget, and the pipeline's own heuristics version
     (:data:`repro.infer.INFER_VERSION` — matching tiers and the
     confirmation rule are part of the computation).  The worker count
-    is absent per the parallel == serial contract.
+    is absent per the parallel == serial contract.  Defaults are
+    :func:`repro.infer.infer_app`'s.
     """
     return {
         "schema": CACHE_SCHEMA,
@@ -269,47 +280,96 @@ def infer_config_doc(
     }
 
 
-def infer_fingerprint(app_cls: Type, **fields: Any) -> str:
-    """Content address of one inference-report configuration."""
-    return fingerprint_doc(infer_config_doc(app_cls, **fields))
+def _keyed(doc: Mapping[str, Any]) -> Tuple[str, Dict[str, Any]]:
+    """``(key, config)`` of ``doc`` from its one canonical rendering.
+
+    The key is the SHA-256 of the rendering (what :func:`fingerprint_doc`
+    returns) and the config its JSON parse, the round-trip-stable form a
+    stored entry embeds and a load compares with ``==``.
+    """
+    text = canonical_json(doc)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest(), json.loads(text)
 
 
-def storage_config_doc(kind: str, app_name: str, **fields: Any) -> Dict[str, Any]:
-    """The *storage-level* config document for any cacheable kind.
+def trials_key(
+    app_cls: Type,
+    *,
+    n: int = 100,
+    base_seed: int = 0,
+    workers: Any = None,
+    max_retries: int = 2,
+    trial_hook: Any = None,
+    **fields: Any,
+) -> Tuple[str, Dict[str, Any]]:
+    """``(key, config)`` of a :func:`repro.harness.run_trials` sweep.
 
-    This is the exact document :class:`~repro.cache.results.ResultCache`
-    groups entries under — the seed range is deliberately absent for
-    trials (it keys rows *inside* an entry), ``max_steps=None`` resolves
-    to the app default for explorations, and the pipeline version is
-    folded in for inference.  Exposed publicly because the fleet router
-    (:mod:`repro.svc.router`) hashes jobs onto shards by this same
-    identity: two jobs that could share a cache entry — e.g. overlapping
-    seed ranges of one trial config — must land on the same shard for
-    its cache to stay hot, so routing *must* use the storage key, not the
-    full content address.
+    Takes that call's keyword arguments.  The seed range (``n``,
+    ``base_seed``) keys rows *inside* the entry, and the worker count,
+    retry budget and fault-injection hook never change a result, so
+    these five are ignored; every other keyword is a field of
+    :func:`trial_config_doc` (a misspelled one raises ``TypeError``).
+    """
+    return _keyed(trial_config_doc(app_cls, **fields))
 
-    ``fields`` are the keyword arguments of the matching
-    ``*_config_doc`` helper; the app is resolved through the registry
-    (``KeyError`` on an unknown name).
+
+def explore_key(
+    app_name: str,
+    bug: Optional[str] = None,
+    *,
+    dpor: bool = False,
+    workers: Any = None,
+    max_steps: Optional[int] = None,
+    bound: Any = None,
+    obs: Any = None,
+    **fields: Any,
+) -> Tuple[str, Dict[str, Any]]:
+    """``(key, config)`` of a :func:`repro.harness.explore_summary` call.
+
+    Takes that call's keyword arguments (``KeyError`` for an unknown
+    app or bug).  The walk is sharded when ``dpor and workers``, and
+    only then does ``shard_depth`` count; the worker count itself is
+    ignored, as is ``obs``.  ``max_steps=None`` resolves to the app
+    default and ``bound`` (a :class:`~repro.sim.explore.Bound`) enters
+    as ``Bound.to_doc()``.
     """
     from repro.apps import get_app
 
     cls = get_app(app_name)
-    if kind == "trials":
-        return trial_config_doc(cls, **fields)
-    if kind == "explore":
-        if fields.get("max_steps") is None:
-            fields["max_steps"] = cls.max_steps
-        return explore_config_doc(cls, **fields)
-    if kind == "infer":
-        if fields.get("infer_version") is None:
-            from repro.infer.pipeline import INFER_VERSION
+    if bug is not None and bug not in cls.bugs:
+        raise KeyError(f"{app_name} has no bug {bug!r}; known: {list(cls.bugs)}")
+    return _keyed(
+        explore_config_doc(
+            cls,
+            bug=bug,
+            dpor=dpor,
+            sharded=bool(dpor and workers),
+            max_steps=cls.max_steps if max_steps is None else max_steps,
+            bound=bound.to_doc() if bound is not None else None,
+            **fields,
+        )
+    )
 
-            fields["infer_version"] = INFER_VERSION
-        return infer_config_doc(cls, **fields)
-    raise ValueError(f"unknown cacheable kind {kind!r}")
 
+def infer_key(
+    app_name: str,
+    *,
+    seed: int = 0,
+    workers: Any = None,
+    obs: Any = None,
+    **fields: Any,
+) -> Tuple[str, Dict[str, Any]]:
+    """``(key, config)`` of a :func:`repro.infer.infer_app` call.
 
-def storage_fingerprint(kind: str, app_name: str, **fields: Any) -> str:
-    """SHA-256 content address of :func:`storage_config_doc`."""
-    return fingerprint_doc(storage_config_doc(kind, app_name, **fields))
+    Takes that call's keyword arguments (``KeyError`` for an unknown
+    app).  ``seed`` is the traced run's ``trace_seed``, the pipeline's
+    :data:`~repro.infer.INFER_VERSION` joins the key, and ``workers``
+    and ``obs`` are ignored.
+    """
+    from repro.apps import get_app
+    from repro.infer.pipeline import INFER_VERSION
+
+    return _keyed(
+        infer_config_doc(
+            get_app(app_name), trace_seed=seed, infer_version=INFER_VERSION, **fields
+        )
+    )

@@ -37,28 +37,16 @@ They land in the cache's bound registry or, failing that, the ambient
 
 from __future__ import annotations
 
-import json
 import os
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Type
 
 from repro.obs.context import current_sink
 from repro.obs.metrics import MetricsRegistry
 
-from .fingerprint import (
-    CACHE_SCHEMA,
-    canonical_json,
-    fingerprint_doc,
-    storage_config_doc,
-    trial_config_doc,
-)
+from .fingerprint import CACHE_SCHEMA, explore_key, infer_key, trials_key
 from .store import DEFAULT_MAX_BYTES, CacheStore, Segment, StoreStats
 
 __all__ = ["ResultCache"]
-
-
-def _normalized(doc: Dict[str, Any]) -> Dict[str, Any]:
-    """JSON-round-trip-stable form of a config doc (what entries embed)."""
-    return json.loads(canonical_json(doc))
 
 
 def _segments(seeds: List[int]) -> List[Segment]:
@@ -121,31 +109,20 @@ class ResultCache:
         if reg is not None:
             reg.counter(name, volatile=True).inc()
 
-    # -- trials ------------------------------------------------------------
-
-    def _trial_key(
+    def _store(
         self,
-        app_cls: Type,
-        *,
-        bug: Optional[str],
-        timeout: float,
-        flip_order: bool,
-        use_policies: bool,
-        params: Optional[Dict[str, Any]],
-        collect: bool,
-        trial_timeout: Optional[float],
-    ) -> Tuple[str, Dict[str, Any]]:
-        doc = trial_config_doc(
-            app_cls,
-            bug=bug,
-            timeout=timeout,
-            flip_order=flip_order,
-            use_policies=use_policies,
-            params=params,
-            collect_metrics=collect,
-            trial_timeout=trial_timeout,
-        )
-        return fingerprint_doc(doc), _normalized(doc)
+        key: str,
+        kind: str,
+        config: Dict[str, Any],
+        field: str,
+        value: Any,
+        segment: Optional[Segment] = None,
+    ) -> None:
+        """Write one entry (or one trial segment) holding ``value`` as ``field``."""
+        doc = {"schema": CACHE_SCHEMA, "kind": kind, "config": config, field: value}
+        self.store.store(key, doc, segment=segment)
+
+    # -- trials ------------------------------------------------------------
 
     def _overlapping(self, key: str, lo: int, hi: int) -> List[Segment]:
         """The stored segments of ``key`` holding any seed in ``lo..hi-1``."""
@@ -196,42 +173,28 @@ class ResultCache:
         self,
         app_cls: Type,
         *,
-        n: int,
-        bug: Optional[str],
-        timeout: float,
-        flip_order: bool,
-        use_policies: bool,
-        base_seed: int,
-        params: Optional[Dict[str, Any]],
-        workers: Any,
-        trial_timeout: Optional[float],
-        max_retries: int,
-        collect_metrics: bool,
-        trial_hook: Any = None,
+        n: int = 100,
+        bug: Optional[str] = None,
+        base_seed: int = 0,
+        collect_metrics: bool = False,
+        **kwargs: Any,
     ):
         """Serve a trial sweep from cache, running only what is missing.
 
-        Covered seeds replay from stored rows; missing seeds run fresh
-        (in contiguous segments, through the ordinary runner) with the
-        ambient sink suppressed so metrics fold into the final
-        aggregation exactly once.  Fresh *successful* outcomes are then
-        stored as new segments, one per contiguous run (a failed seed
-        splits a run); no stored segment is rewritten.
+        Takes :func:`repro.harness.run_trials`'s keywords (``cache`` and
+        ``on_outcome`` aside).  Covered seeds replay from stored rows;
+        missing seeds run fresh (in contiguous segments, through the
+        ordinary runner) with the ambient sink suppressed so metrics
+        fold into the final aggregation exactly once.  Fresh
+        *successful* outcomes are then stored as new segments, one per
+        contiguous run (a failed seed splits a run); no stored segment
+        is rewritten.
         """
         from repro.harness.stats import TrialAggregator
         from repro.obs.context import not_collecting
 
         collect = collect_metrics or current_sink() is not None
-        key, config = self._trial_key(
-            app_cls,
-            bug=bug,
-            timeout=timeout,
-            flip_order=flip_order,
-            use_policies=use_policies,
-            params=params,
-            collect=collect,
-            trial_timeout=trial_timeout,
-        )
+        key, config = trials_key(app_cls, bug=bug, collect_metrics=collect, **kwargs)
         requested = range(base_seed, base_seed + n)
         rows = self._load_rows(key, config, self._overlapping(key, base_seed, base_seed + n))
         covered = [s for s in requested if s in rows]
@@ -257,17 +220,10 @@ class ResultCache:
                         app_cls,
                         n=count,
                         bug=bug,
-                        timeout=timeout,
-                        flip_order=flip_order,
-                        use_policies=use_policies,
                         base_seed=start,
-                        params=params,
-                        workers=workers,
-                        trial_timeout=trial_timeout,
-                        max_retries=max_retries,
                         collect_metrics=collect,
                         on_outcome=fresh.append,
-                        trial_hook=trial_hook,
+                        **kwargs,
                     )
                     for failure in part.failures:
                         agg.add_failure(failure)
@@ -276,52 +232,34 @@ class ResultCache:
                 agg.add(outcome)
                 new_rows[outcome.seed] = self._row_from_outcome(outcome)
             for start, count in _segments(sorted(new_rows)):
-                self.store.store(
-                    key,
-                    {
-                        "schema": CACHE_SCHEMA,
-                        "kind": "trials",
-                        "config": config,
-                        "seeds": {str(s): new_rows[s] for s in range(start, start + count)},
-                    },
-                    segment=(start, count),
-                )
+                seeds = {str(s): new_rows[s] for s in range(start, start + count)}
+                self._store(key, "trials", config, "seeds", seeds, segment=(start, count))
         return agg.finalize()
 
     def fetch_trials(
         self,
         app_cls: Type,
         *,
-        n: int,
-        bug: Optional[str],
-        timeout: float = 0.100,
-        flip_order: bool = False,
-        use_policies: bool = True,
+        n: int = 100,
+        bug: Optional[str] = None,
         base_seed: int = 0,
-        params: Optional[Dict[str, Any]] = None,
-        trial_timeout: Optional[float] = None,
         collect_metrics: bool = False,
+        **kwargs: Any,
     ):
         """Fully-covered lookup: stats without running anything, or None.
 
-        Used by the svc executor's parent-side fast path (a full hit
-        skips the job fork entirely).  Counts ``cache.hit`` only when it
-        serves — a miss here is not a cache miss yet, the job child will
-        look again and count the real outcome.  A range the segment
-        names do not cover is a miss decided by one directory listing,
-        without opening a file.
+        Same keywords as :meth:`run_trials`.  Used by the svc
+        executor's parent-side fast path (a full hit skips the job fork
+        entirely).  Counts ``cache.hit`` only when it serves — a miss
+        here is not a cache miss yet, the job child will look again and
+        count the real outcome.  A range the segment names do not cover
+        is a miss decided by one directory listing, without opening a
+        file.
         """
         from repro.harness.stats import TrialAggregator
 
-        key, config = self._trial_key(
-            app_cls,
-            bug=bug,
-            timeout=timeout,
-            flip_order=flip_order,
-            use_policies=use_policies,
-            params=params,
-            collect=collect_metrics,
-            trial_timeout=trial_timeout,
+        key, config = trials_key(
+            app_cls, bug=bug, collect_metrics=collect_metrics, **kwargs
         )
         requested = range(base_seed, base_seed + n)
         segments = self._overlapping(key, base_seed, base_seed + n)
@@ -338,239 +276,83 @@ class ResultCache:
             agg.add(self._outcome_from_row(seed, rows[seed]))
         return agg.finalize()
 
-    # -- explorations ------------------------------------------------------
+    # -- whole entries: explorations and inference reports ----------------
 
-    def _explore_key(
-        self, app_name: str, bug: Optional[str], **fields: Any
-    ) -> Tuple[str, Dict[str, Any], Type]:
-        from repro.apps import get_app
-
-        cls = get_app(app_name)
-        if bug is not None and bug not in cls.bugs:
-            raise KeyError(f"{app_name} has no bug {bug!r}; known: {list(cls.bugs)}")
-        # The shared storage-key builder resolves max_steps=None to the
-        # app default — the router hashes on the identical document.
-        doc = storage_config_doc("explore", app_name, bug=bug, **fields)
-        return fingerprint_doc(doc), _normalized(doc), cls
+    def _fetch(
+        self,
+        key: str,
+        config: Dict[str, Any],
+        field: str,
+        from_wire: Callable[[Dict[str, Any]], Any],
+    ):
+        """The stored ``field`` of a whole entry, decoded; None on a miss."""
+        entry = self.store.load(key, expect_config=config)
+        if entry is None or not isinstance(entry.get(field), dict):
+            return None
+        self._count("cache.hit")
+        return from_wire(entry[field])
 
     def explore(
-        self,
-        app_name: str,
-        bug: Optional[str] = None,
-        *,
-        dpor: bool = False,
-        sleep_sets: bool = False,
-        workers: Optional[int] = None,
-        shard_depth: int = 2,
-        max_schedules: int = 10_000,
-        max_steps: Optional[int] = None,
-        seed: int = 0,
-        timeout: float = 0.100,
-        use_policies: bool = True,
-        params: Optional[Dict[str, Any]] = None,
-        witness_limit: int = 3,
-        obs: Any = None,
-        bound: Optional[Any] = None,
+        self, app_name: str, bug: Optional[str] = None, *, witness_limit: int = 3, **kwargs: Any
     ):
         """Cached exploration summary; runs :func:`explore_app` on a miss.
 
-        Only the summary (counts, DPOR stats, bounded witness list) is
-        stored — the full outcome list is unbounded and cheap to
-        regenerate when actually needed.  ``bound`` (a
+        Takes :func:`repro.harness.explore_summary`'s keywords (``cache``
+        aside).  Only the summary (counts, DPOR stats, bounded witness
+        list) is stored — the full outcome list is unbounded and cheap
+        to regenerate when actually needed.  ``bound`` (a
         :class:`~repro.sim.explore.Bound` or None) cuts schedules, so it
         is part of the entry's content address.
         """
         from repro.harness.exploration import ExplorationSummary, explore_app
 
-        if bound is not None and not bound.active:
-            bound = None
-        sharded = bool(dpor and workers)
-        key, config, _cls = self._explore_key(
-            app_name,
-            bug,
-            dpor=dpor,
-            sleep_sets=sleep_sets,
-            sharded=sharded,
-            shard_depth=shard_depth if sharded else None,
-            max_schedules=max_schedules,
-            max_steps=max_steps,
-            seed=seed,
-            timeout=timeout,
-            use_policies=use_policies,
-            params=params,
-            witness_limit=witness_limit,
-            bound=bound.to_doc() if bound is not None else None,
-        )
-        entry = self.store.load(key, expect_config=config)
-        if entry is not None and isinstance(entry.get("summary"), dict):
-            self._count("cache.hit")
-            return ExplorationSummary.from_wire(entry["summary"])
-        self._count("cache.miss")
-        res = explore_app(
-            app_name,
-            bug,
-            dpor=dpor,
-            sleep_sets=sleep_sets,
-            workers=workers,
-            shard_depth=shard_depth,
-            max_schedules=max_schedules,
-            max_steps=max_steps,
-            seed=seed,
-            timeout=timeout,
-            use_policies=use_policies,
-            params=params,
-            obs=obs,
-            bound=bound,
-        )
-        summary = res.summary(witness_limit=witness_limit)
-        self.store.store(
-            key,
-            {
-                "schema": CACHE_SCHEMA,
-                "kind": "explore",
-                "config": config,
-                "summary": summary.to_wire(),
-            },
-        )
+        key, config = explore_key(app_name, bug, witness_limit=witness_limit, **kwargs)
+        summary = self._fetch(key, config, "summary", ExplorationSummary.from_wire)
+        if summary is None:
+            self._count("cache.miss")
+            res = explore_app(app_name, bug, **kwargs)
+            summary = res.summary(witness_limit=witness_limit)
+            self._store(key, "explore", config, "summary", summary.to_wire())
         return summary
 
     def fetch_explore(self, app_name: str, bug: Optional[str] = None, **kwargs: Any):
-        """Hit-only exploration lookup (svc fast path); None on a miss."""
+        """Hit-only exploration lookup (svc fast path); None on a miss.
+
+        Same keywords as :meth:`explore`."""
         from repro.harness.exploration import ExplorationSummary
 
-        obs = kwargs.pop("obs", None)
-        del obs  # fetch never executes, so a metrics registry is irrelevant
-        workers = kwargs.pop("workers", None)
-        shard_depth = kwargs.pop("shard_depth", 2)
-        dpor = kwargs.get("dpor", False)
-        sharded = bool(dpor and workers)
-        bound = kwargs.pop("bound", None)
-        if bound is not None and not bound.active:
-            bound = None
-        key, config, _cls = self._explore_key(
-            app_name,
-            bug,
-            dpor=dpor,
-            sleep_sets=kwargs.get("sleep_sets", False),
-            sharded=sharded,
-            shard_depth=shard_depth if sharded else None,
-            max_schedules=kwargs.get("max_schedules", 10_000),
-            max_steps=kwargs.get("max_steps"),
-            seed=kwargs.get("seed", 0),
-            timeout=kwargs.get("timeout", 0.100),
-            use_policies=kwargs.get("use_policies", True),
-            params=kwargs.get("params"),
-            witness_limit=kwargs.get("witness_limit", 3),
-            bound=bound.to_doc() if bound is not None else None,
-        )
-        entry = self.store.load(key, expect_config=config)
-        if entry is None or not isinstance(entry.get("summary"), dict):
-            return None
-        self._count("cache.hit")
-        return ExplorationSummary.from_wire(entry["summary"])
+        key, config = explore_key(app_name, bug, **kwargs)
+        return self._fetch(key, config, "summary", ExplorationSummary.from_wire)
 
-    # -- inference reports -------------------------------------------------
-
-    def _infer_key(
-        self, app_name: str, **fields: Any
-    ) -> Tuple[str, Dict[str, Any], Type]:
-        from repro.apps import get_app
-
-        cls = get_app(app_name)
-        # The shared storage-key builder folds INFER_VERSION in — the
-        # router hashes on the identical document.
-        doc = storage_config_doc("infer", app_name, **fields)
-        return fingerprint_doc(doc), _normalized(doc), cls
-
-    def infer(
-        self,
-        app_name: str,
-        *,
-        seed: int = 0,
-        trials: int = 20,
-        timeout: float = 0.100,
-        base_seed: int = 0,
-        use_policies: bool = True,
-        params: Optional[Dict[str, Any]] = None,
-        trial_timeout: Optional[float] = None,
-        steer_attempts: int = 5,
-        workers: Any = None,
-        obs: Any = None,
-    ):
+    def infer(self, app_name: str, **kwargs: Any):
         """Cached inference report; runs the pipeline on a miss.
 
-        Two memoization layers compose here: a warm rerun is served
-        whole from the stored report (nothing executes), while a cold
-        run passes *this cache* down as the pipeline's trial cache, so
-        the per-candidate confirmation sweeps reuse — and extend — the
-        ordinary trial entries any ``repro run`` shares.
+        Takes :func:`repro.infer.infer_app`'s keywords (``cache``
+        aside).  Two memoization layers compose here: a warm rerun is
+        served whole from the stored report (nothing executes), while a
+        cold run passes *this cache* down as the pipeline's trial cache,
+        so the per-candidate confirmation sweeps reuse — and extend —
+        the ordinary trial entries any ``repro run`` shares.
         """
         from repro.infer.pipeline import run_inference
         from repro.infer.report import InferenceReport
 
-        key, config, _cls = self._infer_key(
-            app_name,
-            trace_seed=seed,
-            trials=trials,
-            base_seed=base_seed,
-            timeout=timeout,
-            use_policies=use_policies,
-            params=params,
-            trial_timeout=trial_timeout,
-            steer_attempts=steer_attempts,
-        )
-        entry = self.store.load(key, expect_config=config)
-        if entry is not None and isinstance(entry.get("report"), dict):
-            self._count("cache.hit")
-            return InferenceReport.from_wire(entry["report"])
-        self._count("cache.miss")
-        report = run_inference(
-            app_name,
-            seed=seed,
-            trials=trials,
-            timeout=timeout,
-            base_seed=base_seed,
-            use_policies=use_policies,
-            params=params,
-            workers=workers,
-            trial_timeout=trial_timeout,
-            steer_attempts=steer_attempts,
-            trial_cache=self,
-            obs=obs,
-        )
-        self.store.store(
-            key,
-            {
-                "schema": CACHE_SCHEMA,
-                "kind": "infer",
-                "config": config,
-                "report": report.to_wire(),
-            },
-        )
+        key, config = infer_key(app_name, **kwargs)
+        report = self._fetch(key, config, "report", InferenceReport.from_wire)
+        if report is None:
+            self._count("cache.miss")
+            report = run_inference(app_name, trial_cache=self, **kwargs)
+            self._store(key, "infer", config, "report", report.to_wire())
         return report
 
     def fetch_infer(self, app_name: str, **kwargs: Any):
-        """Hit-only inference lookup (svc fast path); None on a miss."""
+        """Hit-only inference lookup (svc fast path); None on a miss.
+
+        Same keywords as :meth:`infer`."""
         from repro.infer.report import InferenceReport
 
-        kwargs.pop("obs", None)
-        kwargs.pop("workers", None)
-        key, config, _cls = self._infer_key(
-            app_name,
-            trace_seed=kwargs.get("seed", 0),
-            trials=kwargs.get("trials", 20),
-            base_seed=kwargs.get("base_seed", 0),
-            timeout=kwargs.get("timeout", 0.100),
-            use_policies=kwargs.get("use_policies", True),
-            params=kwargs.get("params"),
-            trial_timeout=kwargs.get("trial_timeout"),
-            steer_attempts=kwargs.get("steer_attempts", 5),
-        )
-        entry = self.store.load(key, expect_config=config)
-        if entry is None or not isinstance(entry.get("report"), dict):
-            return None
-        self._count("cache.hit")
-        return InferenceReport.from_wire(entry["report"])
+        key, config = infer_key(app_name, **kwargs)
+        return self._fetch(key, config, "report", InferenceReport.from_wire)
 
     # -- maintenance -------------------------------------------------------
 

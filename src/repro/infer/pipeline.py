@@ -21,8 +21,9 @@ thin wrappers around it):
 
 Every stage is deterministic given the configuration, so the whole
 report is cacheable under one canonical-JSON fingerprint
-(:func:`repro.cache.infer_fingerprint`); ``infer.*`` counters land in
-the passed metrics registry or the ambient sink.
+(:func:`repro.cache.infer_key`, which takes this function's keywords);
+``infer.*`` counters land in the passed metrics registry or the
+ambient sink.
 """
 
 from __future__ import annotations

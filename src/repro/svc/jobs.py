@@ -24,7 +24,7 @@ import dataclasses
 import re
 import threading
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.apps import get_app
 from repro.harness.stats import TrialFailure, TrialStats
@@ -39,6 +39,7 @@ __all__ = [
     "FAILED",
     "TERMINAL_STATES",
     "execute_job",
+    "job_call",
     "try_cached_result",
     "stats_to_wire",
     "stats_from_wire",
@@ -66,12 +67,13 @@ class JobSpec:
     """One reproduction job, fully described by JSON-able scalars.
 
     ``kind`` selects the entry point: ``"trials"`` runs the seeded trial
-    sweep, ``"explore"`` enumerates the schedule space.  Every field
-    below maps one-to-one onto a parameter of
-    :func:`repro.harness.run_trials` or
-    :func:`repro.harness.explore_app`, which is what makes the
-    service's determinism argument a one-liner: same spec, same seeds,
-    same code path, same result.
+    sweep, ``"explore"`` enumerates the schedule space, ``"infer"``
+    runs the inference pipeline.  Every field below maps one-to-one
+    onto a parameter of :func:`repro.harness.run_trials`,
+    :func:`repro.harness.explore_summary` or
+    :func:`repro.infer.infer_app` (:func:`job_call` is that map), which
+    is what makes the service's determinism argument a one-liner: same
+    spec, same seeds, same code path, same result.
 
     ``workers`` fans the job's trials (or, with ``dpor``, its
     exploration shards) over a nested :class:`repro.pool.Pool` of that
@@ -275,6 +277,63 @@ def stats_from_wire(doc: Dict[str, Any]) -> TrialStats:
     )
 
 
+def job_call(spec: JobSpec) -> Tuple[Any, Dict[str, Any]]:
+    """The library call that runs ``spec``: its first argument and keywords.
+
+    ``run_trials(app_cls, **kw)``, ``explore_summary(app, **kw)`` or
+    ``infer_app(app, **kw)``.  The job's cache entry is a function of
+    these keywords alone: :func:`execute_job` makes the call,
+    :func:`try_cached_result` passes them to the cache's ``fetch_<kind>``
+    and :func:`~repro.svc.router.routing_fingerprint` to the kind's key
+    function (:mod:`repro.cache.fingerprint`), so the three agree on the
+    entry by construction.  ``KeyError`` for an unknown app.
+    """
+    kw: Dict[str, Any] = dict(
+        timeout=spec.timeout,
+        use_policies=spec.use_policies,
+        params=dict(spec.params),
+        workers=spec.workers or None,
+    )
+    if spec.kind == "trials":
+        kw.update(
+            n=spec.trials,
+            bug=spec.bug,
+            flip_order=spec.flip_order,
+            base_seed=spec.base_seed,
+            trial_timeout=spec.trial_timeout,
+            max_retries=spec.max_retries,
+            collect_metrics=spec.collect_metrics,
+        )
+        return get_app(spec.app), kw
+    if spec.kind == "explore":
+        from repro.sim.explore import Bound
+
+        kw.update(
+            bug=spec.bug,
+            witness_limit=spec.witness_limit,
+            dpor=spec.dpor,
+            sleep_sets=spec.sleep_sets,
+            shard_depth=spec.shard_depth,
+            max_schedules=spec.max_schedules,
+            max_steps=spec.max_steps,
+            seed=spec.seed,
+            bound=Bound.from_values(spec.bound_preemptions, spec.bound_variables),
+        )
+        return spec.app, kw
+    kw.update(
+        seed=spec.seed,
+        trials=spec.trials,
+        base_seed=spec.base_seed,
+        trial_timeout=spec.trial_timeout,
+        steer_attempts=spec.steer_attempts,
+    )
+    return spec.app, kw
+
+
+def _to_wire(result: Any) -> Dict[str, Any]:
+    return stats_to_wire(result) if isinstance(result, TrialStats) else result.to_wire()
+
+
 def execute_job(
     spec: JobSpec,
     cache: Optional[Any] = None,
@@ -283,76 +342,28 @@ def execute_job(
     """Run one job to completion and return its wire-form result.
 
     This runs inside the service's pool worker process.  It is a thin
-    dispatch onto the library entry points — the service adds no
-    semantics here, which is exactly the differential battery's claim.
-    ``cache`` is the service's shared :class:`repro.cache.ResultCache`
-    (ignored when the spec opts out); cached and fresh results are
-    bit-identical by the cache's own contract.  ``metrics`` is an
-    optional :class:`~repro.obs.metrics.MetricsRegistry` the explore
-    path flushes its ``explore.*`` counters into (schedules, steps,
-    cuts, ``explore.dpor.*``), sharded or not — purely observational,
-    never result-affecting.
+    dispatch onto the library entry points (:func:`job_call`) — the
+    service adds no semantics here, which is exactly the differential
+    battery's claim.  ``cache`` is the service's shared
+    :class:`repro.cache.ResultCache` (ignored when the spec opts out);
+    cached and fresh results are bit-identical by the cache's own
+    contract.  ``metrics`` is an optional
+    :class:`~repro.obs.metrics.MetricsRegistry` the explore path flushes
+    its ``explore.*`` counters into (schedules, steps, cuts,
+    ``explore.dpor.*``), sharded or not — purely observational, never
+    result-affecting.
     """
-    if spec.no_cache:
-        cache = None
-    if spec.kind == "infer":
-        from repro.infer import infer_app
+    first, kw = job_call(spec)
+    kw["cache"] = None if spec.no_cache else cache
+    if spec.kind == "trials":
+        from repro.harness import run_trials as call
+    elif spec.kind == "explore":
+        from repro.harness import explore_summary as call
 
-        report = infer_app(
-            spec.app,
-            seed=spec.seed,
-            trials=spec.trials,
-            timeout=spec.timeout,
-            base_seed=spec.base_seed,
-            use_policies=spec.use_policies,
-            params=dict(spec.params),
-            workers=spec.workers or None,
-            trial_timeout=spec.trial_timeout,
-            steer_attempts=spec.steer_attempts,
-            cache=cache,
-        )
-        return report.to_wire()
-    if spec.kind == "explore":
-        from repro.harness import explore_summary
-        from repro.sim.explore import Bound
-
-        summary = explore_summary(
-            spec.app,
-            spec.bug,
-            witness_limit=spec.witness_limit,
-            cache=cache,
-            dpor=spec.dpor,
-            sleep_sets=spec.sleep_sets,
-            workers=spec.workers or None,
-            shard_depth=spec.shard_depth,
-            max_schedules=spec.max_schedules,
-            max_steps=spec.max_steps,
-            seed=spec.seed,
-            timeout=spec.timeout,
-            use_policies=spec.use_policies,
-            params=dict(spec.params),
-            bound=Bound.from_values(spec.bound_preemptions, spec.bound_variables),
-            obs=metrics,
-        )
-        return summary.to_wire()
-    from repro.harness import run_trials
-
-    stats = run_trials(
-        get_app(spec.app),
-        n=spec.trials,
-        bug=spec.bug,
-        timeout=spec.timeout,
-        flip_order=spec.flip_order,
-        use_policies=spec.use_policies,
-        base_seed=spec.base_seed,
-        params=dict(spec.params),
-        workers=spec.workers or None,
-        trial_timeout=spec.trial_timeout,
-        max_retries=spec.max_retries,
-        collect_metrics=spec.collect_metrics,
-        cache=cache,
-    )
-    return stats_to_wire(stats)
+        kw["obs"] = metrics
+    else:
+        from repro.infer import infer_app as call
+    return _to_wire(call(first, **kw))
 
 
 def try_cached_result(cache: Optional[Any], spec: JobSpec) -> Optional[Dict[str, Any]]:
@@ -366,54 +377,9 @@ def try_cached_result(cache: Optional[Any], spec: JobSpec) -> Optional[Dict[str,
     if cache is None or spec.no_cache:
         return None
     try:
-        if spec.kind == "infer":
-            report = cache.fetch_infer(
-                spec.app,
-                seed=spec.seed,
-                trials=spec.trials,
-                timeout=spec.timeout,
-                base_seed=spec.base_seed,
-                use_policies=spec.use_policies,
-                params=dict(spec.params),
-                trial_timeout=spec.trial_timeout,
-                steer_attempts=spec.steer_attempts,
-            )
-            return None if report is None else report.to_wire()
-        if spec.kind == "explore":
-            from repro.sim.explore import Bound
-
-            summary = cache.fetch_explore(
-                spec.app,
-                spec.bug,
-                bound=Bound.from_values(
-                    spec.bound_preemptions, spec.bound_variables
-                ),
-                dpor=spec.dpor,
-                sleep_sets=spec.sleep_sets,
-                workers=spec.workers or None,
-                shard_depth=spec.shard_depth,
-                max_schedules=spec.max_schedules,
-                max_steps=spec.max_steps,
-                seed=spec.seed,
-                timeout=spec.timeout,
-                use_policies=spec.use_policies,
-                params=dict(spec.params),
-                witness_limit=spec.witness_limit,
-            )
-            return None if summary is None else summary.to_wire()
-        stats = cache.fetch_trials(
-            get_app(spec.app),
-            n=spec.trials,
-            bug=spec.bug,
-            timeout=spec.timeout,
-            flip_order=spec.flip_order,
-            use_policies=spec.use_policies,
-            base_seed=spec.base_seed,
-            params=dict(spec.params),
-            trial_timeout=spec.trial_timeout,
-            collect_metrics=spec.collect_metrics,
-        )
-        return None if stats is None else stats_to_wire(stats)
+        first, kw = job_call(spec)
+        result = getattr(cache, f"fetch_{spec.kind}")(first, **kw)
+        return None if result is None else _to_wire(result)
     except Exception:  # noqa: BLE001 - a broken cache must never fail a job
         return None
 

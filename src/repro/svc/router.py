@@ -8,9 +8,11 @@ router is a thin HTTP tier (same ``repro.svc/1`` protocol, same
 independent daemons ("shards"), and its one load-bearing decision is the
 placement key:
 
-* **Jobs are hashed by their cache storage fingerprint**
-  (:func:`routing_fingerprint` →
-  :func:`repro.cache.storage_fingerprint`), *not* by job id or round
+* **Jobs are hashed by their cache storage key**
+  (:func:`routing_fingerprint`: the job kind's key function in
+  :mod:`repro.cache.fingerprint` — :func:`~repro.cache.trials_key`,
+  :func:`~repro.cache.explore_key` or :func:`~repro.cache.infer_key` —
+  applied to the job's call keywords), *not* by job id or round
   robin.  The storage key is the identity the cache groups entries
   under — for trial sweeps it deliberately excludes the seed range, so
   overlapping ranges of one config land on one shard and extend one
@@ -89,13 +91,13 @@ import time
 import urllib.parse
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.cache import storage_fingerprint
+from repro.cache import explore_key, infer_key, trials_key
 from repro.obs.metrics import MetricsRegistry
 
 from . import protocol
 from .client import ReproClient
 from .http import DEFERRED, AsyncHTTPFrontend, Request, Response
-from .jobs import JobSpec, JobValidationError
+from .jobs import JobSpec, JobValidationError, job_call
 
 __all__ = ["ConsistentHashRing", "routing_fingerprint", "FleetRouter"]
 
@@ -112,67 +114,22 @@ _ROUTED_LIMIT = 4096
 _TENANT_METRIC_LIMIT = 32
 
 
-def routing_fingerprint(spec: JobSpec) -> str:
-    """The placement key of one job: its cache *storage* fingerprint.
+#: The key function of each job kind (:mod:`repro.cache.fingerprint`).
+_KEY_FUNCTIONS = {"trials": trials_key, "explore": explore_key, "infer": infer_key}
 
-    Mirrors the key construction inside
-    :class:`repro.cache.ResultCache` exactly (both call
-    :func:`repro.cache.storage_config_doc`), so two jobs share a
-    routing key if and only if they could share a cache entry.  Raises
-    ``KeyError`` for an unknown app — the router answers 400 before
-    routing anything.
+
+def routing_fingerprint(spec: JobSpec) -> str:
+    """The placement key of one job: its cache storage key.
+
+    The kind's key function applied to the job's call keywords
+    (:func:`~repro.svc.jobs.job_call`), the very key the shard's
+    :class:`repro.cache.ResultCache` looks the job up and stores it
+    under, so two jobs share a routing key if and only if they could
+    share a cache entry.  Raises ``KeyError`` for an unknown app — the
+    router answers 400 before routing anything.
     """
-    if spec.kind == "explore":
-        sharded = bool(spec.dpor and spec.workers)
-        return storage_fingerprint(
-            "explore",
-            spec.app,
-            bug=spec.bug,
-            dpor=spec.dpor,
-            sleep_sets=spec.sleep_sets,
-            sharded=sharded,
-            shard_depth=spec.shard_depth if sharded else None,
-            max_schedules=spec.max_schedules,
-            max_steps=spec.max_steps,
-            seed=spec.seed,
-            timeout=spec.timeout,
-            use_policies=spec.use_policies,
-            params=dict(spec.params),
-            witness_limit=spec.witness_limit,
-            bound=(
-                {
-                    "preemptions": spec.bound_preemptions,
-                    "variables": spec.bound_variables,
-                }
-                if spec.bound_preemptions is not None
-                or spec.bound_variables is not None
-                else None
-            ),
-        )
-    if spec.kind == "infer":
-        return storage_fingerprint(
-            "infer",
-            spec.app,
-            trace_seed=spec.seed,
-            trials=spec.trials,
-            base_seed=spec.base_seed,
-            timeout=spec.timeout,
-            use_policies=spec.use_policies,
-            params=dict(spec.params),
-            trial_timeout=spec.trial_timeout,
-            steer_attempts=spec.steer_attempts,
-        )
-    return storage_fingerprint(
-        "trials",
-        spec.app,
-        bug=spec.bug,
-        timeout=spec.timeout,
-        flip_order=spec.flip_order,
-        use_policies=spec.use_policies,
-        params=dict(spec.params),
-        collect_metrics=spec.collect_metrics,
-        trial_timeout=spec.trial_timeout,
-    )
+    first, kw = job_call(spec)
+    return _KEY_FUNCTIONS[spec.kind](first, **kw)[0]
 
 
 class ConsistentHashRing:

@@ -282,6 +282,22 @@ class TestServeAndSubmit:
         assert "bounding" in out and "preemptions <= 1" in out
         assert "preemption cuts" in out
 
+    @pytest.mark.parametrize("command", [
+        ("run", "figure4", "error1", "--trials", "4", "--timeout", "0.2"),
+        ("explore", "figure4", "error1", "--max-schedules", "40"),
+        ("explore", "bank", "lost_update", "--max-schedules", "5"),
+        ("explore", "bank", "lost_update", "--dpor", "--bound-preemptions", "1"),
+    ], ids=["trials", "explore-witnesses", "explore-capped", "explore-bounded-dpor"])
+    def test_submit_prints_exactly_like_the_local_command(self, service, capsys, command):
+        name, *args = command
+        assert run_cli(name, *args) == 0
+        local = capsys.readouterr().out
+        kind = "trials" if name == "run" else name
+        assert run_cli("submit", *args, "--kind", kind, "--server", service.address) == 0
+        *remote, job = capsys.readouterr().out.splitlines(keepends=True)
+        assert job.startswith("  job            : ")
+        assert "".join(remote) == local
+
     def test_submit_unknown_bug_is_an_error(self, service, capsys):
         assert run_cli("submit", "figure4", "nope", "--server",
                        service.address) == 2

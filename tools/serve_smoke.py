@@ -5,10 +5,12 @@ Two modes, selected by ``--fleet``:
 
 **Single daemon** (default) exercises the daemon exactly the way an
 operator would: start ``python -m repro serve`` as a subprocess on an
-ephemeral port, submit one trial job through the CLI client, scrape
-``/metrics`` for the operational surface (queue depth gauge, job
-latency histogram), send SIGTERM, and assert the drain is clean (exit
-code 0, port released).
+ephemeral port, submit one trial job and one exploration job through
+the CLI client and diff each output byte for byte against the local
+``run``/``explore`` command (only ``submit``'s trailing ``job`` line
+may differ), scrape ``/metrics`` for the operational surface (queue
+depth gauge, job latency histogram), send SIGTERM, and assert the drain
+is clean (exit code 0, port released).
 
 **Fleet** boots two cache-backed daemons plus the consistent-hash
 router (``python -m repro route``) as three separate processes, routes
@@ -81,6 +83,30 @@ def _await_port(port_file, proc, *others):
     return f"http://127.0.0.1:{int(port_file.read_text())}"
 
 
+def _repro(argv, *procs):
+    """Run one ``python -m repro`` command to completion; its stdout."""
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        cwd=REPO, env=_env(), text=True, capture_output=True, timeout=TIMEOUT,
+    )
+    if done.returncode != 0:
+        fail(f"repro {' '.join(argv)}: rc={done.returncode}:\n"
+             f"{done.stdout}{done.stderr}", *procs)
+    return done.stdout
+
+
+#: Single-daemon jobs: a local command, the ``submit --kind`` that sends
+#: the same job to the daemon, and a line the output must contain.
+#: ``submit`` must print exactly what the local command prints, plus
+#: one trailing ``job`` line.
+SUBMITS = [
+    (["run", "figure4", "error1", "--trials", "5", "--timeout", "0.2"],
+     "trials", "reproduced 5/5"),
+    (["explore", "figure4", "error1", "--max-schedules", "40"],
+     "explore", "witness"),
+]
+
+
 def _terminate_clean(proc, name, *others):
     """SIGTERM ``proc`` and assert a clean drain (rc 0, 'drained')."""
     proc.send_signal(signal.SIGTERM)
@@ -105,18 +131,17 @@ def single_smoke():
             base = _await_port(port_file, daemon)
             print(f"daemon up on {base}")
 
-            submit = subprocess.run(
-                [sys.executable, "-m", "repro", "submit", "figure4", "error1",
-                 "--trials", "5", "--timeout", "0.2", "--server", base],
-                cwd=REPO, env=_env(), text=True, capture_output=True,
-                timeout=TIMEOUT,
-            )
-            if submit.returncode != 0:
-                fail(f"submit rc={submit.returncode}:\n{submit.stdout}"
-                     f"{submit.stderr}", daemon)
-            if "reproduced 5/5" not in submit.stdout:
-                fail(f"unexpected submit output:\n{submit.stdout}", daemon)
-            print("job submitted and reproduced 5/5")
+            for argv, kind, expect in SUBMITS:
+                local = _repro(argv, daemon)
+                if expect not in local:
+                    fail(f"no {expect!r} in `repro {argv[0]}` output:\n{local}", daemon)
+                remote = _repro(["submit", *argv[1:], "--kind", kind,
+                                 "--server", base], daemon)
+                *body, job = remote.splitlines(keepends=True)
+                if not job.startswith("  job            : ") or "".join(body) != local:
+                    fail(f"submit --kind {kind} output differs from "
+                         f"`repro {argv[0]}`:\n{remote}---\n{local}", daemon)
+                print(f"submit --kind {kind} prints exactly like `repro {argv[0]}`")
 
             with urllib.request.urlopen(f"{base}/metrics", timeout=10) as resp:
                 snap = json.load(resp)
