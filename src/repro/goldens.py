@@ -240,6 +240,14 @@ def explore_entry(app: str, bug: Optional[str], mode: str, bound: str) -> Dict[s
             ex, stats = explore_dpor_sharded(
                 build, workers=0, shard_depth=2, sleep_sets=mode.endswith("sleep"), **kwargs
             )
+    return {"app": app, "bug": bug, "mode": mode, "bound": bound,
+            "schedules": ex.count, "digest": exploration_digest(ex, stats)}
+
+
+def exploration_digest(ex: Any, stats: Any = None) -> str:
+    """SHA-256 of an exploration: every outcome (choices, result
+    scalars, observation, weight, preemptions) in order, then the
+    completeness flag, both cut counts and the ``DporStats`` (if any)."""
     digest = hashlib.sha256()
     for o in ex.outcomes:
         r = o.result
@@ -250,8 +258,7 @@ def explore_entry(app: str, bug: Optional[str], mode: str, bound: str) -> Dict[s
     tail = (ex.complete, ex.preemption_cuts, ex.variable_cuts,
             dataclasses.astuple(stats) if stats is not None else None)
     digest.update(repr(tail).encode())
-    return {"app": app, "bug": bug, "mode": mode, "bound": bound,
-            "schedules": ex.count, "digest": digest.hexdigest()}
+    return digest.hexdigest()
 
 
 def render_explore_corpus() -> str:
