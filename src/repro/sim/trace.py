@@ -18,11 +18,17 @@ hot loop never pays for objects the detectors may never ask for.
 ``seq`` is implicit (the slot index), so nothing is stored for it.
 Materialized views are cached keyed on length, so the usual
 record-everything-then-analyze flow materializes exactly once.
+
+Analyses that need only a few fields of every event (the explorers'
+per-step footprints read op, object and step) call
+:meth:`Trace.columns` instead: one strided slice of the flat buffer per
+field, so no :class:`Event` is built.  Only this module reads the
+buffer itself.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional
+from typing import Any, Iterator, List, Optional, Tuple
 
 __all__ = ["Event", "Trace", "OP", "trace_fingerprint"]
 
@@ -103,8 +109,9 @@ class Event:
         )
 
 
-#: Fields per event slot: time, tid, tname, op, obj, loc, extra, step.
-_STRIDE = 8
+#: The fields of an event slot, in buffer order.
+_FIELDS = ("time", "tid", "tname", "op", "obj", "loc", "extra", "step")
+_STRIDE = len(_FIELDS)
 
 
 class Trace:
@@ -171,6 +178,13 @@ class Trace:
         if view is None or len(view) != self._len:
             view = self._view = [self._event(s) for s in range(self._len)]
         return view
+
+    def columns(self, *fields: str) -> Tuple[List[Any], ...]:
+        """One list per named field (``"op"``, ``"obj"``, ...), each
+        holding that field of every event in order: a strided slice of
+        the flat buffer, with no :class:`Event` built."""
+        f = self._flat
+        return tuple(f[_FIELDS.index(name)::_STRIDE] for name in fields)
 
     @property
     def _seq(self) -> int:

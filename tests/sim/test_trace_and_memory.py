@@ -119,6 +119,14 @@ class TestTraceRecording:
         k = Kernel()
         assert k.trace is None
 
+    def test_columns_match_the_event_view(self):
+        trace, _, _ = self._traced_run()
+        ops, objs, steps = trace.columns("op", "obj", "step")
+        assert ops == [e.op for e in trace]
+        assert all(a is e.obj for a, e in zip(objs, trace))
+        assert steps == [e.step for e in trace]
+        assert trace.columns() == ()
+
     def test_format_and_len(self):
         trace, _, _ = self._traced_run()
         assert len(trace) > 0
