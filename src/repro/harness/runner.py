@@ -79,14 +79,21 @@ def run_trials(
     the content-addressed store, running only seeds it has never seen —
     the returned stats are bit-identical either way.  ``on_outcome``
     observes each successful :class:`TrialOutcome` as it is aggregated
-    (how the cache captures fresh results for storage).  ``trial_hook``
-    is the parallel runner's fault-injection hook, forwarded verbatim
-    (tests only; requires workers, never part of the cache fingerprint).
+    (how the cache captures fresh results for storage); a cached sweep
+    serves seeds without running them, so ``on_outcome`` with ``cache``
+    raises ``ValueError``.  ``trial_hook`` is the parallel runner's
+    fault-injection hook, forwarded verbatim (tests only; requires
+    workers, never part of the cache fingerprint).
     """
     check_trial_count(n)
     n_workers = _resolve_workers(workers)
     if trial_timeout is not None and not n_workers:
         raise ValueError("trial_timeout requires workers (serial trials cannot be preempted)")
+    if cache is not None and on_outcome is not None:
+        raise ValueError(
+            "on_outcome cannot observe a cached sweep (stored seeds are not run); "
+            "pass cache or on_outcome, not both"
+        )
     if cache is not None:
         return cache.run_trials(
             app_cls,

@@ -348,21 +348,22 @@ def execute_job(
     :class:`repro.cache.ResultCache` (ignored when the spec opts out);
     cached and fresh results are bit-identical by the cache's own
     contract.  ``metrics`` is an optional
-    :class:`~repro.obs.metrics.MetricsRegistry` the explore path flushes
-    its ``explore.*`` counters into (schedules, steps, cuts,
-    ``explore.dpor.*``), sharded or not — purely observational, never
+    :class:`~repro.obs.metrics.MetricsRegistry` the explore and infer
+    paths count into: the ``explore.*`` counters (schedules, steps,
+    cuts, ``explore.dpor.*``), sharded or not, and the ``infer.*``
+    counters of a pipeline that runs — purely observational, never
     result-affecting.
     """
     first, kw = job_call(spec)
     kw["cache"] = None if spec.no_cache else cache
     if spec.kind == "trials":
         from repro.harness import run_trials as call
-    elif spec.kind == "explore":
-        from repro.harness import explore_summary as call
-
-        kw["obs"] = metrics
     else:
-        from repro.infer import infer_app as call
+        kw["obs"] = metrics
+        if spec.kind == "explore":
+            from repro.harness import explore_summary as call
+        else:
+            from repro.infer import infer_app as call
     return _to_wire(call(first, **kw))
 
 

@@ -60,6 +60,16 @@ class TestRunTrials:
         empty = run_trials(Figure4App, n=0, bug="error1", **kwargs)
         assert (empty.trials, empty.bug_hits, empty.runtimes) == (0, 0, [])
 
+    def test_on_outcome_with_cache_is_refused_before_any_lookup(self, tmp_path):
+        from repro.cache import ResultCache
+
+        seen = []
+        with pytest.raises(ValueError, match="on_outcome"):
+            run_trials(Figure4App, n=3, bug="error1",
+                       cache=ResultCache(str(tmp_path)), on_outcome=seen.append)
+        assert seen == []
+        assert not list(tmp_path.rglob("*.json"))
+
     def test_str(self):
         stats = run_trials(Figure4App, n=3, bug="error1")
         assert "figure4" in str(stats)

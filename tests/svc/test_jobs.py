@@ -114,6 +114,15 @@ class TestExecuteJob:
         assert payload["dpor"]["sleep_set_prunes"] > 0
         assert payload["witnesses"]  # at least one bug-hitting choice list
 
+    def test_infer_job_counts_into_the_registry(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        reg = MetricsRegistry()
+        spec = JobSpec(kind="infer", app="bank", trials=4, timeout=0.2)
+        payload = execute_job(spec, metrics=reg)
+        assert payload["type"] == "infer"
+        assert reg.snapshot()["infer.candidates.generated"]["value"] > 0
+
 
 class TestBoundedJobs:
     def test_bound_round_trips_through_json(self):
