@@ -42,7 +42,8 @@ Quickstart (real threads)::
 See ``examples/quickstart.py`` for the complete runnable version.
 """
 
-from . import activetest, apps, core, detect, harness, model, obs, sim
+import importlib
+
 from .core import (
     GLOBAL,
     AtomicityTrigger,
@@ -56,15 +57,13 @@ from .core import (
 
 __version__ = "1.0.0"
 
+#: Subpackages imported on first access (``repro.sim``, ``from repro
+#: import harness``), not with the package: a process loads only what
+#: it runs.  :mod:`repro.core`'s light re-exports above stay eager.
+_SUBPACKAGES = ("activetest", "apps", "core", "detect", "harness", "model", "obs", "sim")
+
 __all__ = [
-    "activetest",
-    "apps",
-    "core",
-    "detect",
-    "harness",
-    "model",
-    "obs",
-    "sim",
+    *_SUBPACKAGES,
     "GLOBAL",
     "AtomicityTrigger",
     "BTrigger",
@@ -75,3 +74,10 @@ __all__ = [
     "SitePolicy",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """Import a subpackage on its first access."""
+    if name in _SUBPACKAGES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

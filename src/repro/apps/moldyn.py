@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-import numpy as np
+from repro._lazy import numpy as np
 
 from repro.core.predicates import SitePolicy
 from repro.sim.kernel import Kernel, RunResult

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-import numpy as np
+from repro._lazy import numpy as np
 
 from repro.core.predicates import SitePolicy
 from repro.sim.kernel import Kernel, RunResult

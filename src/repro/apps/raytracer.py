@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 from typing import Dict, Optional, Tuple
 
-import numpy as np
+from repro._lazy import numpy as np
 
 from repro.core.predicates import SitePolicy
 from repro.sim.kernel import Kernel, RunResult
@@ -85,7 +85,7 @@ class RayTracerApp(BaseApp):
         ((1.1, -0.3, 4.0), 1.2, 0.6),
         ((0.0, 1.2, 5.0), 0.9, 0.9),
     ]
-    LIGHT = np.array([0.5, 0.7, -0.5]) / np.linalg.norm([0.5, 0.7, -0.5])
+    LIGHT = property(lambda self: np.array([0.5, 0.7, -0.5]) / np.linalg.norm([0.5, 0.7, -0.5]))
 
     def _render_row(self, y: int) -> float:
         """Trace one scan line: ray-sphere intersection + Lambert shading.

@@ -33,7 +33,7 @@ import dataclasses
 import itertools
 from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Tuple, Union
 
-from .spec import BTrigger
+from .spec import BTrigger, GroupTrigger
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a core<->obs cycle
     from repro.obs import MetricsRegistry
@@ -252,8 +252,6 @@ class BreakpointEngine:
             deadline=now + timeout,
             park_time=now,
         )
-
-        from .spec import GroupTrigger  # local import to avoid a cycle
 
         if isinstance(inst, GroupTrigger):
             return self._arrive_group(inst, entry, st)

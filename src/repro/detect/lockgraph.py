@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Set, Tuple
 
-import networkx as nx
+from repro._lazy import networkx as nx
 
 from repro.sim.trace import OP, Trace
 

@@ -27,6 +27,7 @@ import os
 import time
 from typing import Any, Callable, Dict, Optional, Type
 
+from repro._lazy import preload
 from repro.apps.base import AppConfig, BaseApp
 from repro.obs.metrics import MetricsRegistry
 from repro.pool import ParallelExecutionError, Pool
@@ -182,6 +183,9 @@ def run_trials_parallel(
         if event in ("crash", "timeout"):
             agg.note_worker_crash()
 
+    # Workers inherit what this process loaded: numpy once here, not
+    # once per worker (three apps use it).
+    preload("numpy")
     with Pool(task, workers, on_event=note, name="repro-trials") as pool:
         for result in pool.map(
             range(base_seed, base_seed + n),

@@ -25,7 +25,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional
 
-import numpy as np
+from repro._lazy import numpy as np
 
 __all__ = ["mc_p_hit", "mc_p_hit_btrigger", "exhaustive_p_hit"]
 

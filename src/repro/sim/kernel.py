@@ -74,11 +74,12 @@ import random
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core import runtimectx
+from repro.core.config import GLOBAL
 from repro.core.engine import BreakpointEngine, Matched, MatchedGroup, Postponed, Skipped
 
 from . import syscalls as sc
 from .errors import SimDeadlockError, SimSyscallError, ThreadFailure, ThreadInterrupted
-from .primitives import SimCondition, SimEvent, SimLock
+from .primitives import SimBarrier, SimCondition, SimEvent, SimLock, SimSemaphore
 from .scheduler import RandomScheduler, Scheduler
 from .thread import SimThread, TState, current_location
 from .trace import OP, Trace
@@ -928,8 +929,6 @@ class Kernel:
 
     # -- concurrent breakpoints --------------------------------------------
     def _h_trigger(self, t: SimThread, call: sc.Trigger) -> None:
-        from repro.core.config import GLOBAL
-
         inst = call.inst
         if not GLOBAL.enabled:
             t.pending = False
@@ -1023,8 +1022,6 @@ class Kernel:
             return True
 
         # BLOCKED: unwind the wait.
-        from .primitives import SimBarrier, SimCondition, SimEvent, SimSemaphore
-
         if isinstance(waiting, SimCondition):
             if target in waiting.waiters:
                 waiting.waiters.remove(target)

@@ -1,11 +1,12 @@
 """``repro.svc`` — reproduction-as-a-service daemon.
 
 Every other entry point in this repository is a one-shot process: it
-pays interpreter + ``numpy`` startup, runs one sweep, and exits.  The
-paper's Table 2 subjects are *long-running servers*, and the ROADMAP's
-north star is a system serving sustained traffic — this package closes
-that gap with a resident daemon that accepts reproduction jobs over a
-local HTTP/JSON protocol and executes them on the existing harness:
+pays interpreter startup plus the imports its command needs, runs one
+sweep, and exits.  The paper's Table 2 subjects are *long-running
+servers*, and the ROADMAP's north star is a system serving sustained
+traffic — this package closes that gap with a resident daemon that
+accepts reproduction jobs over a local HTTP/JSON protocol and executes
+them on the existing harness:
 
 * :mod:`repro.svc.protocol` — the ``repro.svc/1`` wire surface;
 * :mod:`repro.svc.jobs` — job specs, records, and lossless result
@@ -34,9 +35,10 @@ bit-identical to direct in-process calls (``tests/svc/`` holds the
 differential battery; DESIGN.md documents the argument).
 """
 
-from .client import BackpressureError, JobFailed, ReproClient, ServiceError
-from .executor import JobExecutor
-from .http import AsyncHTTPFrontend
+import importlib
+
+# The job model stays eager: every other submodule but ``http`` and
+# ``protocol`` imports it anyway.
 from .jobs import (
     JobRecord,
     JobSpec,
@@ -45,35 +47,47 @@ from .jobs import (
     stats_from_wire,
     stats_to_wire,
 )
-from .pool import WorkerPool
-from .protocol import PROTOCOL
-from .queue import BoundedJobQueue, QueueClosed, QueueFull, TenantOverShare
-from .router import ConsistentHashRing, FleetRouter, routing_fingerprint
-from .server import ReproService, ServiceDraining, serve_forever
+
+#: Re-exported name -> defining submodule, imported on first access:
+#: a process that only builds or runs jobs loads no server, router or
+#: HTTP client.
+_LAZY = {
+    "PROTOCOL": "protocol",
+    "BackpressureError": "client",
+    "JobFailed": "client",
+    "ReproClient": "client",
+    "ServiceError": "client",
+    "AsyncHTTPFrontend": "http",
+    "JobExecutor": "executor",
+    "WorkerPool": "pool",
+    "BoundedJobQueue": "queue",
+    "QueueClosed": "queue",
+    "QueueFull": "queue",
+    "TenantOverShare": "queue",
+    "ConsistentHashRing": "router",
+    "FleetRouter": "router",
+    "routing_fingerprint": "router",
+    "ReproService": "server",
+    "ServiceDraining": "server",
+    "serve_forever": "server",
+}
 
 __all__ = [
-    "PROTOCOL",
-    "BackpressureError",
-    "JobFailed",
-    "ReproClient",
-    "ServiceError",
-    "AsyncHTTPFrontend",
-    "JobExecutor",
-    "WorkerPool",
+    *_LAZY,
     "JobRecord",
     "JobSpec",
     "JobValidationError",
     "execute_job",
     "stats_from_wire",
     "stats_to_wire",
-    "BoundedJobQueue",
-    "QueueClosed",
-    "QueueFull",
-    "TenantOverShare",
-    "ConsistentHashRing",
-    "FleetRouter",
-    "routing_fingerprint",
-    "ReproService",
-    "ServiceDraining",
-    "serve_forever",
 ]
+
+
+def __getattr__(name: str):
+    """Resolve a re-exported name on first access, then keep it bound."""
+    submodule = _LAZY.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value

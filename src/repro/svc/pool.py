@@ -30,6 +30,7 @@ import functools
 import threading
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro._lazy import preload
 from repro.obs.metrics import MetricsRegistry
 from repro.pool import Pool, Result
 
@@ -111,7 +112,13 @@ class WorkerPool:
         ]
 
     def start(self) -> "WorkerPool":
-        """Pre-fork one worker per slot (call before other threads exist)."""
+        """Pre-fork one worker per slot (call before other threads exist).
+
+        What jobs run is loaded first, so every worker, replacements
+        included, inherits it instead of importing it once per lifetime:
+        numpy (three apps use it) and the inference stack with networkx.
+        """
+        preload("numpy", "networkx", "repro.infer")
         for pool in self._pools:
             pool.start()
         return self
