@@ -356,7 +356,8 @@ class FleetRouter:
     owner-only routing of the pre-failover router — no health tracking,
     no rescue — which the throughput bench uses to price the hardened
     path.  ``tenant_inflight_limit`` (``0`` = off) sheds any single
-    tenant holding that many unfinished fleet jobs with ``429``.
+    tenant holding that many unfinished fleet jobs with ``429``, in
+    either mode.
     """
 
     def __init__(
@@ -775,10 +776,9 @@ class FleetRouter:
                     self._count(f"svc.router.peer.{idx}.jobs")
                     if hop > 0:
                         self._count("svc.router.failover.submit_reroutes")
-                    if self._failover:
-                        self._register_routed(
-                            visible, fingerprint, body, tenant, idx, doc["id"]
-                        )
+                    self._register_routed(
+                        visible, fingerprint, body, tenant, idx, doc["id"]
+                    )
                     doc["id"] = visible
                     self._complete(tok, Response(202, doc))
                     return
@@ -886,9 +886,12 @@ class FleetRouter:
             if status == 404 and entry is not None and not entry.terminal:
                 # The shard restarted and forgot the job (the process
                 # is gone but the port answers): same recovery as a
-                # dead shard — re-place the spec elsewhere.
-                self._rescue(tok, entry, idx, task)
-                return
+                # dead shard — re-place the spec elsewhere.  Without
+                # failover the job is lost, and so are its shares.
+                if self._failover:
+                    self._rescue(tok, entry, idx, task)
+                    return
+                self._settle_routed(entry)
             if status == 200 and "id" in doc:
                 # The id the client polls stays stable across rescues.
                 doc["id"] = visible_id

@@ -46,6 +46,7 @@ from repro.svc import (
     TenantOverShare,
     routing_fingerprint,
 )
+from repro.svc.http import AsyncHTTPFrontend, Response
 from repro.svc.jobs import stats_to_wire
 
 pytestmark = pytest.mark.skipif(
@@ -455,6 +456,74 @@ class TestTenantFairnessEndToEnd:
         finally:
             router.close()
             svc.close()
+
+    @pytest.mark.parametrize("failover", [True, False])
+    def test_router_tenant_cap_holds_in_both_routing_modes(self, failover):
+        shard = _StubShard()
+        router = FleetRouter(
+            [shard.address], probe_interval=0, failover=failover,
+            tenant_inflight_limit=1,
+        ).start()
+        try:
+            client = ReproClient(router.address)
+
+            def spec(i, tenant="greedy"):
+                return JobSpec(app="cache4j", trials=400, base_seed=400 * i, tenant=tenant)
+
+            client.submit(spec(0))
+            for i in (1, 2, 3):
+                with pytest.raises(BackpressureError) as exc:
+                    client.submit(spec(i), max_wait=0)
+                assert exc.value.status == 429
+            assert client.submit(spec(0, tenant="polite"))
+            assert shard.accepted == 2
+        finally:
+            router.close()
+            shard.close()
+
+    @pytest.mark.parametrize("failover", [True, False])
+    def test_router_frees_the_tenant_slot_of_a_job_its_shard_forgot(self, failover):
+        shard = _StubShard()
+        router = FleetRouter(
+            [shard.address], probe_interval=0, failover=failover,
+            tenant_inflight_limit=1,
+        ).start()
+        try:
+            client = ReproClient(router.address)
+            job_id = client.submit(JobSpec(app="cache4j", trials=400, tenant="greedy"))
+            shard.forget = True  # as after a restart: every job id is unknown
+            status, _ = client.result_raw(job_id)
+            assert status == (502 if failover else 404)
+            assert client.submit(
+                JobSpec(app="cache4j", trials=400, base_seed=400, tenant="greedy"),
+                max_wait=0,
+            )
+        finally:
+            router.close()
+            shard.close()
+
+
+class _StubShard:
+    """A shard that accepts every job and never finishes one."""
+
+    def __init__(self):
+        self.accepted = 0
+        self.forget = False
+        self._frontend = AsyncHTTPFrontend(self._handle, name="stub-shard").start()
+        self.address = f"http://127.0.0.1:{self._frontend.port}"
+
+    def _handle(self, request, token):
+        if request.method == "POST" and request.path == "/jobs":
+            self.accepted += 1
+            return Response(202, {"id": f"job-{self.accepted:06d}", "state": "queued"})
+        if request.path == "/health":
+            return Response(200, {"status": "ok"})
+        if self.forget:
+            return Response(404, {"error": "no such job"})
+        return Response(200, {"id": request.path.rsplit("/", 1)[-1], "state": "running"})
+
+    def close(self):
+        self._frontend.stop()
 
 
 class TestRingRebalancing:
