@@ -510,14 +510,13 @@ def explore_dpor(
 def _strip_outcome(outcome: Outcome) -> Outcome:
     """Make an outcome process-portable and worker-count independent.
 
-    ``RunResult.threads`` holds live generators (unpicklable),
-    ``deadlock`` an exception whose custom constructor breaks pickle
-    round-trips, and the trace process-local thread objects; sharded
-    DPOR drops all three on every path, worker and serial alike.
-    Everything analyses key on (choices, scalar result fields,
-    breakpoint stats, observed snapshot) survives intact.
+    ``deadlock`` holds an exception whose custom constructor breaks
+    pickle round-trips; sharded DPOR drops it on every path, worker and
+    serial alike (:func:`~repro.sim.explore._outcome` already dropped the
+    threads and the trace).  Everything analyses key on (choices, scalar
+    result fields, breakpoint stats, observed snapshot) survives intact.
     """
-    result = dataclasses.replace(outcome.result, threads=[], deadlock=None, trace=None)
+    result = dataclasses.replace(outcome.result, deadlock=None)
     return dataclasses.replace(outcome, result=result)
 
 

@@ -134,10 +134,18 @@ def _schedule_weight(runnable_sets: Sequence[Tuple[int, ...]]) -> float:
 
 
 def _outcome(rec: RunRecord) -> Outcome:
-    """The outcome of one executed schedule."""
+    """The outcome of one executed schedule.
+
+    A walk keeps every outcome, so this drops what no summary reads from
+    the run's own result: its threads (each ``SimThread`` and its
+    finished generator) and its trace, which the explorers read only
+    before this call.
+    """
+    result = rec.result
+    result.threads, result.trace = [], None
     return Outcome(
         rec.choices,
-        rec.result,
+        result,
         rec.observed,
         _schedule_weight(rec.runnable_sets),
         rec.preemptions,
@@ -370,10 +378,6 @@ def _walk(
             rec = pool.run(prefix)
             choices = rec.choices
             cut = _cutter(bound, rec) if bound is not None else None
-            if want_vars:
-                # The trace exists only for the variable footprints;
-                # strip it so bounded output matches unbounded exactly.
-                rec.result = dataclasses.replace(rec.result, trace=None)
             if len(choices) < split:
                 outcomes.append(_outcome(rec))
             else:

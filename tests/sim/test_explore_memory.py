@@ -12,6 +12,7 @@ so the bound does not depend on the host.
 import tracemalloc
 
 from repro.harness.exploration import explore_app
+from repro.sim import Bound
 
 #: Peak traced allocation allowed for the walk below.
 PEAK_BOUND_MIB = 256
@@ -26,3 +27,14 @@ def test_capped_walk_of_full_size_threadpool_stays_small():
         tracemalloc.stop()
     assert ex.exploration.count == 8
     assert peak < PEAK_BOUND_MIB * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_serial_outcomes_hold_no_threads_or_traces():
+    """Every kept outcome drops its run's ``SimThread``s, generators and
+    trace: no summary reads them, and a walk keeps every outcome."""
+    for kwargs in ({}, {"dpor": True}, {"dpor": True, "sleep_sets": True},
+                   {"bound": Bound(variables=2)}):
+        ex = explore_app("bank", max_schedules=20, params={"iters": 1}, **kwargs)
+        assert ex.exploration.count > 1
+        for o in ex.exploration.outcomes:
+            assert o.result.threads == [] and o.result.trace is None
