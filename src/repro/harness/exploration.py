@@ -21,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, List, Optional, Union
 
-from repro._lazy import preload
 from repro.apps import AppConfig, get_app
 from repro.sim.dpor import DporStats, explore_dpor, explore_dpor_sharded
 from repro.sim.explore import Bound, Exploration, Outcome, explore
@@ -262,7 +261,6 @@ def explore_app(
 
     stats: Optional[DporStats] = None
     if dpor and workers:
-        preload("numpy")  # before the shard workers fork: three apps use it
         exploration, stats = explore_dpor_sharded(
             build,
             max_schedules=max_schedules,

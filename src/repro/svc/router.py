@@ -866,9 +866,12 @@ class FleetRouter:
                 self._count("svc.router.upstream_errors")
                 if self._failover:
                     self._note_peer_failure(idx)
-                if entry is not None and self._failover:
-                    self._rescue(tok, entry, idx, task)
-                    return
+                if entry is not None:
+                    if self._failover:
+                        self._rescue(tok, entry, idx, task)
+                        return
+                    # Without failover the job is lost, and so are its shares.
+                    self._settle_routed(entry)
                 self._complete(
                     tok,
                     Response(

@@ -18,6 +18,7 @@ The claims under test are the hard ones from the operations runbook
   zero dropped jobs.
 """
 
+import dataclasses
 import json
 import os
 import select
@@ -501,6 +502,30 @@ class TestTenantFairnessEndToEnd:
         finally:
             router.close()
             shard.close()
+
+    def test_router_frees_the_tenant_slot_of_a_job_on_a_dead_shard(self):
+        shards = [_StubShard(), _StubShard()]
+        router = FleetRouter(
+            [s.address for s in shards], probe_interval=0, failover=False,
+            tenant_inflight_limit=1,
+        ).start()
+        try:
+            client = ReproClient(router.address)
+
+            def spec(idx):
+                owned = _spec_owned_by(router, idx)
+                return dataclasses.replace(owned, tenant="greedy")
+
+            job_id = client.submit(spec(0))
+            shards[0].close()
+            status, _ = client.result_raw(job_id)
+            assert status == 502
+            assert client.submit(spec(1), max_wait=0)
+            assert [s.accepted for s in shards] == [1, 1]
+        finally:
+            router.close()
+            for shard in shards:
+                shard.close()
 
 
 class _StubShard:

@@ -67,6 +67,7 @@ from repro.harness import explore_summary, run_trials
 
 assert run_trials(get_app("figure4"), n=5, bug="error1").trials == 5
 assert explore_summary("figure4", "error1", max_schedules=20).schedules > 0
+assert explore_summary("bank", dpor=True, workers=2, max_schedules=20).schedules > 0
 ''') == []
 
 
