@@ -10,7 +10,8 @@ matters in the app modules, whose golden traces pin each event's
 
 Before Python 3.12, two threads that touch a lazy module for the first
 time at once can race.  So a process loads what its workers or threads
-will run, with :func:`preload`, before it forks them or starts them.
+will run, with :func:`preload`, before it forks them or starts them;
+:func:`bound_in` says which lazy modules a module uses.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ import importlib
 import importlib.util
 import sys
 from types import ModuleType
+from typing import List
 
-__all__ = ["preload"]
+__all__ = ["bound_in", "preload"]
 
 #: The modules this package binds lazily.
 LAZY = frozenset({"networkx", "numpy"})
@@ -47,3 +49,16 @@ def preload(*names: str) -> None:
     for name in names:
         # The first attribute access runs a lazily bound module's body.
         getattr(importlib.import_module(name), "__name__")
+
+
+def bound_in(module: ModuleType) -> List[str]:
+    """The lazily bound modules ``module`` binds at its top level.
+
+    An identity test against ``sys.modules``, so it runs no module body.
+    """
+    found = []
+    for name in sorted(LAZY):
+        lazy = sys.modules.get(name)
+        if lazy is not None and any(v is lazy for v in vars(module).values()):
+            found.append(name)
+    return found

@@ -24,10 +24,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import os
+import sys
 import time
 from typing import Any, Callable, Dict, Optional, Type
 
-from repro._lazy import preload
+from repro._lazy import bound_in, preload
 from repro.apps.base import AppConfig, BaseApp
 from repro.obs.metrics import MetricsRegistry
 from repro.pool import ParallelExecutionError, Pool
@@ -183,9 +184,10 @@ def run_trials_parallel(
         if event in ("crash", "timeout"):
             agg.note_worker_crash()
 
-    # Workers inherit what this process loaded: numpy once here, not
-    # once per worker (three apps use it).
-    preload("numpy")
+    # Workers inherit what this process loaded: the lazily bound modules
+    # the app's module uses (numpy, for three apps) run once here, not
+    # once per worker.
+    preload(*bound_in(sys.modules[app_cls.__module__]))
     with Pool(task, workers, on_event=note, name="repro-trials") as pool:
         for result in pool.map(
             range(base_seed, base_seed + n),

@@ -66,6 +66,7 @@ from repro.apps import get_app
 from repro.harness import explore_summary, run_trials
 
 assert run_trials(get_app("figure4"), n=5, bug="error1").trials == 5
+assert run_trials(get_app("figure4"), n=4, bug="error1", workers=2).trials == 4
 assert explore_summary("figure4", "error1", max_schedules=20).schedules > 0
 assert explore_summary("bank", dpor=True, workers=2, max_schedules=20).schedules > 0
 ''') == []
