@@ -339,7 +339,7 @@ def main(argv=None) -> int:
                            "(elastic: grown on demand)")
     rt_p.add_argument("--probe-interval", type=float, default=2.0, metavar="SECONDS",
                       help="health-probe period for ejection/re-admission "
-                           "(0 disables the background prober)")
+                           "(0 disables the periodic probe)")
     rt_p.add_argument("--eject-after", type=int, default=3, metavar="N",
                       help="consecutive upstream failures before a shard is "
                            "ejected from placement")

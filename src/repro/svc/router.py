@@ -27,10 +27,22 @@ placement key:
   removing a daemon remaps only ~1/N of the key space instead of
   reshuffling every shard's cache.
 
+**One thread owns the state.**  The frontend's event-loop thread is the
+only thread that reads or writes the router's state: the ring, shard
+health, the routed-job table, tenant and shard in-flight counts, the
+draining flag and the router's metrics.  Forwarder threads only make
+the upstream HTTP call; each answer (the ``(status, doc)`` pair, or the
+exception) comes back through :meth:`AsyncHTTPFrontend.schedule
+<repro.svc.http.AsyncHTTPFrontend.schedule>`, and a loop method decides
+what happens next.  Health probes and a departing shard's drain are
+loop timers.  So every routing decision is one step of one thread — a
+tenant's cap check and its slot reservation cannot interleave with
+another submit — and needs no lock.
+
 **Fault tolerance.**  Shards die; the fleet must not.  The router keeps
 a per-shard health record (consecutive-failure ejection after
-``eject_after`` strikes, re-admission by a background ``/health``
-prober every ``probe_interval`` seconds) and falls over in two places:
+``eject_after`` strikes, re-admission by a ``/health`` probe every
+``probe_interval`` seconds) and falls over in two places:
 
 * **Submit failover** — when the owning shard is ejected or refuses the
   connection, the job goes to the next *live* shard in ring-successor
@@ -42,17 +54,19 @@ prober every ``probe_interval`` seconds) and falls over in two places:
   dead shard hosts an orphan execution nobody will ever observe.
 * **Mid-job rescue** — a poll that finds the owning shard dead (or the
   job forgotten after a shard restart) re-submits the spec to the next
-  live shard and keeps polling under the *original* client-visible id.
-  Determinism makes the re-execution invisible: the rescued result is
-  bit-identical to what the dead shard would have returned.
+  live shard that does not hold it yet and keeps polling under the
+  *original* client-visible id.  Determinism makes the re-execution
+  invisible: the rescued result is bit-identical to what the dead shard
+  would have returned.
 
 **Tenancy.**  The router mirrors the daemons' per-tenant accounting:
-every acknowledged job counts against its spec's ``tenant`` label
-(``svc.tenant.<name>.inflight``), and an optional
-``tenant_inflight_limit`` sheds tenants over the cap with ``429`` +
-``Retry-After`` before a single upstream byte is spent.  Shard-local
-fairness (weighted-fair dequeue, fair-share shedding) lives in
-:mod:`repro.svc.queue`; the router forwards those ``429``\\ s verbatim.
+every job counts against its spec's ``tenant`` label
+(``svc.tenant.<name>.inflight``) from the moment it is admitted until
+it is settled, and an optional ``tenant_inflight_limit`` sheds tenants
+over the cap with ``429`` + ``Retry-After`` before a single upstream
+byte is spent.  Shard-local fairness (weighted-fair dequeue,
+fair-share shedding) lives in :mod:`repro.svc.queue`; the router
+forwards those ``429``\\ s verbatim.
 
 **Live rebalancing.**  ``GET /ring`` reports membership; ``POST /ring``
 adds a shard (health-probed before admission) or removes one — removal
@@ -89,7 +103,7 @@ import queue as _queue
 import threading
 import time
 import urllib.parse
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.cache import explore_key, infer_key, trials_key
 from repro.obs.metrics import MetricsRegistry
@@ -105,6 +119,10 @@ __all__ = ["ConsistentHashRing", "routing_fingerprint", "FleetRouter"]
 #: for a client's full wait budget (seconds).
 _POLL_CHUNK = 1.0
 
+#: Seconds between a departing shard's drain polls, and before a poller
+#: that found its job being re-placed polls again.
+_RETRY_DELAY = 0.05
+
 #: The routed-job table (client id → current shard placement) is
 #: bounded; terminal entries are evicted oldest-first past this size.
 _ROUTED_LIMIT = 4096
@@ -116,6 +134,9 @@ _TENANT_METRIC_LIMIT = 32
 
 #: The key function of each job kind (:mod:`repro.cache.fingerprint`).
 _KEY_FUNCTIONS = {"trials": trials_key, "explore": explore_key, "infer": infer_key}
+
+#: A reply handler: takes an upstream answer, runs on the loop thread.
+_Reply = Callable[[Any], None]
 
 
 def routing_fingerprint(spec: JobSpec) -> str:
@@ -208,12 +229,15 @@ class _Shard:
 
 
 class _RoutedJob:
-    """Where one accepted job currently lives (for mid-job rescue).
+    """One admitted job: its spec, and where it currently lives.
 
-    The client-visible id is fixed at acknowledgement time; the
+    The client-visible id is fixed when a shard accepts the job; the
     ``shard``/``upstream_id`` pair it maps to changes when the job is
-    rescued onto a different shard.  ``lock`` serializes rescuers so two
-    concurrent pollers cannot both re-submit the job.
+    rescued onto a different shard.  ``holders`` are the shards that
+    accepted the job or may have (their ``POST`` failed in transit): it
+    is never posted to one of them again.  ``moving`` is set while a
+    rescue's ``POST`` is out, so a second poller waits for it instead of
+    re-placing the job a second time.
     """
 
     __slots__ = (
@@ -223,49 +247,47 @@ class _RoutedJob:
         "tenant",
         "shard",
         "upstream_id",
-        "failovers",
+        "holders",
+        "moving",
         "terminal",
-        "lock",
     )
 
-    def __init__(
-        self,
-        visible_id: str,
-        fingerprint: str,
-        body: Dict[str, Any],
-        tenant: str,
-        shard: int,
-        upstream_id: str,
-    ) -> None:
-        self.visible_id = visible_id
+    def __init__(self, fingerprint: str, body: Dict[str, Any], tenant: str) -> None:
+        self.visible_id = ""
         self.fingerprint = fingerprint
         self.body = body
         self.tenant = tenant
-        self.shard = shard
-        self.upstream_id = upstream_id
-        self.failovers = 0
+        self.shard = -1
+        self.upstream_id = ""
+        self.holders: Set[int] = set()
+        self.moving = False
         self.terminal = False
-        self.lock = threading.Lock()
 
 
 class _Forwarders:
-    """Elastic thread pool running upstream HTTP calls off the event loop.
+    """Elastic thread pool making the router's upstream HTTP calls.
 
-    Threads are spawned on demand — a task submitted while no thread is
-    idle grows the pool, up to ``max_threads`` — so an upstream
-    long-poll can hold a thread for its whole chunk without starving
-    other waiters of poll slots.  Past the cap, tasks queue and waiters
-    degrade gracefully to time-sliced chunks.  Each thread keeps one
-    keep-alive :class:`ReproClient` per peer (clients are not
-    thread-safe, so they are thread-local); tasks are plain thunks and
-    may re-enqueue themselves (chunked long-polls).  ``peers`` is the
-    router's **append-only** URL table, shared by reference, so shards
-    admitted after startup are addressable without restarting the pool.
+    The threads do upstream I/O and nothing else: :meth:`request` sends
+    one request on a pool thread and hands its answer to ``deliver``
+    (the frontend's ``schedule``), so the reply handler runs on the
+    loop thread that owns the router's state.  Threads are spawned on
+    demand — a request made while no thread is idle grows the pool, up
+    to ``max_threads`` — so an upstream long-poll can hold a thread for
+    its whole chunk without starving other waiters of poll slots.  Past
+    the cap, requests queue and waiters degrade gracefully to
+    time-sliced chunks.  Each thread keeps one keep-alive
+    :class:`ReproClient` per upstream URL (clients are not thread-safe,
+    so they are thread-local).
     """
 
-    def __init__(self, peers: List[str], max_threads: int, timeout: float) -> None:
-        self._peers = peers
+    def __init__(
+        self,
+        max_threads: int,
+        timeout: float,
+        deliver: Callable[[Callable[[], None]], None],
+    ) -> None:
         self._timeout = timeout
+        self._deliver = deliver
         self._max = max(1, max_threads)
         self._tasks: "_queue.Queue[Optional[Callable[[], None]]]" = _queue.Queue()
         self._local = threading.local()
@@ -277,20 +299,31 @@ class _Forwarders:
         self._idle = 0
         self._stopping = False
 
-    def client(self, idx: int) -> ReproClient:
-        """This thread's keep-alive client for peer ``idx``."""
-        clients = getattr(self._local, "clients", None)
-        if clients is None:
-            clients = self._local.clients = {}
-        if idx not in clients:
-            created = ReproClient(self._peers[idx], timeout=self._timeout)
-            with self._lock:
-                self._clients.append(created)
-            clients[idx] = created
-        return clients[idx]
+    def request(
+        self,
+        url: str,
+        method: str,
+        path: str,
+        reply: _Reply,
+        body: Optional[Dict[str, Any]] = None,
+        timeout: Optional[float] = None,
+    ) -> None:
+        """Send one request to ``url`` on a pool thread.
 
-    def submit(self, task: Callable[[], None]) -> None:
-        """Enqueue one thunk, growing the pool if no thread is idle."""
+        ``reply(answer)`` then runs on the loop thread, where ``answer``
+        is the ``(status, doc)`` pair or the exception the exchange
+        raised.
+        """
+
+        def task() -> None:
+            try:
+                answer: Any = self._client(url)._request(
+                    method, path, body=body, timeout=timeout
+                )
+            except Exception as exc:  # noqa: BLE001 - the reply handler decides
+                answer = exc
+            self._deliver(lambda: reply(answer))
+
         with self._lock:
             if self._stopping:
                 return
@@ -304,6 +337,18 @@ class _Forwarders:
                 t.start()
         self._tasks.put(task)
 
+    def _client(self, url: str) -> ReproClient:
+        """This thread's keep-alive client for ``url``."""
+        clients = getattr(self._local, "clients", None)
+        if clients is None:
+            clients = self._local.clients = {}
+        if url not in clients:
+            created = ReproClient(url, timeout=self._timeout)
+            with self._lock:
+                self._clients.append(created)
+            clients[url] = created
+        return clients[url]
+
     def _run(self) -> None:
         while True:
             with self._lock:
@@ -315,10 +360,7 @@ class _Forwarders:
                     self._idle -= 1
             if task is None:
                 return
-            try:
-                task()
-            except Exception:  # noqa: BLE001 - a bad forward must not kill the pool
-                pass
+            task()
 
     def stop(self, timeout: float = 5.0) -> None:
         """Drain the workers and close every keep-alive upstream socket."""
@@ -341,6 +383,18 @@ class _Forwarders:
                 pass
 
 
+def _health_error(answer: Any) -> Optional[str]:
+    """Why one ``/health`` answer shows an unhealthy peer (None if healthy)."""
+    if isinstance(answer, Exception):
+        return str(answer)
+    status, doc = answer
+    if status >= 400:
+        return f"HTTP {status}: {doc.get('error', 'unknown error')}"
+    if doc.get("status") not in ("ok", "draining"):
+        return f"status {doc.get('status')!r}"
+    return None
+
+
 class FleetRouter:
     """The fleet's front door: one address, N cache-affine shards.
 
@@ -348,16 +402,20 @@ class FleetRouter:
     CLI, :class:`ReproClient`, the bench — points at a router URL
     unchanged.  ``peers`` are daemon base URLs (``http://host:port``).
 
+    Threading: after :meth:`start`, the frontend's event-loop thread
+    owns every piece of routing state, and the forwarder threads only
+    talk upstream (see the module docstring).  :attr:`peers`,
+    :meth:`describe` and :meth:`drain` may be called from any thread:
+    they run their reads and writes on the loop and wait for them.
+    Before :meth:`start` no loop exists and the caller owns the state.
+
     Fault-tolerance knobs: ``eject_after`` consecutive upstream
-    failures eject a shard from placement (a failed background probe
-    ejects immediately); a prober thread re-checks every
+    failures eject a shard from placement (a failed ``/health`` probe
+    ejects immediately); a loop timer probes every member every
     ``probe_interval`` seconds and re-admits recovered shards (``0``
-    disables the thread).  ``failover=False`` restores the strict
-    owner-only routing of the pre-failover router — no health tracking,
-    no rescue — which the throughput bench uses to price the hardened
-    path.  ``tenant_inflight_limit`` (``0`` = off) sheds any single
-    tenant holding that many unfinished fleet jobs with ``429``, in
-    either mode.
+    disables the timer; the synchronous startup probe always runs).
+    ``tenant_inflight_limit`` (``0`` = off) sheds any single tenant
+    holding that many unfinished fleet jobs with ``429``.
     """
 
     def __init__(
@@ -371,7 +429,6 @@ class FleetRouter:
         upstream_timeout: float = 30.0,
         probe_interval: float = 2.0,
         eject_after: int = 3,
-        failover: bool = True,
         tenant_inflight_limit: int = 0,
     ) -> None:
         if eject_after <= 0:
@@ -380,8 +437,8 @@ class FleetRouter:
         self.requested_port = port
         self.metrics = MetricsRegistry()
         self.replicas = replicas
-        self._failover = failover
         self._probe_interval = probe_interval
+        self._probe_timeout = min(2.0, upstream_timeout)
         self._eject_after = eject_after
         self._tenant_limit = tenant_inflight_limit
         #: Append-only: a shard keeps its index forever (ids ``s<i>:...``
@@ -390,21 +447,17 @@ class FleetRouter:
         self._shards: List[_Shard] = [
             _Shard(i, url) for i, url in enumerate(peers)
         ]
-        self._urls: List[str] = [s.url for s in self._shards]  # shared w/ pool
-        self.ring = ConsistentHashRing(self._urls, replicas=replicas)
+        self.ring = ConsistentHashRing(list(peers), replicas=replicas)
         self._ring_to_stable: List[int] = list(range(len(self._shards)))
+        #: Accepted jobs by visible id; dict order is acceptance order.
         self._routed: "Dict[str, _RoutedJob]" = {}
-        self._routed_order: List[str] = []  # FIFO for bounded eviction
         self._tenant_inflight: Dict[str, int] = {}
         self._metric_tenants: set = set()
         self._forwarders_n = forwarders
         self._upstream_timeout = upstream_timeout
         self._forwarders: Optional[_Forwarders] = None
         self._frontend: Optional[AsyncHTTPFrontend] = None
-        self._prober: Optional[threading.Thread] = None
-        self._probe_stop = threading.Event()
         self._draining = False
-        self._lock = threading.Lock()
         self.metrics.gauge("svc.router.peers").set(len(self._shards))
         for s in self._shards:
             self.metrics.gauge(f"svc.router.peer.{s.idx}.alive", volatile=True).set(1)
@@ -413,30 +466,30 @@ class FleetRouter:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "FleetRouter":
-        """Probe the shards, start the forwarder pool, bind the frontend.
+        """Probe the shards, then start the forwarder pool and the loop.
 
         The synchronous startup probe is load-bearing: a peer that is
         unreachable *now* is marked dead *now*, so the first ``/health``
         reports it degraded and the first submission routes around it —
         instead of the router claiming a healthy fleet it never checked.
+        Its results are applied before the loop thread exists.
         """
-        self._forwarders = _Forwarders(
-            self._urls, self._forwarders_n, self._upstream_timeout
-        )
-        self._probe_all()
-        if self._failover and self._probe_interval > 0:
-            self._prober = threading.Thread(
-                target=self._probe_loop, name="svc-router-probe", daemon=True
-            )
-            self._prober.start()
-        self._frontend = AsyncHTTPFrontend(
+        frontend = AsyncHTTPFrontend(
             self._handle,
             self.host,
             self.requested_port,
             metrics=self.metrics,
             on_disconnect=self._on_parked_disconnect,
             name="svc-router",
-        ).start()
+        )
+        self._forwarders = _Forwarders(
+            self._forwarders_n, self._upstream_timeout, frontend.schedule
+        )
+        self._probe_all()
+        if self._probe_interval > 0:
+            frontend.call_later(self._probe_interval, self._probe_tick)
+        self._frontend = frontend
+        frontend.start()
         return self
 
     @property
@@ -453,17 +506,17 @@ class FleetRouter:
     @property
     def peers(self) -> List[str]:
         """Base URLs of the current ring members (stable-index order)."""
-        with self._lock:
-            return [s.url for s in self._shards if s.member]
+        return self._on_loop(lambda: [s.url for s in self._shards if s.member])
 
     def describe(self) -> str:
         """One-line banner for ``repro route``."""
-        with self._lock:
-            parts = [
+        parts = self._on_loop(
+            lambda: [
                 f"{s.url}{'' if s.alive else ' (DOWN)'}"
                 for s in self._shards
                 if s.member
             ]
+        )
         return (
             f"repro.svc fleet router on {self.address} "
             f"({len(parts)} shard(s): {', '.join(parts)})"
@@ -479,27 +532,26 @@ class FleetRouter:
 
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Stop intake, fan ``/drain`` out to every member, stop serving."""
-        with self._lock:
+
+        def stop_intake() -> List[str]:
             self._draining = True
-            members = [s for s in self._shards if s.member]
+            return [s.url for s in self._shards if s.member]
+
+        members = self._on_loop(stop_intake)
         deadline = None if timeout is None else time.monotonic() + timeout
-        for s in members:
+        for url in members:
             try:
                 remaining = self._upstream_timeout
                 if deadline is not None:
                     remaining = max(0.1, deadline - time.monotonic())
-                ReproClient(s.url, timeout=remaining).drain()
+                ReproClient(url, timeout=remaining).drain()
             except Exception:  # noqa: BLE001 - a dead peer is already drained
                 pass
         self.close()
         return True
 
     def close(self) -> None:
-        """Stop the prober, frontend, and forwarder pool (peers keep running)."""
-        self._probe_stop.set()
-        if self._prober is not None:
-            self._prober.join(timeout=5.0)
-            self._prober = None
+        """Stop the frontend (and its timers), then the forwarder pool."""
         if self._frontend is not None:
             self._frontend.stop()
             self._frontend = None
@@ -507,41 +559,59 @@ class FleetRouter:
             self._forwarders.stop()
             self._forwarders = None
 
+    def _on_loop(self, fn: Callable[[], Any]) -> Any:
+        """Run ``fn`` where the state lives and return its value.
+
+        While the loop runs, ``fn`` runs on the loop thread and the
+        calling thread waits for it; before :meth:`start` and after
+        :meth:`close` the caller owns the state and runs ``fn`` itself.
+        """
+        frontend = self._frontend
+        if frontend is None:
+            return fn()
+        done = threading.Event()
+        box: List[Any] = []
+
+        def run() -> None:
+            try:
+                box.append(fn())
+            finally:
+                done.set()
+
+        frontend.schedule(run)
+        done.wait()
+        return box[0]
+
     # ------------------------------------------------------------------
     # Shard health (ejection / re-admission state machine)
     # ------------------------------------------------------------------
     def _note_peer_failure(self, idx: int) -> None:
         """One more consecutive failure; eject at ``eject_after``."""
-        with self._lock:
-            s = self._shards[idx]
-            s.failures += 1
-            if s.alive and s.failures >= self._eject_after:
-                self._eject_locked(s)
+        s = self._shards[idx]
+        s.failures += 1
+        if s.alive and s.failures >= self._eject_after:
+            self._eject(s)
 
     def _note_peer_down(self, idx: int) -> None:
         """Definitive death (failed health probe): eject immediately."""
-        with self._lock:
-            s = self._shards[idx]
-            s.failures = max(s.failures, self._eject_after)
-            if s.alive:
-                self._eject_locked(s)
+        s = self._shards[idx]
+        s.failures = max(s.failures, self._eject_after)
+        if s.alive:
+            self._eject(s)
 
     def _note_peer_ok(self, idx: int) -> None:
         """A successful upstream exchange: reset strikes, re-admit."""
-        with self._lock:
-            s = self._shards[idx]
-            s.failures = 0
-            if not s.alive:
-                s.alive = True
-                self.metrics.counter(
-                    "svc.router.failover.readmissions", volatile=True
-                ).inc()
-                self.metrics.gauge(
-                    f"svc.router.peer.{idx}.alive", volatile=True
-                ).set(1)
+        s = self._shards[idx]
+        s.failures = 0
+        if not s.alive:
+            s.alive = True
+            self.metrics.counter(
+                "svc.router.failover.readmissions", volatile=True
+            ).inc()
+            self.metrics.gauge(f"svc.router.peer.{idx}.alive", volatile=True).set(1)
 
-    def _eject_locked(self, s: _Shard) -> None:
-        """Flip one shard to dead (caller holds the lock).
+    def _eject(self, s: _Shard) -> None:
+        """Flip one shard to dead.
 
         Ejection does **not** rebuild the ring: placement falls through
         to the ring successor via :meth:`_candidates_for`, so a flapping
@@ -552,25 +622,57 @@ class FleetRouter:
         self.metrics.counter("svc.router.failover.ejections", volatile=True).inc()
         self.metrics.gauge(f"svc.router.peer.{s.idx}.alive", volatile=True).set(0)
 
-    def _probe_loop(self) -> None:
-        """Background prober: re-check every member shard periodically."""
-        while not self._probe_stop.wait(self._probe_interval):
-            self._probe_all()
+    def _probed(self, idx: int, answer: Any) -> Optional[str]:
+        """Fold one ``/health`` answer into shard ``idx``'s health.
+
+        Returns why the shard is unhealthy, or None.
+        """
+        error = _health_error(answer)
+        if error is None:
+            self._note_peer_ok(idx)
+        else:
+            self._note_peer_down(idx)
+        return error
+
+    def _exchanged(self, idx: int, answer: Any) -> bool:
+        """Count one upstream job exchange and fold it into ``idx``'s health.
+
+        Returns True if the shard answered at all (any HTTP status).
+        """
+        if isinstance(answer, Exception):
+            self.metrics.counter("svc.router.upstream_errors", volatile=True).inc()
+            self._note_peer_failure(idx)
+            return False
+        self.metrics.counter("svc.router.forwarded", volatile=True).inc()
+        self._note_peer_ok(idx)
+        return True
 
     def _probe_all(self) -> None:
-        """Probe every member's ``/health`` once, on fresh connections."""
-        with self._lock:
-            members = [s for s in self._shards if s.member]
-        for s in members:
-            probe = ReproClient(s.url, timeout=min(2.0, self._upstream_timeout))
+        """The startup probe: every member's ``/health``, synchronously.
+
+        Runs on the caller's thread before the loop exists, on fresh
+        connections.
+        """
+        for s in self._shards:
+            probe = ReproClient(s.url, timeout=self._probe_timeout)
             try:
-                probe.health()
-            except Exception:  # noqa: BLE001 - any failure means unreachable
-                self._note_peer_down(s.idx)
-            else:
-                self._note_peer_ok(s.idx)
+                answer: Any = probe._request("GET", "/health")
+            except Exception as exc:  # noqa: BLE001 - any failure means unreachable
+                answer = exc
             finally:
                 probe.close()
+            self._probed(s.idx, answer)
+
+    def _probe_tick(self) -> None:
+        """Loop timer: probe every member, re-arm once all have answered."""
+        idxs = self._member_indices()
+
+        def probed(answers: List[Any]) -> None:
+            for idx, answer in zip(idxs, answers):
+                self._probed(idx, answer)
+            self._frontend.call_later(self._probe_interval, self._probe_tick)
+
+        self._gather(idxs, "GET", "/health", probed, timeout=self._probe_timeout)
 
     def _candidates_for(self, fingerprint: str) -> Tuple[List[int], List[int]]:
         """``(preference, live)`` stable shard indices for one key.
@@ -578,83 +680,60 @@ class FleetRouter:
         ``preference`` is the full ring-successor order over members;
         ``live`` filters it to shards currently believed reachable.
         """
-        with self._lock:
-            ring, mapping = self.ring, self._ring_to_stable
-            pref = [mapping[r] for r in ring.preference(fingerprint)]
-            live = [i for i in pref if self._shards[i].alive]
-        return pref, live
+        pref = [self._ring_to_stable[r] for r in self.ring.preference(fingerprint)]
+        return pref, [i for i in pref if self._shards[i].alive]
 
     # ------------------------------------------------------------------
-    # Routed-job table (mid-job rescue bookkeeping)
+    # Accounting (tenant slots, shard in-flight counts, routed table)
     # ------------------------------------------------------------------
-    def _register_routed(
-        self,
-        visible_id: str,
-        fingerprint: str,
-        body: Dict[str, Any],
-        tenant: str,
-        idx: int,
-        upstream_id: str,
-    ) -> None:
-        """Track an acknowledged job for rescue and share accounting."""
-        entry = _RoutedJob(visible_id, fingerprint, body, tenant, idx, upstream_id)
-        with self._lock:
-            self._routed[visible_id] = entry
-            self._routed_order.append(visible_id)
-            self._shards[idx].inflight += 1
-            self._tenant_inflight[tenant] = self._tenant_inflight.get(tenant, 0) + 1
-            self._note_shard_locked(idx)
-            self._note_tenant_locked(tenant)
-            self._evict_routed_locked()
-
-    def _evict_routed_locked(self) -> None:
-        """Bound the routed table: drop oldest (terminal-first) entries."""
-        while len(self._routed) > _ROUTED_LIMIT:
-            victim_key = next(
-                (k for k in self._routed_order if self._routed[k].terminal),
-                self._routed_order[0],
-            )
-            self._routed_order.remove(victim_key)
-            victim = self._routed.pop(victim_key)
-            if not victim.terminal:
-                victim.terminal = True  # stop accounting against shares
-                self._release_accounting_locked(victim)
-
-    def _settle_routed(self, entry: _RoutedJob) -> None:
-        """Mark a routed job terminal exactly once, releasing its shares."""
-        with self._lock:
-            if entry.terminal:
-                return
-            entry.terminal = True
-            self._release_accounting_locked(entry)
-
-    def _release_accounting_locked(self, entry: _RoutedJob) -> None:
-        """Decrement the shard and tenant in-flight counts of one entry."""
-        s = self._shards[entry.shard]
-        s.inflight = max(0, s.inflight - 1)
-        left = self._tenant_inflight.get(entry.tenant, 0) - 1
+    def _add_tenant(self, tenant: str, delta: int) -> None:
+        """Take (``+1``) or release (``-1``) one of ``tenant``'s slots."""
+        left = self._tenant_inflight.get(tenant, 0) + delta
         if left > 0:
-            self._tenant_inflight[entry.tenant] = left
+            self._tenant_inflight[tenant] = left
         else:
-            self._tenant_inflight.pop(entry.tenant, None)
-        self._note_shard_locked(entry.shard)
-        self._note_tenant_locked(entry.tenant)
-
-    def _note_shard_locked(self, idx: int) -> None:
-        """Mirror one shard's routed in-flight count into the registry."""
-        self.metrics.gauge(f"svc.router.peer.{idx}.inflight", volatile=True).set(
-            self._shards[idx].inflight
-        )
-
-    def _note_tenant_locked(self, tenant: str) -> None:
-        """Mirror one tenant's in-flight count (bounded metric keyspace)."""
+            self._tenant_inflight.pop(tenant, None)
         if tenant not in self._metric_tenants:
             if len(self._metric_tenants) >= _TENANT_METRIC_LIMIT:
-                return
+                return  # bounded metric keyspace; accounting stays exact
             self._metric_tenants.add(tenant)
         self.metrics.gauge(f"svc.tenant.{tenant}.inflight", volatile=True).set(
-            self._tenant_inflight.get(tenant, 0)
+            max(left, 0)
         )
+
+    def _add_shard(self, idx: int, delta: int) -> None:
+        """Count one more (``+1``) or one fewer (``-1``) job on shard ``idx``."""
+        s = self._shards[idx]
+        s.inflight = max(0, s.inflight + delta)
+        self.metrics.gauge(f"svc.router.peer.{idx}.inflight", volatile=True).set(
+            s.inflight
+        )
+
+    def _register_routed(self, job: _RoutedJob, idx: int, upstream_id: str) -> None:
+        """Track a job shard ``idx`` accepted (its tenant slot is already held)."""
+        job.visible_id = f"s{idx}:{upstream_id}"
+        job.shard, job.upstream_id = idx, upstream_id
+        stale = self._routed.pop(job.visible_id, None)
+        if stale is not None:  # a restarted shard handed out the id again
+            self._settle_routed(stale)
+        self._routed[job.visible_id] = job
+        self._add_shard(idx, 1)
+        while len(self._routed) > _ROUTED_LIMIT:
+            # Evict the oldest terminal entry, else the oldest entry
+            # (which then stops counting against its shares).
+            victim = next(
+                (k for k, e in self._routed.items() if e.terminal),
+                next(iter(self._routed)),
+            )
+            self._settle_routed(self._routed.pop(victim))
+
+    def _settle_routed(self, job: _RoutedJob) -> None:
+        """Mark a routed job terminal exactly once, releasing its shares."""
+        if job.terminal:
+            return
+        job.terminal = True
+        self._add_shard(job.shard, -1)
+        self._add_tenant(job.tenant, -1)
 
     # ------------------------------------------------------------------
     # HTTP handling (event-loop thread — must not block)
@@ -663,13 +742,13 @@ class FleetRouter:
         path = request.path
         if request.method == "GET":
             if path == "/health":
-                return self._defer(token, self._health_task)
+                return self._handle_health(token)
             if path == "/metrics":
                 return Response(200, self.metrics.snapshot())
             if path == "/ring":
                 return Response(200, self._ring_doc())
             if path == "/jobs":
-                return self._defer(token, self._list_task)
+                return self._handle_list(token)
             if path.startswith("/jobs/"):
                 return self._handle_get_job(request, token)
             return Response(404, protocol.error_body(f"no such endpoint {path!r}"))
@@ -679,9 +758,9 @@ class FleetRouter:
             if path == "/ring":
                 return self._handle_ring_post(request, token)
             if path == "/drain":
-                with self._lock:
-                    self._draining = True
-                self._fan_out(lambda client: client.drain())
+                self._draining = True
+                for idx in self._member_indices():
+                    self._send(idx, "POST", "/drain", self._count_if_failed)
                 return Response(
                     202, {"draining": True, "protocol": protocol.PROTOCOL}
                 )
@@ -689,23 +768,33 @@ class FleetRouter:
         return Response(404, protocol.error_body(f"unsupported method {request.method}"))
 
     def _on_parked_disconnect(self, token: Any) -> None:
-        with self._lock:
-            self.metrics.counter("svc.http.disconnects", volatile=True).inc()
+        self.metrics.counter("svc.http.disconnects", volatile=True).inc()
 
-    def _defer(self, token: Any, task: Callable[[Any], None]):
-        """Park the connection and hand the slow work to a forwarder."""
-        assert self._forwarders is not None
-        self._forwarders.submit(lambda: task(token))
-        return DEFERRED
+    def _send(self, idx: int, method: str, path: str, reply: _Reply, **kw: Any) -> None:
+        """Hand one request to shard ``idx`` to a forwarder's ``request``."""
+        self._forwarders.request(self._shards[idx].url, method, path, reply, **kw)
+
+    def _gather(
+        self, idxs: List[int], method: str, path: str, done: _Reply, **kw: Any
+    ) -> None:
+        """Send one request to each of ``idxs``; ``done(answers)`` once all are in."""
+        answers: Dict[int, Any] = {}
+
+        def reply(idx: int, answer: Any) -> None:
+            answers[idx] = answer
+            if len(answers) == len(idxs):
+                done([answers[i] for i in idxs])
+
+        for idx in idxs:
+            self._send(idx, method, path, lambda a, i=idx: reply(i, a), **kw)
+
+    def _count_if_failed(self, answer: Any) -> None:
+        """Reply handler of best-effort broadcasts: count a failed one."""
+        if isinstance(answer, Exception) or answer[0] >= 400:
+            self.metrics.counter("svc.router.upstream_errors", volatile=True).inc()
 
     def _complete(self, token: Any, response: Response) -> None:
-        frontend = self._frontend
-        if frontend is not None:
-            frontend.complete(token, response)
-
-    def _count(self, name: str) -> None:
-        with self._lock:
-            self.metrics.counter(name, volatile=True).inc()
+        self._frontend.complete(token, response)
 
     @staticmethod
     def _retry_headers(status: int, doc: Dict[str, Any]) -> Optional[Dict[str, str]]:
@@ -718,97 +807,91 @@ class FleetRouter:
     # Submission routing (with failover)
     # ------------------------------------------------------------------
     def _handle_submit(self, request: Request, token: Any):
-        with self._lock:
-            if self._draining:
-                return Response(
-                    503, protocol.error_body("service is draining", draining=True)
-                )
+        if self._draining:
+            return Response(
+                503, protocol.error_body("service is draining", draining=True)
+            )
         try:
             spec = JobSpec.from_json(protocol.loads(request.body)).validate()
             fingerprint = routing_fingerprint(spec)
         except (ValueError, JobValidationError, KeyError) as exc:
             return Response(400, protocol.error_body(str(exc)))
         tenant = spec.tenant
-        if self._tenant_limit > 0:
-            with self._lock:
-                held = self._tenant_inflight.get(tenant, 0)
-            if held >= self._tenant_limit:
-                self._count("svc.tenant.shed")
-                return Response(
-                    429,
-                    protocol.error_body(
-                        f"tenant {tenant!r} has {held} fleet jobs in flight "
-                        f"(limit {self._tenant_limit})",
-                        retry_after=0.5,
-                    ),
-                    headers={"Retry-After": "0.500"},
-                )
-        self._count("svc.router.jobs.routed")
-        body = spec.to_json()
+        held = self._tenant_inflight.get(tenant, 0)
+        if 0 < self._tenant_limit <= held:
+            self.metrics.counter("svc.tenant.shed", volatile=True).inc()
+            return Response(
+                429,
+                protocol.error_body(
+                    f"tenant {tenant!r} has {held} fleet jobs in flight "
+                    f"(limit {self._tenant_limit})",
+                    retry_after=0.5,
+                ),
+                headers={"Retry-After": "0.500"},
+            )
+        # The check above and this reservation are one loop step, so no
+        # other submit can slip between them.  The slot is released if
+        # no shard accepts the job, and otherwise when it is settled.
+        self._add_tenant(tenant, 1)
+        self.metrics.counter("svc.router.jobs.routed", volatile=True).inc()
+        job = _RoutedJob(fingerprint, spec.to_json(), tenant)
+        pref, live = self._candidates_for(fingerprint)
+        # Dead owner → ring successors.  With no live shard at all,
+        # still try the owner: it reproduces the honest failure
+        # (connection refused → 502) instead of inventing one.
+        self._submit_to(token, job, live or pref[:1], "")
+        return DEFERRED
 
-        def task(tok: Any = token) -> None:
-            assert self._forwarders is not None
-            pref, live = self._candidates_for(fingerprint)
-            # Dead owner → ring successors.  With no live shard at all,
-            # still try the owner: it reproduces the honest failure
-            # (connection refused → 502) instead of inventing one.
-            candidates = (live or pref[:1]) if self._failover else pref[:1]
-            last_error: Optional[str] = None
-            for hop, idx in enumerate(candidates):
-                client = self._forwarders.client(idx)
-                try:
-                    status, doc = client._request("POST", "/jobs", body=body)
-                except Exception as exc:  # noqa: BLE001 - dead shard → next hop
-                    # Never replay the POST against the same shard: it
-                    # may have accepted before dying, and a same-shard
-                    # replay could double-submit.  Moving on is safe —
-                    # an orphan execution is unobservable.
-                    self._count("svc.router.upstream_errors")
-                    if self._failover:
-                        self._note_peer_failure(idx)
-                    last_error = f"{self._shards[idx].url}: {exc}"
-                    continue
-                if self._failover:
-                    self._note_peer_ok(idx)
-                self._count("svc.router.forwarded")
-                if status == 202 and "id" in doc:
-                    visible = f"s{idx}:{doc['id']}"
-                    self._count(f"svc.router.peer.{idx}.jobs")
-                    if hop > 0:
-                        self._count("svc.router.failover.submit_reroutes")
-                    self._register_routed(
-                        visible, fingerprint, body, tenant, idx, doc["id"]
-                    )
-                    doc["id"] = visible
-                    self._complete(tok, Response(202, doc))
-                    return
-                # Shard is alive but refused (503 backlog, 429 tenant
-                # share, 400...): forward verbatim — rerouting a full
-                # queue elsewhere would defeat both affinity and the
-                # fairness accounting.
-                self._complete(
-                    tok, Response(status, doc, headers=self._retry_headers(status, doc))
+    def _submit_to(
+        self, token: Any, job: _RoutedJob, candidates: List[int], error: str
+    ) -> None:
+        """POST a new job to the first of ``candidates``, the rest in reserve."""
+        if not candidates:
+            self.metrics.counter("svc.router.failover.exhausted", volatile=True).inc()
+            self._add_tenant(job.tenant, -1)
+            msg = f"no live shard accepted the job ({error})"
+            self._complete(token, Response(502, protocol.error_body(msg)))
+            return
+        idx, rest = candidates[0], candidates[1:]
+        job.holders.add(idx)
+
+        def reply(answer: Any) -> None:
+            if not self._exchanged(idx, answer):
+                # Never replay the POST against the same shard: it may
+                # have accepted before dying, and a same-shard replay
+                # could double-submit.  Moving on is safe — an orphan
+                # execution is unobservable.
+                self._submit_to(
+                    token, job, rest, f"{self._shards[idx].url}: {answer}"
                 )
                 return
-            self._count("svc.router.failover.exhausted")
+            status, doc = answer
+            if status == 202 and "id" in doc:
+                self.metrics.counter(f"svc.router.peer.{idx}.jobs", volatile=True).inc()
+                if len(job.holders) > 1:
+                    self.metrics.counter(
+                        "svc.router.failover.submit_reroutes", volatile=True
+                    ).inc()
+                self._register_routed(job, idx, doc["id"])
+                doc["id"] = job.visible_id
+                self._complete(token, Response(202, doc))
+                return
+            # Shard is alive but refused (503 backlog, 429 tenant
+            # share, 400...): forward verbatim — rerouting a full
+            # queue elsewhere would defeat both affinity and the
+            # fairness accounting.
+            self._add_tenant(job.tenant, -1)
             self._complete(
-                tok,
-                Response(
-                    502,
-                    protocol.error_body(
-                        f"no live shard accepted the job ({last_error})"
-                    ),
-                ),
+                token, Response(status, doc, headers=self._retry_headers(status, doc))
             )
 
-        return self._defer(token, lambda tok: task(tok))
+        self._send(idx, "POST", "/jobs", reply, body=job.body)
 
     # ------------------------------------------------------------------
     # Result forwarding (chunked upstream long-polls, mid-job rescue)
     # ------------------------------------------------------------------
-    def _parse_routed_id(self, raw: str) -> Optional[Tuple[int, str]]:
-        """Split ``s<peer>:<id>`` (quoted or not) into its parts."""
-        job_id = urllib.parse.unquote(raw)
+    def _parse_routed_id(self, job_id: str) -> Optional[Tuple[int, str]]:
+        """Split ``s<peer>:<id>`` into its parts."""
         if not job_id.startswith("s"):
             return None
         head, sep, rest = job_id.partition(":")
@@ -823,177 +906,150 @@ class FleetRouter:
         return idx, rest
 
     def _handle_get_job(self, request: Request, token: Any):
-        raw = request.path[len("/jobs/"):]
-        visible_id = urllib.parse.unquote(raw)
+        visible_id = urllib.parse.unquote(request.path[len("/jobs/"):])
         wait, err = protocol.parse_wait(request.query)
         if err is not None:
             return Response(400, protocol.error_body(err))
+        if visible_id not in self._routed and self._parse_routed_id(visible_id) is None:
+            return Response(
+                404,
+                protocol.error_body(
+                    "no such job (fleet ids look like 's<shard>:<job-id>')"
+                ),
+            )
         deadline = None if wait is None else time.monotonic() + wait
+        self._poll(token, visible_id, deadline)
+        return DEFERRED
 
-        def task(tok: Any = token) -> None:
-            assert self._forwarders is not None
-            # A parked downstream conn that died is a wasted upstream
-            # poll — stop early (complete() on it is a no-op anyway).
-            if getattr(tok, "dead", False):
-                return
-            with self._lock:
-                entry = self._routed.get(visible_id)
-            if entry is not None:
-                idx, upstream_id = entry.shard, entry.upstream_id
-            else:
-                parsed = self._parse_routed_id(raw)
-                if parsed is None:
-                    self._complete(
-                        tok,
-                        Response(
-                            404,
-                            protocol.error_body(
-                                "no such job (fleet ids look like "
-                                "'s<shard>:<job-id>')"
-                            ),
-                        ),
-                    )
+    def _poll(self, token: Any, visible_id: str, deadline: Optional[float]) -> None:
+        """Forward one long-poll chunk for ``visible_id`` to its shard."""
+        # A parked downstream conn that died is a wasted upstream
+        # poll — stop early (complete() on it is a no-op anyway).
+        if getattr(token, "dead", False):
+            return
+        job = self._routed.get(visible_id)
+        if job is not None:
+            idx, upstream_id = job.shard, job.upstream_id
+        else:
+            idx, upstream_id = self._parse_routed_id(visible_id)  # type: ignore[misc]
+        remaining = None if deadline is None else deadline - time.monotonic()
+        chunk = None
+        if remaining is not None and remaining > 0:
+            chunk = min(_POLL_CHUNK, remaining)
+        path, timeout = f"/jobs/{urllib.parse.quote(upstream_id)}", None
+        if chunk is not None:
+            path += f"?wait={chunk:g}"
+            timeout = max(self._upstream_timeout, chunk + 10.0)
+
+        def reply(answer: Any) -> None:
+            if not self._exchanged(idx, answer):
+                if job is not None and not job.terminal:
+                    self._rescue(token, job, idx, deadline)
                     return
-                idx, upstream_id = parsed
-            remaining = None if deadline is None else deadline - time.monotonic()
-            chunk = None
-            if remaining is not None and remaining > 0:
-                chunk = min(_POLL_CHUNK, remaining)
-            client = self._forwarders.client(idx)
-            try:
-                status, doc = client.result_raw(upstream_id, wait=chunk)
-            except Exception as exc:  # noqa: BLE001 - dead shard → rescue or 502
-                self._count("svc.router.upstream_errors")
-                if self._failover:
-                    self._note_peer_failure(idx)
-                if entry is not None:
-                    if self._failover:
-                        self._rescue(tok, entry, idx, task)
-                        return
-                    # Without failover the job is lost, and so are its shares.
-                    self._settle_routed(entry)
-                self._complete(
-                    tok,
-                    Response(
-                        502,
-                        protocol.error_body(
-                            f"upstream shard {self._shards[idx].url} "
-                            f"unreachable: {exc}"
-                        ),
-                    ),
-                )
+                msg = f"upstream shard {self._shards[idx].url} unreachable: {answer}"
+                self._complete(token, Response(502, protocol.error_body(msg)))
                 return
-            if self._failover:
-                self._note_peer_ok(idx)
-            self._count("svc.router.forwarded")
-            if status == 404 and entry is not None and not entry.terminal:
+            status, doc = answer
+            if status == 404 and job is not None and not job.terminal:
                 # The shard restarted and forgot the job (the process
                 # is gone but the port answers): same recovery as a
-                # dead shard — re-place the spec elsewhere.  Without
-                # failover the job is lost, and so are its shares.
-                if self._failover:
-                    self._rescue(tok, entry, idx, task)
-                    return
-                self._settle_routed(entry)
+                # dead shard — re-place the spec elsewhere.
+                self._rescue(token, job, idx, deadline)
+                return
             if status == 200 and "id" in doc:
                 # The id the client polls stays stable across rescues.
                 doc["id"] = visible_id
             terminal = doc.get("state") in ("done", "failed")
-            if terminal and entry is not None:
-                self._settle_routed(entry)
+            if terminal and job is not None:
+                self._settle_routed(job)
             out_of_time = remaining is None or remaining - (chunk or 0.0) <= 0
             if status != 200 or terminal or out_of_time:
-                self._complete(tok, Response(status, doc))
+                self._complete(token, Response(status, doc))
                 return
-            # Still running and wait budget left: re-enqueue so the
-            # forwarder thread is freed between chunks.
-            self._forwarders.submit(lambda: task(tok))
+            self._poll(token, visible_id, deadline)  # budget left: next chunk
 
-        return self._defer(token, lambda tok: task(tok))
+        self._send(idx, "GET", path, reply, timeout=timeout)
 
     def _rescue(
-        self,
-        tok: Any,
-        entry: _RoutedJob,
-        failed_idx: int,
-        task: Callable[..., None],
+        self, token: Any, job: _RoutedJob, failed_idx: int, deadline: Optional[float]
     ) -> None:
         """Move a lost in-flight job to the next live shard, keep polling.
 
-        Runs on a forwarder thread with the poll that discovered the
-        loss.  The per-entry lock serializes rescuers: concurrent
-        pollers of the same job either win the lock and re-place the
-        job once, or observe the (possibly updated) placement and
-        simply poll again — never a second re-submission.
+        Runs with the poll reply that found the loss.  A poller that
+        finds the job already moved polls its new placement; one that
+        finds a move under way polls again shortly, so the job is
+        re-placed once, never twice.
         """
-        assert self._forwarders is not None
-        if not entry.lock.acquire(blocking=False):
-            time.sleep(0.05)  # another poller is re-placing it right now
-            self._forwarders.submit(lambda: task(tok))
-            return
-        try:
-            with self._lock:
-                moved = entry.terminal or entry.shard != failed_idx
-                exhausted = entry.failovers >= len(self._shards)
-            if moved:
-                self._forwarders.submit(lambda: task(tok))
-                return
-            if not exhausted:
-                _, live = self._candidates_for(entry.fingerprint)
-                targets = [i for i in live if i != failed_idx]
-            else:
-                targets = []
-            for idx in targets:
-                client = self._forwarders.client(idx)
-                try:
-                    status, doc = client._request(
-                        "POST", "/jobs", body=entry.body
-                    )
-                except Exception:  # noqa: BLE001 - also dead → next candidate
-                    self._count("svc.router.upstream_errors")
-                    self._note_peer_failure(idx)
-                    continue
-                if status == 202 and "id" in doc:
-                    with self._lock:
-                        old = self._shards[entry.shard]
-                        old.inflight = max(0, old.inflight - 1)
-                        self._note_shard_locked(entry.shard)
-                        entry.shard = idx
-                        entry.upstream_id = doc["id"]
-                        entry.failovers += 1
-                        self._shards[idx].inflight += 1
-                        self._note_shard_locked(idx)
-                    self._count("svc.router.failover.job_reroutes")
-                    self._count(f"svc.router.peer.{idx}.jobs")
-                    self._forwarders.submit(lambda: task(tok))
-                    return
-                if status in (503, 429):
-                    # Alive but shedding: re-poll shortly; the original
-                    # placement's failure will re-trigger the rescue.
-                    time.sleep(min(0.2, float(doc.get("retry_after", 0.1))))
-                    self._forwarders.submit(lambda: task(tok))
-                    return
-            self._count("svc.router.failover.exhausted")
-            self._settle_routed(entry)
-            self._complete(
-                tok,
-                Response(
-                    502,
-                    protocol.error_body(
-                        f"job {entry.visible_id} lost: shard "
-                        f"{self._shards[failed_idx].url} died and no live "
-                        f"shard could take the job over"
-                    ),
-                ),
+        if job.moving:
+            self._frontend.call_later(
+                _RETRY_DELAY, lambda: self._poll(token, job.visible_id, deadline)
             )
-        finally:
-            entry.lock.release()
+            return
+        if job.shard != failed_idx:
+            self._poll(token, job.visible_id, deadline)
+            return
+        # Each move uses up a shard that may now hold the job, so a job
+        # fails over fewer than len(shards) times.
+        _, live = self._candidates_for(job.fingerprint)
+        job.moving = True
+        self._rescue_to(
+            token, job, [i for i in live if i not in job.holders], failed_idx, deadline
+        )
+
+    def _rescue_to(
+        self, token: Any, job: _RoutedJob, targets: List[int], failed_idx: int,
+        deadline: Optional[float],
+    ) -> None:
+        """POST a lost job to the first of ``targets``, the rest in reserve."""
+        if not targets:
+            job.moving = False
+            self.metrics.counter("svc.router.failover.exhausted", volatile=True).inc()
+            self._settle_routed(job)
+            msg = (
+                f"job {job.visible_id} lost: shard {self._shards[failed_idx].url} "
+                f"died and no live shard could take the job over"
+            )
+            self._complete(token, Response(502, protocol.error_body(msg)))
+            return
+        idx, rest = targets[0], targets[1:]
+        job.holders.add(idx)
+
+        def reply(answer: Any) -> None:
+            if not self._exchanged(idx, answer):
+                self._rescue_to(token, job, rest, failed_idx, deadline)
+                return
+            status, doc = answer
+            if status == 202 and "id" in doc:
+                job.moving = False
+                if not job.terminal:
+                    self._add_shard(job.shard, -1)
+                    self._add_shard(idx, 1)
+                job.shard, job.upstream_id = idx, doc["id"]
+                self.metrics.counter(
+                    "svc.router.failover.job_reroutes", volatile=True
+                ).inc()
+                self.metrics.counter(f"svc.router.peer.{idx}.jobs", volatile=True).inc()
+                self._poll(token, job.visible_id, deadline)
+                return
+            job.holders.discard(idx)  # it answered, and did not take the job
+            if status in (503, 429):
+                # Alive but shedding: re-poll shortly; the original
+                # placement's failure will re-trigger the rescue.
+                job.moving = False
+                self._frontend.call_later(
+                    min(0.2, float(doc.get("retry_after", 0.1))),
+                    lambda: self._poll(token, job.visible_id, deadline),
+                )
+                return
+            self._rescue_to(token, job, rest, failed_idx, deadline)
+
+        self._send(idx, "POST", "/jobs", reply, body=job.body)
 
     # ------------------------------------------------------------------
     # Ring membership (live rebalancing)
     # ------------------------------------------------------------------
-    def _rebuild_ring_locked(self) -> None:
-        """Recompute the ring over current members (caller holds lock).
+    def _rebuild_ring(self) -> None:
+        """Recompute the ring over current members.
 
         A shard being drained for removal is excluded the moment the
         removal is requested — new placements skip it immediately —
@@ -1006,10 +1062,16 @@ class FleetRouter:
         self._ring_to_stable = [s.idx for s in members]
         self.metrics.gauge("svc.router.peers").set(len(members))
 
+    def _member_indices(self) -> List[int]:
+        """Stable indices of current members, for fan-out endpoints."""
+        return [s.idx for s in self._shards if s.member]
+
     def _ring_doc(self) -> Dict[str, Any]:
         """The ``GET /ring`` membership document."""
-        with self._lock:
-            shards = [
+        return {
+            "protocol": protocol.PROTOCOL,
+            "replicas": self.replicas,
+            "shards": [
                 {
                     "shard": s.idx,
                     "url": s.url,
@@ -1020,11 +1082,7 @@ class FleetRouter:
                     "inflight": s.inflight,
                 }
                 for s in self._shards
-            ]
-        return {
-            "protocol": protocol.PROTOCOL,
-            "replicas": self.replicas,
-            "shards": shards,
+            ],
         }
 
     def _handle_ring_post(self, request: Request, token: Any):
@@ -1043,216 +1101,161 @@ class FleetRouter:
                 400, protocol.error_body("peer must be an http://host:port URL")
             )
         if action == "add":
-            return self._defer(token, lambda tok: self._ring_add_task(tok, peer))
+            assert self._forwarders is not None
+            self._forwarders.request(
+                peer,
+                "GET",
+                "/health",
+                lambda answer: self._admit(token, peer, answer),
+                timeout=self._probe_timeout,
+            )
+            return DEFERRED
         try:
             drain_timeout = float(doc.get("drain_timeout", 30.0))
         except (TypeError, ValueError):
             return Response(400, protocol.error_body("drain_timeout must be a number"))
-        with self._lock:
-            target = next(
-                (s for s in self._shards if s.member and s.url == peer), None
+        target = next((s for s in self._shards if s.member and s.url == peer), None)
+        if target is None:
+            return Response(404, protocol.error_body(f"{peer} is not a ring member"))
+        if target.draining:
+            return Response(409, protocol.error_body(f"{peer} is already draining"))
+        if sum(1 for s in self._shards if s.member and not s.draining) <= 1:
+            return Response(
+                400,
+                protocol.error_body("refusing to remove the last shard from the ring"),
             )
-            if target is None:
-                return Response(
-                    404, protocol.error_body(f"{peer} is not a ring member")
-                )
-            actives = [s for s in self._shards if s.member and not s.draining]
-            if len(actives) <= 1:
-                return Response(
-                    400,
-                    protocol.error_body(
-                        "refusing to remove the last shard from the ring"
-                    ),
-                )
-            target.draining = True
-            self._rebuild_ring_locked()  # new placements skip it from now on
-        return self._defer(
-            token, lambda tok: self._ring_remove_task(tok, target, drain_timeout)
-        )
+        target.draining = True
+        self._rebuild_ring()  # new placements skip it from now on
+        self._drain_tick(token, target, time.monotonic() + max(0.0, drain_timeout))
+        return DEFERRED
 
-    def _ring_add_task(self, tok: Any, peer: str) -> None:
-        """Probe and admit one shard (forwarder thread: does I/O)."""
-        probe = ReproClient(peer, timeout=min(2.0, self._upstream_timeout))
-        try:
-            probe.health()
-        except Exception as exc:  # noqa: BLE001 - refuse unreachable peers
+    def _admit(self, token: Any, peer: str, answer: Any) -> None:
+        """Admit ``peer`` to the ring once its health probe has answered."""
+        error = _health_error(answer)
+        if error is not None:
+            msg = f"cannot admit {peer}: health probe failed ({error})"
+            self._complete(token, Response(502, protocol.error_body(msg)))
+            return
+        existing = next((s for s in self._shards if s.url == peer), None)
+        if existing is not None and existing.member:
+            # A draining shard may rejoin only once its removal is done.
+            state = "draining out of" if existing.draining else "already"
             self._complete(
-                tok,
-                Response(
-                    502,
-                    protocol.error_body(
-                        f"cannot admit {peer}: health probe failed ({exc})"
-                    ),
-                ),
+                token,
+                Response(409, protocol.error_body(f"{peer} is {state} a ring member")),
             )
             return
-        finally:
-            probe.close()
-        with self._lock:
-            existing = next((s for s in self._shards if s.url == peer), None)
-            if existing is not None and existing.member and not existing.draining:
-                self._complete(
-                    tok,
-                    Response(
-                        409,
-                        protocol.error_body(f"{peer} is already a ring member"),
-                    ),
-                )
-                return
-            if existing is not None:
-                # Rejoining shard gets its old stable index back, so any
-                # still-circulating s<idx>: ids point at the right URL.
-                existing.member = True
-                existing.draining = False
-                existing.alive = True
-                existing.failures = 0
-                shard = existing
-            else:
-                shard = _Shard(len(self._shards), peer)
-                self._shards.append(shard)
-                self._urls.append(peer)  # visible to the forwarder pool
-            self.metrics.gauge(
-                f"svc.router.peer.{shard.idx}.alive", volatile=True
-            ).set(1)
-            self._rebuild_ring_locked()
-            self.metrics.counter("svc.router.ring.added", volatile=True).inc()
-        self._complete(
-            tok,
-            Response(
-                200,
-                {
-                    "added": peer,
-                    "shard": shard.idx,
-                    "protocol": protocol.PROTOCOL,
-                },
-            ),
-        )
+        if existing is None:
+            existing = _Shard(len(self._shards), peer)
+            self._shards.append(existing)
+        # A rejoining shard gets its old stable index back, so any
+        # still-circulating s<idx>: ids point at the right URL.
+        shard = existing
+        shard.member, shard.alive, shard.failures = True, True, 0
+        self.metrics.gauge(f"svc.router.peer.{shard.idx}.alive", volatile=True).set(1)
+        self._rebuild_ring()
+        self.metrics.counter("svc.router.ring.added", volatile=True).inc()
+        doc = {"added": peer, "shard": shard.idx, "protocol": protocol.PROTOCOL}
+        self._complete(token, Response(200, doc))
 
-    def _ring_remove_task(
-        self, tok: Any, target: _Shard, drain_timeout: float
-    ) -> None:
-        """Wait out a departing shard's in-flight jobs, then retire it.
+    def _drain_tick(self, token: Any, target: _Shard, deadline: float) -> None:
+        """Retire a departing shard once its routed jobs are settled.
 
-        The shard was already dropped from placement by the handler;
-        this waits for jobs the router routed there (tracked in the
-        routed table) to reach a terminal state — zero dropped jobs —
-        then clears membership.  The wait polls the departing shard
-        itself, so jobs nobody is long-polling right now still drain
-        (their results stay fetchable on the shard until it is
-        retired).  On timeout the shard is retired anyway
-        (``"drained": false``): its leftovers are rescued by the
-        mid-job path if a client is still polling them.
+        The shard was already dropped from placement by the handler.
+        Each tick (a loop timer) polls the shard for every job the
+        router routed there and has not settled, and settles each one
+        the shard reports finished or forgotten — zero dropped jobs —
+        so jobs nobody is long-polling right now still drain (their
+        results stay fetchable on the shard until it is retired).  On
+        timeout the shard is retired anyway (``"drained": false``): its
+        leftovers are rescued by the mid-job path if a client is still
+        polling them.
         """
-        assert self._forwarders is not None
-        deadline = time.monotonic() + max(0.0, drain_timeout)
-        while time.monotonic() < deadline:
-            with self._lock:
-                if target.inflight == 0:
-                    break
-                pending = [
-                    e
-                    for e in self._routed.values()
-                    if e.shard == target.idx and not e.terminal
-                ]
-            probe = self._forwarders.client(target.idx)
-            for entry in pending:
-                try:
-                    status, doc = probe.result_raw(entry.upstream_id)
-                except Exception:  # noqa: BLE001 - shard died mid-drain:
-                    break  # the rescue path owns its jobs from here on
-                if status == 404 or (
-                    status == 200 and doc.get("state") in ("done", "failed")
-                ):
-                    self._settle_routed(entry)
-            time.sleep(0.05)
-        with self._lock:
-            drained = target.inflight == 0
+        pending = [
+            e for e in self._routed.values() if e.shard == target.idx and not e.terminal
+        ]
+        if not pending or time.monotonic() >= deadline:
             target.member = False
             target.draining = False
-            self._rebuild_ring_locked()
+            self._rebuild_ring()
             self.metrics.counter("svc.router.ring.removed", volatile=True).inc()
-        self._complete(
-            tok,
-            Response(
-                200,
-                {
-                    "removed": target.url,
-                    "shard": target.idx,
-                    "drained": drained,
-                    "protocol": protocol.PROTOCOL,
-                },
-            ),
-        )
+            doc = {"removed": target.url, "shard": target.idx, "drained": not pending}
+            self._complete(token, Response(200, dict(doc, protocol=protocol.PROTOCOL)))
+            return
+        left = [len(pending)]
+
+        def polled(job: _RoutedJob, answer: Any) -> None:
+            if not isinstance(answer, Exception):
+                status, doc = answer
+                if status == 404 or doc.get("state") in ("done", "failed"):
+                    self._settle_routed(job)
+            left[0] -= 1
+            if left[0] == 0:
+                self._frontend.call_later(
+                    _RETRY_DELAY, lambda: self._drain_tick(token, target, deadline)
+                )
+
+        for job in pending:
+            self._send(
+                target.idx,
+                "GET",
+                f"/jobs/{urllib.parse.quote(job.upstream_id)}",
+                lambda answer, job=job: polled(job, answer),
+            )
 
     # ------------------------------------------------------------------
-    # Aggregated endpoints (run on a forwarder thread)
+    # Aggregated endpoints (fanned out, answered when all shards reply)
     # ------------------------------------------------------------------
-    def _member_indices(self) -> List[int]:
-        """Stable indices of current members, for fan-out endpoints."""
-        with self._lock:
-            return [s.idx for s in self._shards if s.member]
+    def _handle_health(self, token: Any):
+        idxs = self._member_indices()
 
-    def _fan_out(self, call: Callable[[ReproClient], Any]) -> None:
-        """Run ``call`` against every member on a forwarder thread."""
-        assert self._forwarders is not None
-
-        def task() -> None:
-            assert self._forwarders is not None
-            for idx in self._member_indices():
-                try:
-                    call(self._forwarders.client(idx))
-                except Exception:  # noqa: BLE001 - best-effort broadcast
-                    self._count("svc.router.upstream_errors")
-
-        self._forwarders.submit(task)
-
-    def _health_task(self, token: Any) -> None:
-        assert self._forwarders is not None
-        shards = []
-        all_ok = True
-        for idx in self._member_indices():
-            entry: Dict[str, Any] = {"url": self._shards[idx].url, "shard": idx}
-            try:
-                entry["health"] = self._forwarders.client(idx).health()
-                entry["ok"] = entry["health"].get("status") in ("ok", "draining")
-            except Exception as exc:  # noqa: BLE001 - a dead peer is reported, not raised
-                self._count("svc.router.upstream_errors")
-                entry["ok"] = False
-                entry["error"] = str(exc)
-            # Fold the live probe into the tracked health state, so a
-            # /health request doubles as an out-of-band probe tick.
-            if self._failover:
-                if entry["ok"]:
-                    self._note_peer_ok(idx)
-                else:
-                    self._note_peer_down(idx)
-            with self._lock:
+        def answered(answers: List[Any]) -> None:
+            shards = []
+            for idx, answer in zip(idxs, answers):
                 s = self._shards[idx]
-                entry["alive"] = s.alive
-                entry["failures"] = s.failures
-                entry["inflight"] = s.inflight
-            all_ok = all_ok and entry["ok"]
-            shards.append(entry)
-        with self._lock:
-            draining = self._draining
-            tenants = dict(self._tenant_inflight)
-        body = {
-            "status": "draining" if draining else ("ok" if all_ok else "degraded"),
-            "protocol": protocol.PROTOCOL,
-            "role": "router",
-            "shards": shards,
-            "tenants": tenants,
-        }
-        self._complete(token, Response(200, body))
+                entry: Dict[str, Any] = {"url": s.url, "shard": idx}
+                if isinstance(answer, Exception) or answer[0] >= 400:
+                    self.metrics.counter(
+                        "svc.router.upstream_errors", volatile=True
+                    ).inc()
+                else:
+                    entry["health"] = answer[1]
+                # Fold the live probe into the tracked health state, so a
+                # /health request doubles as an out-of-band probe tick.
+                error = self._probed(idx, answer)
+                entry["ok"] = error is None
+                if error is not None:
+                    entry["error"] = error
+                entry.update(alive=s.alive, failures=s.failures, inflight=s.inflight)
+                shards.append(entry)
+            all_ok = all(e["ok"] for e in shards)
+            body = {
+                "status": "draining"
+                if self._draining
+                else ("ok" if all_ok else "degraded"),
+                "protocol": protocol.PROTOCOL,
+                "role": "router",
+                "shards": shards,
+                "tenants": dict(self._tenant_inflight),
+            }
+            self._complete(token, Response(200, body))
 
-    def _list_task(self, token: Any) -> None:
-        assert self._forwarders is not None
-        jobs: List[Dict[str, Any]] = []
-        for idx in self._member_indices():
-            try:
-                for rec in self._forwarders.client(idx).jobs():
+        self._gather(idxs, "GET", "/health", answered)
+        return DEFERRED
+
+    def _handle_list(self, token: Any):
+        idxs = self._member_indices()
+
+        def answered(answers: List[Any]) -> None:
+            jobs: List[Dict[str, Any]] = []
+            for idx, answer in zip(idxs, answers):
+                self._count_if_failed(answer)
+                if isinstance(answer, Exception) or answer[0] >= 400:
+                    continue  # skip unreachable shards in listings
+                for rec in answer[1].get("jobs", []):
                     rec["id"] = f"s{idx}:{rec['id']}"
                     jobs.append(rec)
-            except Exception:  # noqa: BLE001 - skip unreachable shards in listings
-                self._count("svc.router.upstream_errors")
-        self._complete(token, Response(200, {"jobs": jobs}))
+            self._complete(token, Response(200, {"jobs": jobs}))
+
+        self._gather(idxs, "GET", "/jobs", answered)
+        return DEFERRED

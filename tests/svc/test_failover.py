@@ -25,6 +25,7 @@ import select
 import signal
 import subprocess
 import sys
+import threading
 import time
 import urllib.request
 from pathlib import Path
@@ -47,7 +48,7 @@ from repro.svc import (
     TenantOverShare,
     routing_fingerprint,
 )
-from repro.svc.http import AsyncHTTPFrontend, Response
+from repro.svc.http import DEFERRED, AsyncHTTPFrontend, Response
 from repro.svc.jobs import stats_to_wire
 
 pytestmark = pytest.mark.skipif(
@@ -458,12 +459,10 @@ class TestTenantFairnessEndToEnd:
             router.close()
             svc.close()
 
-    @pytest.mark.parametrize("failover", [True, False])
-    def test_router_tenant_cap_holds_in_both_routing_modes(self, failover):
+    def test_router_tenant_cap_holds_on_a_busy_shard(self):
         shard = _StubShard()
         router = FleetRouter(
-            [shard.address], probe_interval=0, failover=failover,
-            tenant_inflight_limit=1,
+            [shard.address], probe_interval=0, tenant_inflight_limit=1,
         ).start()
         try:
             client = ReproClient(router.address)
@@ -482,19 +481,17 @@ class TestTenantFairnessEndToEnd:
             router.close()
             shard.close()
 
-    @pytest.mark.parametrize("failover", [True, False])
-    def test_router_frees_the_tenant_slot_of_a_job_its_shard_forgot(self, failover):
+    def test_router_frees_the_tenant_slot_of_a_job_its_shard_forgot(self):
         shard = _StubShard()
         router = FleetRouter(
-            [shard.address], probe_interval=0, failover=failover,
-            tenant_inflight_limit=1,
+            [shard.address], probe_interval=0, tenant_inflight_limit=1,
         ).start()
         try:
             client = ReproClient(router.address)
             job_id = client.submit(JobSpec(app="cache4j", trials=400, tenant="greedy"))
             shard.forget = True  # as after a restart: every job id is unknown
             status, _ = client.result_raw(job_id)
-            assert status == (502 if failover else 404)
+            assert status == 502  # no other shard can take it over
             assert client.submit(
                 JobSpec(app="cache4j", trials=400, base_seed=400, tenant="greedy"),
                 max_wait=0,
@@ -504,10 +501,11 @@ class TestTenantFairnessEndToEnd:
             shard.close()
 
     def test_router_frees_the_tenant_slot_of_a_job_on_a_dead_shard(self):
+        """A job rescued off a dead shard keeps its tenant slot; a job
+        that no live shard can take over frees it."""
         shards = [_StubShard(), _StubShard()]
         router = FleetRouter(
-            [s.address for s in shards], probe_interval=0, failover=False,
-            tenant_inflight_limit=1,
+            [s.address for s in shards], probe_interval=0, tenant_inflight_limit=1,
         ).start()
         try:
             client = ReproClient(router.address)
@@ -518,37 +516,243 @@ class TestTenantFairnessEndToEnd:
 
             job_id = client.submit(spec(0))
             shards[0].close()
+            status, doc = client.result_raw(job_id)
+            assert (status, doc["id"], doc["state"]) == (200, job_id, "running")
+            with pytest.raises(BackpressureError) as exc:
+                client.submit(spec(1), max_wait=0)
+            assert exc.value.status == 429
+            shards[1].forget = True  # the survivor loses it too: nowhere left
             status, _ = client.result_raw(job_id)
             assert status == 502
             assert client.submit(spec(1), max_wait=0)
-            assert [s.accepted for s in shards] == [1, 1]
+            assert [s.accepted for s in shards] == [1, 2]
         finally:
             router.close()
             for shard in shards:
                 shard.close()
 
 
+class TestTenantCapRace:
+    """The tenant cap is checked and reserved in one step.
+
+    The router once counted a job against its tenant only when the
+    shard's answer to the forwarded ``POST`` came back, on another
+    thread than the check; a second submit that arrived while the
+    first ``POST`` was out passed the check.  A shard that holds every
+    ``POST`` forces that order every time.  The tests wait only on
+    conditions; their timeouts only bound a hang.
+    """
+
+    def test_second_submit_is_shed_while_the_first_post_is_held(self):
+        shard = _HoldingShard()
+        router = FleetRouter(
+            [shard.address], probe_interval=0, tenant_inflight_limit=1,
+        ).start()
+        statuses = {}
+
+        def submit(name, seed):
+            spec = JobSpec(app="cache4j", trials=400, base_seed=seed, tenant="greedy")
+            status, _ = ReproClient(router.address)._request(
+                "POST", "/jobs", body=spec.to_json()
+            )
+            with shard.cond:
+                statuses[name] = status
+                shard.cond.notify_all()
+
+        first = threading.Thread(target=submit, args=("first", 0))
+        second = threading.Thread(target=submit, args=("second", 400))
+        try:
+            first.start()
+            with shard.cond:
+                assert shard.cond.wait_for(lambda: len(shard.held) == 1, 30)
+            second.start()
+            with shard.cond:
+                assert shard.cond.wait_for(
+                    lambda: "second" in statuses or len(shard.held) == 2, 30
+                )
+            shard.release()
+            for t in (first, second):
+                t.join(30)
+                assert not t.is_alive()
+            assert statuses == {"first": 202, "second": 429}
+            assert shard.posts == 1
+        finally:
+            shard.release()
+            router.close()
+            shard.close()
+
+    def test_racing_clients_of_one_tenant_get_one_slot(self):
+        """Eight clients of one tenant submit at once, with the thread
+        switch interval shortened; at limit 1 exactly one gets in."""
+        shard = _StubShard()
+        router = FleetRouter(
+            [shard.address], probe_interval=0, tenant_inflight_limit=1,
+        ).start()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for trial in range(5):
+                start, statuses = threading.Barrier(8), []
+
+                def submit(i, tenant=f"t{trial}"):
+                    spec = JobSpec(app="cache4j", trials=400, base_seed=400 * i,
+                                   tenant=tenant)
+                    client = ReproClient(router.address)
+                    start.wait(30)
+                    statuses.append(
+                        client._request("POST", "/jobs", body=spec.to_json())[0]
+                    )
+
+                threads = [threading.Thread(target=submit, args=(i,)) for i in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(30)
+                    assert not t.is_alive()
+                assert sorted(statuses) == [202] + [429] * 7
+        finally:
+            sys.setswitchinterval(switch)
+            router.close()
+            shard.close()
+
+    def test_a_refused_forward_releases_the_slot(self):
+        shard = _StubShard()
+        shard.refuse = 1  # the first POST gets 503 + retry_after
+        router = FleetRouter(
+            [shard.address], probe_interval=0, tenant_inflight_limit=1,
+        ).start()
+        try:
+            client = ReproClient(router.address)
+            spec = JobSpec(app="cache4j", trials=400, tenant="greedy")
+            assert client._request("POST", "/jobs", body=spec.to_json())[0] == 503
+            assert client.submit(spec, max_wait=0)
+            assert shard.accepted == 1
+        finally:
+            router.close()
+            shard.close()
+
+    def test_a_forward_no_shard_accepts_releases_the_slot(self):
+        router = FleetRouter([DEAD], probe_interval=0, tenant_inflight_limit=1).start()
+        try:
+            client = ReproClient(router.address)
+            spec = JobSpec(app="cache4j", trials=400, tenant="greedy").to_json()
+            for _ in range(2):  # the second submit is forwarded, not shed
+                assert client._request("POST", "/jobs", body=spec)[0] == 502
+            assert "svc.tenant.shed" not in client.metrics()
+            assert client.health()["tenants"] == {}
+        finally:
+            router.close()
+
+
+class TestLoopOwnership:
+    def test_every_state_change_runs_on_the_loop_thread(self, monkeypatch):
+        """Wrap the router's state-changing methods, run the fleet's
+        paths through real sockets — submit and poll to done, a submit
+        whose owner is dead, a mid-job rescue, ring add and remove,
+        ``/health`` — and check every call ran on the loop thread."""
+        shards = [_StubShard(), _StubShard()]
+        spare = _StubShard()
+        for shard in shards:
+            shard.state = "done"
+        router = FleetRouter(
+            [shards[0].address, shards[1].address, DEAD], probe_interval=0
+        ).start()
+        calls = []
+        for name in (
+            "_note_peer_failure", "_note_peer_down", "_note_peer_ok", "_eject",
+            "_probed", "_exchanged", "_candidates_for", "_add_tenant",
+            "_add_shard", "_register_routed", "_settle_routed", "_poll",
+            "_submit_to", "_rescue", "_rescue_to", "_rebuild_ring", "_admit",
+            "_drain_tick",
+        ):
+            def wrapped(*args, _name=name, _method=getattr(router, name), **kw):
+                calls.append((_name, threading.current_thread()))
+                return _method(*args, **kw)
+
+            monkeypatch.setattr(router, name, wrapped)
+        loop = router._frontend._thread
+        try:
+            client = ReproClient(router.address)
+            done = client.wait(client.submit(_spec_owned_by(router, 0)), timeout=60)
+            assert done["state"] == "done"
+            rerouted = client.submit(_spec_owned_by(router, 2, trials=4))
+            assert client.wait(rerouted, timeout=60)["state"] == "done"
+            lost = client.submit(_spec_owned_by(router, 1, trials=5))
+            shards[1].forget = True
+            rescued = client.result_raw(lost)[1]
+            assert (rescued["id"], rescued["state"]) == (lost, "done")
+            assert client.ring_add(spare.address)["shard"] == 3
+            assert client.ring_remove(spare.address)["drained"] is True
+            assert client.health()["status"] == "degraded"
+        finally:
+            router.close()
+            for shard in shards + [spare]:
+                shard.close()
+        names = {name for name, _ in calls}
+        assert {"_register_routed", "_settle_routed", "_rescue_to", "_admit",
+                "_drain_tick", "_probed"} <= names
+        assert {thread for _, thread in calls} == {loop}
+
+
 class _StubShard:
-    """A shard that accepts every job and never finishes one."""
+    """A shard that accepts every job and reports each one as ``state``.
+
+    ``forget`` answers every poll with 404 (as after a restart);
+    ``refuse`` answers that many ``POST /jobs`` with 503 first.
+    """
 
     def __init__(self):
         self.accepted = 0
         self.forget = False
+        self.refuse = 0
+        self.state = "running"
         self._frontend = AsyncHTTPFrontend(self._handle, name="stub-shard").start()
         self.address = f"http://127.0.0.1:{self._frontend.port}"
 
     def _handle(self, request, token):
         if request.method == "POST" and request.path == "/jobs":
+            if self.refuse:
+                self.refuse -= 1
+                return Response(503, {"error": "queue full", "retry_after": 0.1})
             self.accepted += 1
             return Response(202, {"id": f"job-{self.accepted:06d}", "state": "queued"})
         if request.path == "/health":
             return Response(200, {"status": "ok"})
         if self.forget:
             return Response(404, {"error": "no such job"})
-        return Response(200, {"id": request.path.rsplit("/", 1)[-1], "state": "running"})
+        return Response(200, {"id": request.path.rsplit("/", 1)[-1], "state": self.state})
 
     def close(self):
         self._frontend.stop()
+
+
+class _HoldingShard(_StubShard):
+    """A stub shard that holds every ``POST /jobs`` until released."""
+
+    def __init__(self):
+        self.cond = threading.Condition()
+        self.held = []
+        self.posts = 0
+        super().__init__()
+
+    def _handle(self, request, token):
+        if request.method == "POST" and request.path == "/jobs":
+            with self.cond:
+                self.posts += 1
+                self.held.append(token)
+                self.cond.notify_all()
+            return DEFERRED
+        return super()._handle(request, token)
+
+    def release(self):
+        """Accept every held ``POST``."""
+        with self.cond:
+            held, self.held = self.held, []
+        for token in held:
+            self.accepted += 1
+            self._frontend.complete(
+                token, Response(202, {"id": f"job-{self.accepted:06d}", "state": "queued"})
+            )
 
 
 class TestRingRebalancing:
