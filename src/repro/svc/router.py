@@ -760,7 +760,7 @@ class FleetRouter:
             if path == "/drain":
                 self._draining = True
                 for idx in self._member_indices():
-                    self._send(idx, "POST", "/drain", self._count_if_failed)
+                    self._send(idx, "POST", "/drain", self._failed)
                 return Response(
                     202, {"draining": True, "protocol": protocol.PROTOCOL}
                 )
@@ -788,10 +788,12 @@ class FleetRouter:
         for idx in idxs:
             self._send(idx, method, path, lambda a, i=idx: reply(i, a), **kw)
 
-    def _count_if_failed(self, answer: Any) -> None:
-        """Reply handler of best-effort broadcasts: count a failed one."""
-        if isinstance(answer, Exception) or answer[0] >= 400:
+    def _failed(self, answer: Any) -> bool:
+        """True, counted as an upstream error, if a fan-out answer failed."""
+        failed = isinstance(answer, Exception) or answer[0] >= 400
+        if failed:
             self.metrics.counter("svc.router.upstream_errors", volatile=True).inc()
+        return failed
 
     def _complete(self, token: Any, response: Response) -> None:
         self._frontend.complete(token, response)
@@ -992,21 +994,21 @@ class FleetRouter:
         # fails over fewer than len(shards) times.
         _, live = self._candidates_for(job.fingerprint)
         job.moving = True
-        self._rescue_to(
-            token, job, [i for i in live if i not in job.holders], failed_idx, deadline
-        )
+        self._rescue_to(token, job, [i for i in live if i not in job.holders], deadline)
 
     def _rescue_to(
-        self, token: Any, job: _RoutedJob, targets: List[int], failed_idx: int,
-        deadline: Optional[float],
+        self, token: Any, job: _RoutedJob, targets: List[int], deadline: Optional[float]
     ) -> None:
-        """POST a lost job to the first of ``targets``, the rest in reserve."""
+        """POST a lost job to the first of ``targets``, the rest in reserve.
+
+        The job stays placed on the shard that lost it until one accepts.
+        """
         if not targets:
             job.moving = False
             self.metrics.counter("svc.router.failover.exhausted", volatile=True).inc()
             self._settle_routed(job)
             msg = (
-                f"job {job.visible_id} lost: shard {self._shards[failed_idx].url} "
+                f"job {job.visible_id} lost: shard {self._shards[job.shard].url} "
                 f"died and no live shard could take the job over"
             )
             self._complete(token, Response(502, protocol.error_body(msg)))
@@ -1016,7 +1018,7 @@ class FleetRouter:
 
         def reply(answer: Any) -> None:
             if not self._exchanged(idx, answer):
-                self._rescue_to(token, job, rest, failed_idx, deadline)
+                self._rescue_to(token, job, rest, deadline)
                 return
             status, doc = answer
             if status == 202 and "id" in doc:
@@ -1041,7 +1043,7 @@ class FleetRouter:
                     lambda: self._poll(token, job.visible_id, deadline),
                 )
                 return
-            self._rescue_to(token, job, rest, failed_idx, deadline)
+            self._rescue_to(token, job, rest, deadline)
 
         self._send(idx, "POST", "/jobs", reply, body=job.body)
 
@@ -1101,7 +1103,6 @@ class FleetRouter:
                 400, protocol.error_body("peer must be an http://host:port URL")
             )
         if action == "add":
-            assert self._forwarders is not None
             self._forwarders.request(
                 peer,
                 "GET",
@@ -1136,21 +1137,18 @@ class FleetRouter:
             msg = f"cannot admit {peer}: health probe failed ({error})"
             self._complete(token, Response(502, protocol.error_body(msg)))
             return
-        existing = next((s for s in self._shards if s.url == peer), None)
-        if existing is not None and existing.member:
-            # A draining shard may rejoin only once its removal is done.
-            state = "draining out of" if existing.draining else "already"
-            self._complete(
-                token,
-                Response(409, protocol.error_body(f"{peer} is {state} a ring member")),
-            )
+        shard = next((s for s in self._shards if s.url == peer), None)
+        if shard is not None and shard.member:
+            why = "is already a ring member"
+            if shard.draining:  # it may rejoin once its removal is done
+                why = "is draining out of the ring"
+            self._complete(token, Response(409, protocol.error_body(f"{peer} {why}")))
             return
-        if existing is None:
-            existing = _Shard(len(self._shards), peer)
-            self._shards.append(existing)
+        if shard is None:
+            shard = _Shard(len(self._shards), peer)
+            self._shards.append(shard)
         # A rejoining shard gets its old stable index back, so any
         # still-circulating s<idx>: ids point at the right URL.
-        shard = existing
         shard.member, shard.alive, shard.failures = True, True, 0
         self.metrics.gauge(f"svc.router.peer.{shard.idx}.alive", volatile=True).set(1)
         self._rebuild_ring()
@@ -1179,8 +1177,13 @@ class FleetRouter:
             target.draining = False
             self._rebuild_ring()
             self.metrics.counter("svc.router.ring.removed", volatile=True).inc()
-            doc = {"removed": target.url, "shard": target.idx, "drained": not pending}
-            self._complete(token, Response(200, dict(doc, protocol=protocol.PROTOCOL)))
+            doc = {
+                "removed": target.url,
+                "shard": target.idx,
+                "drained": not pending,
+                "protocol": protocol.PROTOCOL,
+            }
+            self._complete(token, Response(200, doc))
             return
         left = [len(pending)]
 
@@ -1214,11 +1217,7 @@ class FleetRouter:
             for idx, answer in zip(idxs, answers):
                 s = self._shards[idx]
                 entry: Dict[str, Any] = {"url": s.url, "shard": idx}
-                if isinstance(answer, Exception) or answer[0] >= 400:
-                    self.metrics.counter(
-                        "svc.router.upstream_errors", volatile=True
-                    ).inc()
-                else:
+                if not self._failed(answer):
                     entry["health"] = answer[1]
                 # Fold the live probe into the tracked health state, so a
                 # /health request doubles as an out-of-band probe tick.
@@ -1249,8 +1248,7 @@ class FleetRouter:
         def answered(answers: List[Any]) -> None:
             jobs: List[Dict[str, Any]] = []
             for idx, answer in zip(idxs, answers):
-                self._count_if_failed(answer)
-                if isinstance(answer, Exception) or answer[0] >= 400:
+                if self._failed(answer):
                     continue  # skip unreachable shards in listings
                 for rec in answer[1].get("jobs", []):
                     rec["id"] = f"s{idx}:{rec['id']}"
