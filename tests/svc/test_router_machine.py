@@ -270,7 +270,7 @@ class RouterMachine(RuleBasedStateMachine):
             else:
                 answer = (int(outcome), {"error": "busy", "retry_after": 0.1})
                 job.holders.discard(idx)
-            self._strike(idx) if outcome == "error" else self._ok(idx)
+            (self._strike if outcome == "error" else self._ok)(idx)
         elif req.kind == "health":
             answer = ConnectionRefusedError("refused") if choice == 3 else (
                 200, {"status": "ok"}
@@ -285,7 +285,7 @@ class RouterMachine(RuleBasedStateMachine):
             else:
                 answer = (200, {"id": req.upstream_id, "state": outcome})
             if req.kind == "poll":
-                self._strike(idx) if outcome == "error" else self._ok(idx)
+                (self._strike if outcome == "error" else self._ok)(idx)
             elif outcome in ("done", "404") and job.state == "accepted":
                 job.state = "settled"  # the drain saw it finished or forgotten
         req.reply(answer)
@@ -296,7 +296,7 @@ class RouterMachine(RuleBasedStateMachine):
         if idx >= len(self.shards):
             return
         self.router._probed(idx, (200, {"status": "ok"}) if ok else OSError("down"))
-        self._ok(idx) if ok else self._down(idx)
+        (self._ok if ok else self._down)(idx)
 
     @rule(idx=st.integers(0, len(URLS) - 1))
     def ring_add(self, idx):
