@@ -795,9 +795,6 @@ class FleetRouter:
             self.metrics.counter("svc.router.upstream_errors", volatile=True).inc()
         return failed
 
-    def _complete(self, token: Any, response: Response) -> None:
-        self._frontend.complete(token, response)
-
     @staticmethod
     def _retry_headers(status: int, doc: Dict[str, Any]) -> Optional[Dict[str, str]]:
         """``Retry-After`` header for forwarded backpressure responses."""
@@ -852,7 +849,7 @@ class FleetRouter:
             self.metrics.counter("svc.router.failover.exhausted", volatile=True).inc()
             self._add_tenant(job.tenant, -1)
             msg = f"no live shard accepted the job ({error})"
-            self._complete(token, Response(502, protocol.error_body(msg)))
+            self._frontend.complete(token, Response(502, protocol.error_body(msg)))
             return
         idx, rest = candidates[0], candidates[1:]
         job.holders.add(idx)
@@ -876,14 +873,14 @@ class FleetRouter:
                     ).inc()
                 self._register_routed(job, idx, doc["id"])
                 doc["id"] = job.visible_id
-                self._complete(token, Response(202, doc))
+                self._frontend.complete(token, Response(202, doc))
                 return
             # Shard is alive but refused (503 backlog, 429 tenant
             # share, 400...): forward verbatim — rerouting a full
             # queue elsewhere would defeat both affinity and the
             # fairness accounting.
             self._add_tenant(job.tenant, -1)
-            self._complete(
+            self._frontend.complete(
                 token, Response(status, doc, headers=self._retry_headers(status, doc))
             )
 
@@ -949,7 +946,7 @@ class FleetRouter:
                     self._rescue(token, job, idx, deadline)
                     return
                 msg = f"upstream shard {self._shards[idx].url} unreachable: {answer}"
-                self._complete(token, Response(502, protocol.error_body(msg)))
+                self._frontend.complete(token, Response(502, protocol.error_body(msg)))
                 return
             status, doc = answer
             if status == 404 and job is not None and not job.terminal:
@@ -966,7 +963,7 @@ class FleetRouter:
                 self._settle_routed(job)
             out_of_time = remaining is None or remaining - (chunk or 0.0) <= 0
             if status != 200 or terminal or out_of_time:
-                self._complete(token, Response(status, doc))
+                self._frontend.complete(token, Response(status, doc))
                 return
             self._poll(token, visible_id, deadline)  # budget left: next chunk
 
@@ -1011,7 +1008,7 @@ class FleetRouter:
                 f"job {job.visible_id} lost: shard {self._shards[job.shard].url} "
                 f"died and no live shard could take the job over"
             )
-            self._complete(token, Response(502, protocol.error_body(msg)))
+            self._frontend.complete(token, Response(502, protocol.error_body(msg)))
             return
         idx, rest = targets[0], targets[1:]
         job.holders.add(idx)
@@ -1135,14 +1132,15 @@ class FleetRouter:
         error = _health_error(answer)
         if error is not None:
             msg = f"cannot admit {peer}: health probe failed ({error})"
-            self._complete(token, Response(502, protocol.error_body(msg)))
+            self._frontend.complete(token, Response(502, protocol.error_body(msg)))
             return
         shard = next((s for s in self._shards if s.url == peer), None)
         if shard is not None and shard.member:
             why = "is already a ring member"
             if shard.draining:  # it may rejoin once its removal is done
                 why = "is draining out of the ring"
-            self._complete(token, Response(409, protocol.error_body(f"{peer} {why}")))
+            response = Response(409, protocol.error_body(f"{peer} {why}"))
+            self._frontend.complete(token, response)
             return
         if shard is None:
             shard = _Shard(len(self._shards), peer)
@@ -1154,7 +1152,7 @@ class FleetRouter:
         self._rebuild_ring()
         self.metrics.counter("svc.router.ring.added", volatile=True).inc()
         doc = {"added": peer, "shard": shard.idx, "protocol": protocol.PROTOCOL}
-        self._complete(token, Response(200, doc))
+        self._frontend.complete(token, Response(200, doc))
 
     def _drain_tick(self, token: Any, target: _Shard, deadline: float) -> None:
         """Retire a departing shard once its routed jobs are settled.
@@ -1183,7 +1181,7 @@ class FleetRouter:
                 "drained": not pending,
                 "protocol": protocol.PROTOCOL,
             }
-            self._complete(token, Response(200, doc))
+            self._frontend.complete(token, Response(200, doc))
             return
         left = [len(pending)]
 
@@ -1237,7 +1235,7 @@ class FleetRouter:
                 "shards": shards,
                 "tenants": dict(self._tenant_inflight),
             }
-            self._complete(token, Response(200, body))
+            self._frontend.complete(token, Response(200, body))
 
         self._gather(idxs, "GET", "/health", answered)
         return DEFERRED
@@ -1253,7 +1251,7 @@ class FleetRouter:
                 for rec in answer[1].get("jobs", []):
                     rec["id"] = f"s{idx}:{rec['id']}"
                     jobs.append(rec)
-            self._complete(token, Response(200, {"jobs": jobs}))
+            self._frontend.complete(token, Response(200, {"jobs": jobs}))
 
         self._gather(idxs, "GET", "/jobs", answered)
         return DEFERRED
