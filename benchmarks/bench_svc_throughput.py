@@ -65,7 +65,7 @@ FLEET_ROUNDS = 3  # one cold + two warm (cache-served) rounds
 FLEET_TRIALS = 300
 
 #: Router-overhead section: alternating (router, direct) warm round pairs.
-OVERHEAD_PAIRS = 9
+OVERHEAD_PAIRS = 15
 
 #: Metrics contributed by each section, assembled into BENCH_svc.json
 #: by test_bench_svc_doc_and_gate (file-order execution).
