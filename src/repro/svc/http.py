@@ -325,18 +325,9 @@ class AsyncHTTPFrontend:
         completion) or whose connection vanished (client disconnect,
         shutdown) is silently dropped — it can never answer a later
         request on the same socket.  The job result itself lives on the
-        service, never on the socket.  On the loop thread, a request that
-        is already parked is answered at once; one whose handler has not
-        yet returned :data:`DEFERRED` is answered once it has.
+        service, never on the socket.
         """
-        if (
-            threading.current_thread() is self._thread
-            and isinstance(token, _ParkToken)
-            and token.conn.park is token
-        ):
-            self._complete_on_loop(token, response)
-        else:
-            self.schedule(lambda: self._complete_on_loop(token, response))
+        self.schedule(lambda: self._complete_on_loop(token, response))
 
     # ------------------------------------------------------------------
     # Loop-thread-only helpers

@@ -54,10 +54,12 @@ a per-shard health record (consecutive-failure ejection after
   dead shard hosts an orphan execution nobody will ever observe.
 * **Mid-job rescue** — a poll that finds the owning shard dead (or the
   job forgotten after a shard restart) re-submits the spec to the next
-  live shard that does not hold it yet and keeps polling under the
-  *original* client-visible id.  Determinism makes the re-execution
-  invisible: the rescued result is bit-identical to what the dead shard
-  would have returned.
+  live shard, other than that one, that holds no copy of the job (a
+  shard that answered 404 for its copy holds none), and keeps polling
+  under the *original* client-visible id; a job moves at most once per
+  shard in the fleet.  Determinism makes the re-execution invisible:
+  the rescued result is bit-identical to what the dead shard would
+  have returned.
 
 **Tenancy.**  The router mirrors the daemons' per-tenant accounting:
 every job counts against its spec's ``tenant`` label
@@ -233,11 +235,15 @@ class _RoutedJob:
 
     The client-visible id is fixed when a shard accepts the job; the
     ``shard``/``upstream_id`` pair it maps to changes when the job is
-    rescued onto a different shard.  ``holders`` are the shards that
-    accepted the job or may have (their ``POST`` failed in transit): it
-    is never posted to one of them again.  ``moving`` is set while a
-    rescue's ``POST`` is out, so a second poller waits for it instead of
-    re-placing the job a second time.
+    rescued onto a different shard (``failovers`` counts the moves).
+    ``holders`` are the shards that may hold a copy of the job: the job
+    is never posted to one of them.  A shard joins when a ``POST`` is
+    sent to it and leaves when that ``POST`` is refused before it was
+    sent, when it answers the ``POST`` without taking the job, or when
+    it answers a poll of its copy with 404 (it restarted and forgot
+    the job).  ``moving`` is set while a rescue's ``POST`` is out, so a
+    second poller waits for it instead of re-placing the job a second
+    time.
     """
 
     __slots__ = (
@@ -248,6 +254,7 @@ class _RoutedJob:
         "shard",
         "upstream_id",
         "holders",
+        "failovers",
         "moving",
         "terminal",
     )
@@ -260,6 +267,7 @@ class _RoutedJob:
         self.shard = -1
         self.upstream_id = ""
         self.holders: Set[int] = set()
+        self.failovers = 0
         self.moving = False
         self.terminal = False
 
@@ -563,8 +571,11 @@ class FleetRouter:
         """Run ``fn`` where the state lives and return its value.
 
         While the loop runs, ``fn`` runs on the loop thread and the
-        calling thread waits for it; before :meth:`start` and after
-        :meth:`close` the caller owns the state and runs ``fn`` itself.
+        calling thread waits for it, and an exception ``fn`` raises is
+        raised here; before :meth:`start` and after :meth:`close` the
+        caller owns the state and runs ``fn`` itself.  A loop that
+        :meth:`close` stops before it gets to ``fn`` never runs it, so
+        then the caller does, once :meth:`close` has let go of it.
         """
         frontend = self._frontend
         if frontend is None:
@@ -574,13 +585,20 @@ class FleetRouter:
 
         def run() -> None:
             try:
-                box.append(fn())
+                box.append((True, fn()))
+            except Exception as exc:  # noqa: BLE001 - re-raised on the caller
+                box.append((False, exc))
             finally:
                 done.set()
 
         frontend.schedule(run)
-        done.wait()
-        return box[0]
+        while not done.wait(0.05):
+            if self._frontend is not frontend and not done.is_set():
+                return fn()
+        ok, value = box[0]
+        if not ok:
+            raise value
+        return value
 
     # ------------------------------------------------------------------
     # Shard health (ejection / re-admission state machine)
@@ -672,7 +690,9 @@ class FleetRouter:
                 self._probed(idx, answer)
             self._frontend.call_later(self._probe_interval, self._probe_tick)
 
-        self._gather(idxs, "GET", "/health", probed, timeout=self._probe_timeout)
+        self._gather(
+            [(idx, "/health") for idx in idxs], probed, timeout=self._probe_timeout
+        )
 
     def _candidates_for(self, fingerprint: str) -> Tuple[List[int], List[int]]:
         """``(preference, live)`` stable shard indices for one key.
@@ -775,18 +795,18 @@ class FleetRouter:
         self._forwarders.request(self._shards[idx].url, method, path, reply, **kw)
 
     def _gather(
-        self, idxs: List[int], method: str, path: str, done: _Reply, **kw: Any
+        self, requests: List[Tuple[int, str]], done: _Reply, **kw: Any
     ) -> None:
-        """Send one request to each of ``idxs``; ``done(answers)`` once all are in."""
+        """``GET`` each ``(idx, path)``; ``done(answers)``, in order, once all are in."""
         answers: Dict[int, Any] = {}
 
-        def reply(idx: int, answer: Any) -> None:
-            answers[idx] = answer
-            if len(answers) == len(idxs):
-                done([answers[i] for i in idxs])
+        def reply(i: int, answer: Any) -> None:
+            answers[i] = answer
+            if len(answers) == len(requests):
+                done([answers[j] for j in range(len(requests))])
 
-        for idx in idxs:
-            self._send(idx, method, path, lambda a, i=idx: reply(i, a), **kw)
+        for i, (idx, path) in enumerate(requests):
+            self._send(idx, "GET", path, lambda a, i=i: reply(i, a), **kw)
 
     def _failed(self, answer: Any) -> bool:
         """True, counted as an upstream error, if a fan-out answer failed."""
@@ -860,6 +880,8 @@ class FleetRouter:
                 # have accepted before dying, and a same-shard replay
                 # could double-submit.  Moving on is safe — an orphan
                 # execution is unobservable.
+                if isinstance(answer, ConnectionRefusedError):
+                    job.holders.discard(idx)  # the POST never left
                 self._submit_to(
                     token, job, rest, f"{self._shards[idx].url}: {answer}"
                 )
@@ -867,7 +889,7 @@ class FleetRouter:
             status, doc = answer
             if status == 202 and "id" in doc:
                 self.metrics.counter(f"svc.router.peer.{idx}.jobs", volatile=True).inc()
-                if len(job.holders) > 1:
+                if error:  # an earlier candidate failed
                     self.metrics.counter(
                         "svc.router.failover.submit_reroutes", volatile=True
                     ).inc()
@@ -943,7 +965,7 @@ class FleetRouter:
         def reply(answer: Any) -> None:
             if not self._exchanged(idx, answer):
                 if job is not None and not job.terminal:
-                    self._rescue(token, job, idx, deadline)
+                    self._rescue(token, job, (idx, upstream_id), deadline)
                     return
                 msg = f"upstream shard {self._shards[idx].url} unreachable: {answer}"
                 self._frontend.complete(token, Response(502, protocol.error_body(msg)))
@@ -951,9 +973,11 @@ class FleetRouter:
             status, doc = answer
             if status == 404 and job is not None and not job.terminal:
                 # The shard restarted and forgot the job (the process
-                # is gone but the port answers): same recovery as a
-                # dead shard — re-place the spec elsewhere.
-                self._rescue(token, job, idx, deadline)
+                # is gone but the port answers): it holds no copy now,
+                # and the job is re-placed elsewhere as from a dead shard.
+                if (job.shard, job.upstream_id) == (idx, upstream_id):
+                    job.holders.discard(idx)
+                self._rescue(token, job, (idx, upstream_id), deadline)
                 return
             if status == 200 and "id" in doc:
                 # The id the client polls stays stable across rescues.
@@ -970,28 +994,36 @@ class FleetRouter:
         self._send(idx, "GET", path, reply, timeout=timeout)
 
     def _rescue(
-        self, token: Any, job: _RoutedJob, failed_idx: int, deadline: Optional[float]
+        self,
+        token: Any,
+        job: _RoutedJob,
+        lost: Tuple[int, str],
+        deadline: Optional[float],
     ) -> None:
         """Move a lost in-flight job to the next live shard, keep polling.
 
-        Runs with the poll reply that found the loss.  A poller that
-        finds the job already moved polls its new placement; one that
-        finds a move under way polls again shortly, so the job is
-        re-placed once, never twice.
+        Runs with the poll reply that found the copy ``lost`` (a
+        ``(shard, upstream id)`` placement) gone.  A poller that finds
+        the job already moved polls its new placement; one that finds a
+        move under way polls again shortly, so the job is re-placed
+        once, never twice.  The job never goes back to the shard that
+        lost it, nor to one that may hold a copy, and it moves at most
+        ``len(shards)`` times.
         """
         if job.moving:
             self._frontend.call_later(
                 _RETRY_DELAY, lambda: self._poll(token, job.visible_id, deadline)
             )
             return
-        if job.shard != failed_idx:
+        if (job.shard, job.upstream_id) != lost:
             self._poll(token, job.visible_id, deadline)
             return
-        # Each move uses up a shard that may now hold the job, so a job
-        # fails over fewer than len(shards) times.
-        _, live = self._candidates_for(job.fingerprint)
+        targets: List[int] = []
+        if job.failovers < len(self._shards):
+            _, live = self._candidates_for(job.fingerprint)
+            targets = [i for i in live if i != lost[0] and i not in job.holders]
         job.moving = True
-        self._rescue_to(token, job, [i for i in live if i not in job.holders], deadline)
+        self._rescue_to(token, job, targets, deadline)
 
     def _rescue_to(
         self, token: Any, job: _RoutedJob, targets: List[int], deadline: Optional[float]
@@ -1015,6 +1047,8 @@ class FleetRouter:
 
         def reply(answer: Any) -> None:
             if not self._exchanged(idx, answer):
+                if isinstance(answer, ConnectionRefusedError):
+                    job.holders.discard(idx)  # the POST never left
                 self._rescue_to(token, job, rest, deadline)
                 return
             status, doc = answer
@@ -1024,6 +1058,7 @@ class FleetRouter:
                     self._add_shard(job.shard, -1)
                     self._add_shard(idx, 1)
                 job.shard, job.upstream_id = idx, doc["id"]
+                job.failovers += 1
                 self.metrics.counter(
                     "svc.router.failover.job_reroutes", volatile=True
                 ).inc()
@@ -1183,26 +1218,25 @@ class FleetRouter:
             }
             self._frontend.complete(token, Response(200, doc))
             return
-        left = [len(pending)]
+        copies = [(job, job.upstream_id) for job in pending]
 
-        def polled(job: _RoutedJob, answer: Any) -> None:
-            if not isinstance(answer, Exception):
+        def polled(answers: List[Any]) -> None:
+            for (job, upstream_id), answer in zip(copies, answers):
+                if isinstance(answer, Exception):
+                    continue
                 status, doc = answer
-                if status == 404 or doc.get("state") in ("done", "failed"):
+                # A job rescued off the shard meanwhile is not settled here.
+                still_here = (job.shard, job.upstream_id) == (target.idx, upstream_id)
+                if still_here and (status == 404 or doc.get("state") in ("done", "failed")):
                     self._settle_routed(job)
-            left[0] -= 1
-            if left[0] == 0:
-                self._frontend.call_later(
-                    _RETRY_DELAY, lambda: self._drain_tick(token, target, deadline)
-                )
-
-        for job in pending:
-            self._send(
-                target.idx,
-                "GET",
-                f"/jobs/{urllib.parse.quote(job.upstream_id)}",
-                lambda answer, job=job: polled(job, answer),
+            self._frontend.call_later(
+                _RETRY_DELAY, lambda: self._drain_tick(token, target, deadline)
             )
+
+        self._gather(
+            [(target.idx, f"/jobs/{urllib.parse.quote(uid)}") for _, uid in copies],
+            polled,
+        )
 
     # ------------------------------------------------------------------
     # Aggregated endpoints (fanned out, answered when all shards reply)
@@ -1237,7 +1271,7 @@ class FleetRouter:
             }
             self._frontend.complete(token, Response(200, body))
 
-        self._gather(idxs, "GET", "/health", answered)
+        self._gather([(idx, "/health") for idx in idxs], answered)
         return DEFERRED
 
     def _handle_list(self, token: Any):
@@ -1253,5 +1287,5 @@ class FleetRouter:
                     jobs.append(rec)
             self._frontend.complete(token, Response(200, {"jobs": jobs}))
 
-        self._gather(idxs, "GET", "/jobs", answered)
+        self._gather([(idx, "/jobs") for idx in idxs], answered)
         return DEFERRED

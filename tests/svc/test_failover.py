@@ -532,6 +532,54 @@ class TestTenantFairnessEndToEnd:
                 shard.close()
 
 
+class TestRescueOfForgottenJobs:
+    """A shard that answers 404 for a job's copy holds no copy any more.
+
+    So in a fast rolling restart a job can move back to a shard it left:
+    the rescue skips only the shard that lost it and the shards that may
+    still hold a copy, and it moves a job at most once per shard.
+    """
+
+    def test_a_job_both_shards_forget_in_turn_finishes_on_the_first(self):
+        shards = [_StubShard(), _StubShard()]
+        router = FleetRouter([s.address for s in shards], probe_interval=0).start()
+        try:
+            client = ReproClient(router.address)
+            job_id = client.submit(_spec_owned_by(router, 0))
+            shards[0].forget = True  # A restarts: the job moves to B
+            status, doc = client.result_raw(job_id)
+            assert (status, doc["id"], doc["state"]) == (200, job_id, "running")
+            shards[0].forget, shards[0].state = False, "done"
+            shards[1].forget = True  # then B restarts: back to A
+            status, doc = client.result_raw(job_id)
+            assert (status, doc["id"], doc["state"]) == (200, job_id, "done")
+            assert [s.accepted for s in shards] == [2, 1]
+        finally:
+            router.close()
+            for shard in shards:
+                shard.close()
+
+    def test_a_job_moves_at_most_once_per_shard(self):
+        shards = [_StubShard(), _StubShard()]
+        router = FleetRouter([s.address for s in shards], probe_interval=0).start()
+        try:
+            client = ReproClient(router.address)
+            job_id = client.submit(_spec_owned_by(router, 0))
+            for lost in (0, 1):  # it moves to B, then back to A
+                shards[lost].forget, shards[1 - lost].forget = True, False
+                assert client.result_raw(job_id)[1]["state"] == "running"
+            shards[0].forget = True  # a third loss, after one move per shard
+            assert client.result_raw(job_id)[0] == 502
+            assert [s.accepted for s in shards] == [2, 1]
+            snap = client.metrics()
+            assert snap["svc.router.failover.job_reroutes"]["value"] == 2
+            assert snap["svc.router.failover.exhausted"]["value"] == 1
+        finally:
+            router.close()
+            for shard in shards:
+                shard.close()
+
+
 class TestTenantCapRace:
     """The tenant cap is checked and reserved in one step.
 
@@ -692,6 +740,26 @@ class TestLoopOwnership:
         assert {"_register_routed", "_settle_routed", "_rescue_to", "_admit",
                 "_drain_tick", "_probed"} <= names
         assert {thread for _, thread in calls} == {loop}
+
+    def test_an_error_raised_on_the_loop_reaches_the_caller(self):
+        router = FleetRouter([DEAD], probe_interval=0).start()
+        try:
+            with pytest.raises(ZeroDivisionError):
+                router._on_loop(lambda: 1 / 0)
+            assert router.peers == [DEAD]
+        finally:
+            router.close()
+
+    def test_a_call_a_stopped_loop_never_ran_returns_once_closed(self):
+        router = FleetRouter([DEAD], probe_interval=0).start()
+        router._frontend.stop()  # what close() does before it lets go
+        peers = []
+        caller = threading.Thread(target=lambda: peers.append(router.peers), daemon=True)
+        caller.start()
+        router.close()
+        caller.join(30)
+        assert not caller.is_alive()
+        assert peers == [[DEAD]]
 
 
 class _StubShard:

@@ -4,8 +4,9 @@ Every routing decision of :class:`~repro.svc.FleetRouter` is a plain
 method of its event loop, and its upstream traffic goes through one
 forwarder-pool call.  This suite swaps the pool and the frontend for
 fakes that only record: each upstream request waits in ``pending``
-until a rule answers it (a submit gets 202, 429, 503 or a connection
-error; a poll gets running, done, 404 or a connection error), and each
+until a rule answers it (a submit gets 202, 429, 503, a refused
+connection or one reset after the request may have left; a poll gets
+running, done, 404 or either connection error), and each
 answer, timer and client response is observed by a pure model of the
 fleet.  Other rules submit, poll, probe a shard, add one to the ring
 and remove one.  No sockets, threads or sleeps.
@@ -17,8 +18,11 @@ The invariants, checked after every step:
 * a shard's in-flight count is the number of unsettled jobs placed on
   it;
 * a visible id never changes (every answer about a job carries it);
-* a job is never posted again to a shard that accepted it or whose
-  ``POST`` failed in transit (the double-submit rule);
+* a job is never posted to a shard that may hold a copy of it: one
+  that took it, or whose ``POST`` failed after it may have left, and
+  that has not answered a poll of that copy with 404 since (the
+  double-submit rule);
+* a job moves at most once per shard;
 * a submit goes to the first live shard of
   :meth:`ConsistentHashRing.preference`, or to the owner when none is
   live;
@@ -41,8 +45,9 @@ CAP = 2
 EJECT_AFTER = 2
 KEYS = 6  # distinct placement keys (the spec's timeout moves the key)
 
-SUBMIT_ANSWERS = ("202", "429", "503", "error")
-POLL_ANSWERS = ("running", "done", "404", "error")
+SUBMIT_ANSWERS = ("202", "429", "503", "refused", "reset")
+POLL_ANSWERS = ("running", "done", "404", "refused", "reset")
+ERRORS = {"refused": ConnectionRefusedError, "reset": ConnectionResetError}
 
 
 class _Token:
@@ -105,6 +110,7 @@ class _Job:
         self.visible = None
         self.shard = self.upstream_id = None
         self.holders = set()
+        self.moves = 0
         self.polls = []
 
 
@@ -128,6 +134,7 @@ class RouterMachine(RuleBasedStateMachine):
         self.seen_requests = 0
         self.seen_answers = set()
         self.ring_tokens = {}  # token → (action, url)
+        self.drain_ticks = {}  # drain poll → its tick's answers so far
         self.by_upstream_id = {}
 
     # -- model helpers --------------------------------------------------
@@ -159,12 +166,15 @@ class RouterMachine(RuleBasedStateMachine):
 
     def _observe(self):
         """Take the router's new upstream requests and answers into the model."""
+        ticks = {}
         for req in self.pool.requests[self.seen_requests:]:
             self.seen_requests += 1
             self.pending.append(req)
+            if req.kind == "drain":  # one step sends one tick's polls per shard
+                self.drain_ticks[req] = ticks.setdefault(req.url, [])
             if req.kind == "submit":
                 job, idx = self._job_by_body(req.body), self._idx(req.url)
-                assert idx not in job.holders, "a job was posted twice to one shard"
+                assert idx not in job.holders, "a job was posted to a shard that may hold a copy"
                 job.holders.add(idx)
         for token, response in self.frontend.answers.items():
             if token in self.seen_answers:
@@ -213,6 +223,18 @@ class RouterMachine(RuleBasedStateMachine):
                 return
         raise AssertionError(f"answer to an unknown request: {response.status}")
 
+    def _drain_polled(self, req, job, outcome):
+        """Once a drain tick's last poll is in, settle what it saw finished."""
+        tick = self.drain_ticks.pop(req)
+        tick.append((job, req.upstream_id, outcome))
+        if any(self.drain_ticks.get(r) is tick for r in self.pending):
+            return
+        idx = self._idx(req.url)
+        for job, upstream_id, outcome in tick:
+            here = (job.shard, job.upstream_id) == (idx, upstream_id)
+            if outcome in ("done", "404") and job.state == "accepted" and here:
+                job.state = "settled"  # the drain saw it finished or forgotten
+
     # -- rules ----------------------------------------------------------
     @rule(tenant=st.sampled_from(TENANTS), key=st.integers(0, KEYS - 1))
     def submit(self, tenant, key):
@@ -251,7 +273,7 @@ class RouterMachine(RuleBasedStateMachine):
         )
 
     @precondition(lambda self: self.pending)
-    @rule(k=st.integers(0, 1000), choice=st.integers(0, 3))
+    @rule(k=st.integers(0, 1000), choice=st.integers(0, 4))
     def answer(self, k, choice):
         req = self.pending.pop(k % len(self.pending))
         idx = self._idx(req.url)
@@ -263,31 +285,38 @@ class RouterMachine(RuleBasedStateMachine):
                 answer = (202, {"id": uid, "state": "queued"})
                 if job.state == "reserved":
                     job.state, job.visible = "accepted", f"s{idx}:{uid}"
+                else:
+                    job.moves += 1
                 job.shard, job.upstream_id = idx, uid
                 self.by_upstream_id[uid] = job
-            elif outcome == "error":
-                answer = ConnectionRefusedError("refused")
+            elif outcome in ERRORS:
+                answer = ERRORS[outcome](outcome)
+                if outcome == "refused":
+                    job.holders.discard(idx)  # the request never left
             else:
                 answer = (int(outcome), {"error": "busy", "retry_after": 0.1})
                 job.holders.discard(idx)
-            (self._strike if outcome == "error" else self._ok)(idx)
+            (self._strike if outcome in ERRORS else self._ok)(idx)
         elif req.kind == "health":
-            answer = ConnectionRefusedError("refused") if choice == 3 else (
+            answer = ConnectionRefusedError("refused") if choice >= 3 else (
                 200, {"status": "ok"}
             )
         else:
             job = self.by_upstream_id[req.upstream_id]
             outcome = POLL_ANSWERS[choice]
-            if outcome == "error":
-                answer = ConnectionRefusedError("refused")
+            current = (job.shard, job.upstream_id) == (idx, req.upstream_id)
+            if outcome in ERRORS:
+                answer = ERRORS[outcome](outcome)
             elif outcome == "404":
                 answer = (404, {"error": "no such job"})
             else:
                 answer = (200, {"id": req.upstream_id, "state": outcome})
             if req.kind == "poll":
-                (self._strike if outcome == "error" else self._ok)(idx)
-            elif outcome in ("done", "404") and job.state == "accepted":
-                job.state = "settled"  # the drain saw it finished or forgotten
+                (self._strike if outcome in ERRORS else self._ok)(idx)
+                if outcome == "404" and current:
+                    job.holders.discard(idx)  # the shard forgot its copy
+            else:
+                self._drain_polled(req, job, outcome)
         req.reply(answer)
         self._observe()
 
@@ -348,6 +377,11 @@ class RouterMachine(RuleBasedStateMachine):
             assert shard.inflight == placed
 
     @invariant()
+    def a_job_moves_at_most_once_per_shard(self):
+        for job in self.jobs:
+            assert job.moves <= len(self.shards)
+
+    @invariant()
     def visible_ids_never_change(self):
         for job in self.jobs:
             if job.visible:
@@ -361,6 +395,85 @@ class RouterMachine(RuleBasedStateMachine):
         assert [(s.member, s.draining) for s in self.router._shards] == [
             (s["member"], s["draining"]) for s in self.shards
         ]
+
+
+def test_a_shard_that_refused_the_post_can_take_the_job_over_later():
+    """A refused connection never carried the ``POST``, so the shard holds
+    no copy: when the shard that took the job forgets it, the rescue may
+    post it to the shard that refused it."""
+    router = FleetRouter(URLS[:2], probe_interval=0)
+    pool = router._forwarders = _Pool()
+    frontend = router._frontend = _Frontend()
+    spec = JobSpec(app="figure4", bug="error1", trials=1, timeout=0.2)
+    owner = router.ring.lookup(routing_fingerprint(spec))
+    token = _Token()
+    router._handle(Request("POST", "/jobs", "", {}, protocol.dumps(spec.to_json())), token)
+    pool.requests[-1].reply(ConnectionRefusedError("refused"))
+    pool.requests[-1].reply((202, {"id": "u1", "state": "queued"}))
+    visible = frontend.answers[token].body["id"]
+    poll = Request("GET", f"/jobs/{urllib.parse.quote(visible)}", "wait=3600", {}, b"")
+    router._handle(poll, _Token())
+    pool.requests[-1].reply((404, {"error": "no such job"}))
+    assert [(r.method, r.url) for r in pool.requests] == [
+        ("POST", URLS[owner]), ("POST", URLS[1 - owner]), ("GET", URLS[1 - owner]),
+        ("POST", URLS[owner]),
+    ]
+
+
+def _poll(router, visible):
+    """Long-poll ``visible`` through the router; returns the parked token."""
+    token = _Token()
+    path = f"/jobs/{urllib.parse.quote(visible)}"
+    assert router._handle(Request("GET", path, "wait=3600", {}, b""), token) is DEFERRED
+    return token
+
+
+def test_a_stale_404_does_not_free_a_shard_that_holds_the_job_again():
+    """A poll of a copy the job has since left answers 404 after the job
+    came back to that shard: the shard holds the newer copy, so it stays
+    a holder, and the poller polls the newer copy."""
+    router = FleetRouter(URLS[:3], probe_interval=0)
+    pool = router._forwarders = _Pool()
+    frontend = router._frontend = _Frontend()
+    spec = JobSpec(app="figure4", bug="error1", trials=1, timeout=0.2)
+    token = _Token()
+    router._handle(Request("POST", "/jobs", "", {}, protocol.dumps(spec.to_json())), token)
+    first = pool.requests[-1]
+    first.reply((202, {"id": "u0", "state": "queued"}))
+    visible = frontend.answers[token].body["id"]
+    _poll(router, visible)
+    stale = pool.requests[-1]
+    # Shard A forgets the job: it moves to some shard B.
+    _poll(router, visible)
+    pool.requests[-1].reply((404, {"error": "no such job"}))
+    pool.requests[-1].reply((202, {"id": "u1", "state": "queued"}))
+    # B forgets it: the rescue walks on to A (refusals skip any other shard).
+    _poll(router, visible)
+    pool.requests[-1].reply((404, {"error": "no such job"}))
+    while pool.requests[-1].url != first.url:
+        pool.requests[-1].reply(ConnectionRefusedError("refused"))
+    pool.requests[-1].reply((202, {"id": "u2", "state": "queued"}))
+    job = router._routed[visible]
+    assert (URLS[job.shard], job.upstream_id) == (first.url, "u2")
+    stale.reply((404, {"error": "no such job"}))
+    assert job.shard in job.holders
+    assert (pool.requests[-1].url, pool.requests[-1].upstream_id) == (first.url, "u2")
+
+
+def test_a_drain_does_not_settle_a_job_rescued_off_the_shard():
+    """A poll rescues a job off a shard that is draining out of the ring;
+    the drain's poll of the old copy then answers done.  The job runs on,
+    so it keeps its tenant slot and its place in the new shard's count."""
+    machine = RouterMachine()
+    machine.submit("a", 0)
+    machine.answer(0, 0)  # 202
+    machine.ring_remove(machine.jobs[0].shard, True)
+    machine.poll(0)
+    for kind, choice in (("poll", 2), ("submit", 0), ("drain", 1)):  # 404, 202, done
+        machine.answer(next(i for i, r in enumerate(machine.pending) if r.kind == kind), choice)
+    assert machine.jobs[0].state == "accepted"
+    machine.tenant_counts_are_reservations_plus_unsettled_jobs()
+    machine.shard_counts_are_unsettled_jobs_placed_there()
 
 
 RouterMachine.TestCase.settings = settings(
