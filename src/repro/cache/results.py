@@ -1,7 +1,7 @@
 """ResultCache — memoized trial sweeps and exploration summaries.
 
 Memoization is sound here because trials are replay-deterministic: a
-:class:`~repro.harness.stats.TrialOutcome` is a pure function of
+trial's :data:`~repro.harness.stats.Row` is a pure function of
 ``(app, config, seed)`` and an exploration summary of its strategy
 tuple, so a stored result is indistinguishable from a recomputed one
 (DESIGN.md section on result caching; proven bit-identical by
@@ -9,24 +9,28 @@ tuple, so a stored result is indistinguishable from a recomputed one
 
 Two structural decisions carry the correctness argument:
 
-* **Per-seed storage, shared aggregation.**  Trial entries store
-  individual per-seed outcome rows under a *config* fingerprint (the
-  seed range is not part of the storage key).  Any requested range is
-  served by replaying covered rows and running only the missing
-  contiguous segments fresh, then folding everything through the same
-  ascending-seed :class:`~repro.harness.stats.TrialAggregator` both
-  runners use — so a warm ``0..199`` answer assembled from a cached
+* **Per-seed rows, one aggregator.**  Trial entries store the per-seed
+  rows the runner produces, as they are, under a *config* fingerprint
+  (the seed range is not part of the storage key); the cache never
+  looks inside a row beyond :func:`~repro.harness.stats.is_row`.  A
+  request builds the sweep's one
+  :class:`~repro.harness.stats.TrialAggregator`, adds the stored rows
+  of the seeds it covers, hands every missing seed to the runner's one
+  loop (:func:`~repro.harness.parallel.run_seeds`) in a single call and
+  finalizes once — so a warm ``0..199`` answer assembled from a cached
   ``0..99`` plus a fresh suffix is bit-identical to a cold ``0..199``
-  run for any split.
-* **Failures are never cached.**  Only successful outcomes are stored;
-  a seed that timed out or crashed is re-run on every request, so a
+  run for any split, metrics and runner counters included.
+* **Failures are never cached.**  Only successful rows are stored; a
+  seed that timed out or crashed is re-run on every request, so a
   transient failure can never be replayed as if it were a result.
 
 The rows of one config live in immutable segment files, one per
 contiguous run of fresh successful seeds (:meth:`CacheStore.segments`):
 a store writes only the seeds it ran, and a lookup lists the config's
 directory once and opens only the segments its range overlaps — a
-lookup whose range no segment name covers opens no file at all.
+lookup whose range no segment name covers opens no file at all.  A
+segment holding any malformed row is damaged: it is counted, deleted
+and its seeds run again.
 
 Counters (all volatile — they describe this process's luck, not the
 computation): ``cache.hit`` (full coverage), ``cache.partial_hit``,
@@ -131,43 +135,28 @@ class ResultCache:
     def _load_rows(
         self, key: str, config: Dict[str, Any], segments: List[Segment]
     ) -> Dict[int, List[Any]]:
-        """Rows of every readable segment in ``segments``, keyed by seed."""
+        """Rows of every readable segment in ``segments``, keyed by seed.
+
+        A segment whose document is not a map of seeds to well-formed
+        rows is damaged: the store deletes and counts it, and its seeds
+        are missing.
+        """
+        from repro.harness.stats import is_row
+
         rows: Dict[int, List[Any]] = {}
         for seg in segments:
             doc = self.store.load(key, segment=seg, expect_config=config)
-            seeds = doc.get("seeds") if doc is not None else None
-            if isinstance(seeds, dict):
-                try:
-                    rows.update({int(seed): row for seed, row in seeds.items()})
-                except ValueError:
-                    pass
+            if doc is None:
+                continue
+            try:
+                got = {int(seed): row for seed, row in doc["seeds"].items()}
+            except (AttributeError, KeyError, ValueError):
+                got = None
+            if got is None or not all(map(is_row, got.values())):
+                self.store.reject(key, segment=seg)
+                continue
+            rows.update(got)
         return rows
-
-    @staticmethod
-    def _outcome_from_row(seed: int, row: List[Any]):
-        from repro.harness.stats import TrialOutcome
-
-        bug_hit, bp_hit, runtime, error_time, wall_time, metrics = row
-        return TrialOutcome(
-            seed=seed,
-            bug_hit=bool(bug_hit),
-            bp_hit=bool(bp_hit),
-            runtime=runtime,
-            error_time=error_time,
-            metrics=metrics,
-            wall_time=wall_time,
-        )
-
-    @staticmethod
-    def _row_from_outcome(outcome) -> List[Any]:
-        return [
-            bool(outcome.bug_hit),
-            bool(outcome.bp_hit),
-            outcome.runtime,
-            outcome.error_time,
-            outcome.wall_time,
-            outcome.metrics,
-        ]
 
     def run_trials(
         self,
@@ -181,58 +170,39 @@ class ResultCache:
     ):
         """Serve a trial sweep from cache, running only what is missing.
 
-        Takes :func:`repro.harness.run_trials`'s keywords (``cache`` and
-        ``on_outcome`` aside).  Covered seeds replay from stored rows;
-        missing seeds run fresh (in contiguous segments, through the
-        ordinary runner) with the ambient sink suppressed so metrics
-        fold into the final aggregation exactly once.  Fresh
-        *successful* outcomes are then stored as new segments, one per
-        contiguous run (a failed seed splits a run); no stored segment
+        Takes :func:`repro.harness.run_trials`'s keywords (``cache``
+        aside).  The sweep's one aggregator takes the stored rows of the
+        covered seeds; every missing seed runs fresh through
+        :func:`~repro.harness.parallel.run_seeds` (one call, so one pool
+        at most) into the same aggregator, which finalizes once.  Fresh
+        rows are then stored as new segments, one per contiguous run of
+        successful seeds (a failed seed splits a run); no stored segment
         is rewritten.
         """
-        from repro.harness.stats import TrialAggregator
-        from repro.obs.context import not_collecting
+        from repro.harness.parallel import run_seeds, sweep_aggregator
 
-        collect = collect_metrics or current_sink() is not None
-        key, config = trials_key(app_cls, bug=bug, collect_metrics=collect, **kwargs)
-        requested = range(base_seed, base_seed + n)
+        agg = sweep_aggregator(app_cls, n, bug, base_seed, collect_metrics)
+        key, config = trials_key(
+            app_cls, bug=bug, collect_metrics=agg.collect_metrics, **kwargs
+        )
         rows = self._load_rows(key, config, self._overlapping(key, base_seed, base_seed + n))
-        covered = [s for s in requested if s in rows]
-        missing = [s for s in requested if s not in rows]
+        missing = []
+        for seed in range(base_seed, base_seed + n):
+            if seed in rows:
+                agg.add(seed, rows[seed])
+            else:
+                missing.append(seed)
         if not missing:
             self._count("cache.hit")
-        elif covered:
+        elif len(missing) < n:
             self._count("cache.partial_hit")
         else:
             self._count("cache.miss")
-
-        agg = TrialAggregator(app_cls.name, bug, base_seed, n, collect_metrics=collect)
-        for seed in covered:
-            agg.add(self._outcome_from_row(seed, rows[seed]))
-
-        fresh: List[Any] = []
         if missing:
-            from repro.harness.runner import run_trials
-
-            with not_collecting():
-                for start, count in _segments(missing):
-                    part = run_trials(
-                        app_cls,
-                        n=count,
-                        bug=bug,
-                        base_seed=start,
-                        collect_metrics=collect,
-                        on_outcome=fresh.append,
-                        **kwargs,
-                    )
-                    for failure in part.failures:
-                        agg.add_failure(failure)
-            new_rows = {}
-            for outcome in fresh:
-                agg.add(outcome)
-                new_rows[outcome.seed] = self._row_from_outcome(outcome)
-            for start, count in _segments(sorted(new_rows)):
-                seeds = {str(s): new_rows[s] for s in range(start, start + count)}
+            run_seeds(agg, app_cls, missing, **kwargs)
+            fresh = agg.rows
+            for start, count in _segments([s for s in missing if s in fresh]):
+                seeds = {str(s): fresh[s] for s in range(start, start + count)}
                 self._store(key, "trials", config, "seeds", seeds, segment=(start, count))
         return agg.finalize()
 
@@ -273,7 +243,7 @@ class ResultCache:
             app_cls.name, bug, base_seed, n, collect_metrics=collect_metrics
         )
         for seed in requested:
-            agg.add(self._outcome_from_row(seed, rows[seed]))
+            agg.add(seed, rows[seed])
         return agg.finalize()
 
     # -- whole entries: explorations and inference reports ----------------

@@ -244,14 +244,23 @@ class CacheStore:
             or doc.get("schema") != CACHE_SCHEMA
             or (expect_config is not None and doc.get("config") != expect_config)
         ):
-            self._event("corrupt")
-            self._discard(path)
+            self.reject(key, segment=segment)
             return None
         try:
             os.utime(path)  # a hit refreshes the LRU position
         except OSError:
             pass
         return doc
+
+    def reject(self, key: str, *, segment: Optional[Segment] = None) -> None:
+        """Delete a damaged entry (or one segment of it) and count it ``corrupt``.
+
+        :meth:`load` rejects what it cannot parse; an owner rejects a
+        loaded document whose payload it cannot use.  As there, the
+        ledger keeps counting the bytes until the next scan.
+        """
+        self._event("corrupt")
+        self._discard(self._file(key, segment))
 
     def store(self, key: str, doc: Dict[str, Any], *, segment: Optional[Segment] = None) -> None:
         """Atomically publish ``doc`` under ``key`` (or as one segment of it), then enforce the bound.

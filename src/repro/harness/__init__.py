@@ -24,7 +24,6 @@ from .runner import OverheadRow, measure, run_trials
 from .stats import (
     TrialAggregator,
     TrialFailure,
-    TrialOutcome,
     TrialStats,
     wilson_interval,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "run_trials_parallel",
     "TrialAggregator",
     "TrialFailure",
-    "TrialOutcome",
     "TrialStats",
     "wilson_interval",
     "ParamRow",

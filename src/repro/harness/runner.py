@@ -7,13 +7,14 @@ trial, seeds ``base_seed .. base_seed+n-1``, everything deterministic and
 replayable.  :func:`measure` pairs a plain and a breakpoint configuration
 to produce the runtime-overhead columns.
 
-Both functions accept ``workers``: ``None``/``0`` keeps the in-process
-serial loop, any other value routes through the fault-tolerant process
-pool in :mod:`repro.harness.parallel` (``workers="auto"`` sizes to the
-machine).  The two paths execute the same per-trial function and feed the
-same aggregator, so for a fixed seed range they return identical
-:class:`TrialStats` — the determinism contract every paper table relies
-on.
+Both functions accept ``workers``: ``None``/``0`` runs the trials
+in-process, any other value on the fault-tolerant process pool
+(``workers="auto"`` sizes to the machine), and ``cache`` serves stored
+seeds from a :class:`repro.cache.ResultCache`.  Every path builds one
+:class:`~repro.harness.stats.TrialAggregator` and feeds it through the
+one loop, :func:`repro.harness.parallel.run_seeds`, so for a fixed seed
+range they return identical :class:`TrialStats` — the determinism
+contract every paper table relies on.
 """
 
 from __future__ import annotations
@@ -21,28 +22,12 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Callable, Dict, Optional, Type, Union
 
-from repro.apps.base import AppConfig, BaseApp
+from repro.apps.base import BaseApp
 
-from .parallel import check_trial_count, execute_trial, run_trials_parallel
-from .stats import TrialAggregator, TrialStats
+from .parallel import _resolve_workers, check_trial_count, run_seeds, sweep_aggregator
+from .stats import TrialStats
 
 __all__ = ["run_trials", "measure", "OverheadRow"]
-
-
-def _resolve_workers(workers: Union[int, str, None]) -> int:
-    """Normalise the ``workers`` argument: 0 means "stay serial"."""
-    if workers is None:
-        return 0
-    if workers == "auto":
-        from .parallel import default_workers
-
-        return default_workers()
-    w = int(workers)
-    if w < 0:
-        raise ValueError(
-            f"workers must be >= 0 (0 = serial) or 'auto', got {w}"
-        )
-    return w
 
 
 def run_trials(
@@ -59,7 +44,6 @@ def run_trials(
     max_retries: int = 2,
     collect_metrics: bool = False,
     cache: Optional[Any] = None,
-    on_outcome: Optional[Callable[[Any], None]] = None,
     trial_hook: Optional[Callable[[int, int], None]] = None,
 ) -> TrialStats:
     """Run ``n`` seeded executions of one configuration.
@@ -77,80 +61,31 @@ def run_trials(
 
     ``cache`` (a :class:`repro.cache.ResultCache`) serves the sweep from
     the content-addressed store, running only seeds it has never seen —
-    the returned stats are bit-identical either way.  ``on_outcome``
-    observes each successful :class:`TrialOutcome` as it is aggregated
-    (how the cache captures fresh results for storage); a cached sweep
-    serves seeds without running them, so ``on_outcome`` with ``cache``
-    raises ``ValueError``.  ``trial_hook`` is the parallel runner's
-    fault-injection hook, forwarded verbatim (tests only; requires
-    workers, never part of the cache fingerprint).
+    the returned stats are bit-identical either way.  ``trial_hook`` is
+    the pool's fault-injection hook (tests only; requires workers, never
+    part of the cache fingerprint).
     """
     check_trial_count(n)
-    n_workers = _resolve_workers(workers)
-    if trial_timeout is not None and not n_workers:
+    workers = _resolve_workers(workers)
+    if trial_timeout is not None and not workers:
         raise ValueError("trial_timeout requires workers (serial trials cannot be preempted)")
-    if cache is not None and on_outcome is not None:
-        raise ValueError(
-            "on_outcome cannot observe a cached sweep (stored seeds are not run); "
-            "pass cache or on_outcome, not both"
-        )
-    if cache is not None:
-        return cache.run_trials(
-            app_cls,
-            n=n,
-            bug=bug,
-            timeout=timeout,
-            flip_order=flip_order,
-            use_policies=use_policies,
-            base_seed=base_seed,
-            params=params,
-            workers=workers,
-            trial_timeout=trial_timeout,
-            max_retries=max_retries,
-            collect_metrics=collect_metrics,
-            trial_hook=trial_hook,
-        )
-    if n_workers:
-        return run_trials_parallel(
-            app_cls,
-            n=n,
-            bug=bug,
-            timeout=timeout,
-            flip_order=flip_order,
-            use_policies=use_policies,
-            base_seed=base_seed,
-            params=params,
-            workers=n_workers,
-            trial_timeout=trial_timeout,
-            max_retries=max_retries,
-            collect_metrics=collect_metrics,
-            on_outcome=on_outcome,
-            trial_hook=trial_hook,
-        )
-    from repro.obs.context import current_sink
-
-    collect = collect_metrics or current_sink() is not None
-    cfg = AppConfig(
-        bug=bug,
+    options = dict(
         timeout=timeout,
         flip_order=flip_order,
         use_policies=use_policies,
-        params=dict(params or {}),
-        collect_metrics=collect,
+        params=params,
+        workers=workers,
+        trial_timeout=trial_timeout,
+        max_retries=max_retries,
+        trial_hook=trial_hook,
     )
-    agg = TrialAggregator(app_cls.name, bug, base_seed, n, collect_metrics=collect)
-    reuse = None
-    if collect:
-        from repro.obs.metrics import MetricsRegistry
-
-        # One registry for the whole sweep (reset per trial); see
-        # execute_trial for why reuse matters.
-        reuse = MetricsRegistry()
-    for i in range(n):
-        outcome = execute_trial(app_cls, cfg, base_seed + i, reuse_obs=reuse)
-        agg.add(outcome)
-        if on_outcome is not None:
-            on_outcome(outcome)
+    if cache is not None:
+        return cache.run_trials(
+            app_cls, n=n, bug=bug, base_seed=base_seed,
+            collect_metrics=collect_metrics, **options,
+        )
+    agg = sweep_aggregator(app_cls, n, bug, base_seed, collect_metrics)
+    run_seeds(agg, app_cls, range(base_seed, base_seed + n), **options)
     return agg.finalize()
 
 

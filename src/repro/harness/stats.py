@@ -1,26 +1,61 @@
 """Aggregation of repeated app executions.
 
-:class:`TrialStats` summarises a seed range; :class:`TrialAggregator`
-builds one incrementally from per-trial :class:`TrialOutcome` records so
-serial and parallel runners share a single aggregation path — the seeds
-may arrive in any order (workers finish out of order) but the finalised
-stats are always in ascending-seed order, which is what makes parallel
-output bit-identical to the serial loop.
+One seeded trial's result is one :data:`Row`,
+``[bug_hit, bp_hit, runtime, error_time, wall_time, metrics]``, from
+end to end: the trial returns it, the process pool pickles it back, the
+result cache stores and serves it as is, and :class:`TrialAggregator`
+folds it.  The layout is decided here alone (:func:`is_row` checks one
+read back from disk); the cache never looks inside a row.
+
+:class:`TrialStats` summarises a seed range.  The aggregator builds one
+from rows that may arrive in any order (pool workers finish out of
+order; a cached sweep adds its stored rows before the fresh ones) and
+folds them in ascending-seed order, which is what makes a pooled or
+cached sweep's output bit-identical to the in-process loop.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Any, Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Optional
 
 __all__ = [
+    "Row",
     "TrialStats",
-    "TrialOutcome",
     "TrialFailure",
     "TrialAggregator",
+    "is_row",
     "wilson_interval",
 ]
+
+#: One seeded trial: ``[bug_hit, bp_hit, runtime, error_time, wall_time,
+#: metrics]``.  ``error_time`` is None unless the bug hit; ``wall_time``
+#: (wall-clock seconds, volatile) and ``metrics`` (the trial's registry
+#: in :meth:`~repro.obs.metrics.MetricsRegistry.to_wire` form) are None
+#: unless the sweep collects metrics.  Stored rows keep this layout on
+#: disk, under ``CACHE_SCHEMA`` 1.
+Row = List[Any]
+
+_NUMBER = (int, float)
+
+
+def is_row(row: Any) -> bool:
+    """Whether ``row`` is a well-formed :data:`Row` (as JSON reads one back).
+
+    Six fields, in order: two bools; a number; a number or None; a
+    number or None; None or a list.
+    """
+    return (
+        type(row) is list
+        and len(row) == 6
+        and type(row[0]) is bool
+        and type(row[1]) is bool
+        and type(row[2]) in _NUMBER
+        and all(t is None or type(t) in _NUMBER for t in row[3:5])
+        and (row[5] is None or type(row[5]) is list)
+    )
 
 
 def wilson_interval(hits: int, n: int, z: float = 1.96) -> tuple:
@@ -36,24 +71,6 @@ def wilson_interval(hits: int, n: int, z: float = 1.96) -> tuple:
     centre = (p + z * z / (2 * n)) / denom
     margin = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
     return (max(0.0, centre - margin), min(1.0, centre + margin))
-
-
-@dataclasses.dataclass(frozen=True)
-class TrialOutcome:
-    """Scalar record of one seeded trial (picklable; crosses process
-    boundaries in the parallel runner)."""
-
-    seed: int
-    bug_hit: bool
-    bp_hit: bool
-    runtime: float
-    error_time: Optional[float]
-    #: Per-trial metrics in :meth:`MetricsRegistry.to_wire` form (None
-    #: unless the sweep runs with metrics collection enabled).
-    metrics: Optional[Tuple] = None
-    #: Wall-clock seconds the trial took (volatile; folded into the
-    #: ``harness.trial_wall_seconds`` histogram by the aggregator).
-    wall_time: Optional[float] = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -128,15 +145,16 @@ class TrialStats:
 
 
 class TrialAggregator:
-    """Streamed, order-independent accumulation of trial outcomes.
+    """Order-independent accumulation of a seed range's rows.
 
-    The equivalence contract of the parallel runner is enforced here, in
-    code: every seed is accepted exactly once (a duplicate raises), and
-    :meth:`finalize` refuses to produce stats unless each seed in the
-    requested range is accounted for by either an outcome or a recorded
-    failure.  Because finalisation sorts by seed, the resulting
-    :class:`TrialStats` does not depend on arrival order — a pool of N
-    workers and the serial loop produce identical objects.
+    The equivalence contract of every runner is enforced here, in code:
+    every seed is accepted exactly once and only inside the requested
+    range (otherwise :meth:`add` raises), and :meth:`finalize` refuses
+    to produce stats unless each seed is accounted for by either a row
+    or a recorded failure.  Because finalisation folds by seed, the
+    resulting :class:`TrialStats` does not depend on arrival order — a
+    pool of N workers, a cache hit and the in-process loop produce
+    identical objects.
     """
 
     def __init__(
@@ -152,7 +170,7 @@ class TrialAggregator:
         self.base_seed = base_seed
         self.n = n
         self.collect_metrics = collect_metrics
-        self._outcomes: Dict[int, TrialOutcome] = {}
+        self._rows: Dict[int, Row] = {}
         self._failures: Dict[int, TrialFailure] = {}
         #: Runner-side (non-trial) observations: retries, worker crashes.
         #: Volatile by construction — they depend on scheduling of real
@@ -175,30 +193,30 @@ class TrialAggregator:
             self._runner_metrics.counter("harness.worker_crashes", volatile=True).inc()
 
     # ------------------------------------------------------------------
-    def add(self, outcome: TrialOutcome) -> None:
-        """Fold one trial outcome in; duplicate seeds are rejected."""
-        seed = outcome.seed
+    def add(self, seed: int, row: Row) -> None:
+        """Take one seed's row; a seed out of range or seen before is rejected."""
         if not (self.base_seed <= seed < self.base_seed + self.n):
             raise ValueError(f"seed {seed} outside trial range")
-        if seed in self._outcomes or seed in self._failures:
+        if seed in self._rows or seed in self._failures:
             raise ValueError(f"seed {seed} reported twice")
-        self._outcomes[seed] = outcome
-        if self._runner_metrics is not None and outcome.wall_time is not None:
-            self._runner_metrics.histogram(
-                "harness.trial_wall_seconds", volatile=True
-            ).observe(outcome.wall_time)
+        self._rows[seed] = row
 
     def add_failure(self, failure: TrialFailure) -> None:
         """Record a failed trial (excluded from the hit counters)."""
-        if failure.seed in self._outcomes or failure.seed in self._failures:
+        if failure.seed in self._rows or failure.seed in self._failures:
             raise ValueError(f"seed {failure.seed} reported twice")
         self._failures[failure.seed] = failure
 
     # ------------------------------------------------------------------
     @property
+    def rows(self) -> Mapping[int, Row]:
+        """The rows taken so far, by seed (a read-only view)."""
+        return MappingProxyType(self._rows)
+
+    @property
     def pending(self) -> int:
         """Seeds not yet accounted for."""
-        return self.n - len(self._outcomes) - len(self._failures)
+        return self.n - len(self._rows) - len(self._failures)
 
     def finalize(self) -> TrialStats:
         """Seal and return the seed-ordered TrialStats."""
@@ -206,19 +224,19 @@ class TrialAggregator:
             missing = [
                 s
                 for s in range(self.base_seed, self.base_seed + self.n)
-                if s not in self._outcomes and s not in self._failures
+                if s not in self._rows and s not in self._failures
             ]
             raise ValueError(f"unaccounted seeds: {missing[:10]} (+{max(0, len(missing) - 10)})")
+        rows = [self._rows[seed] for seed in sorted(self._rows)]
         bug_hits = bp_hits = 0
         runtimes: List[float] = []
         error_times: List[float] = []
-        for seed in sorted(self._outcomes):
-            out = self._outcomes[seed]
-            bug_hits += out.bug_hit
-            bp_hits += out.bp_hit
-            runtimes.append(out.runtime)
-            if out.bug_hit and out.error_time is not None:
-                error_times.append(out.error_time)
+        for bug_hit, bp_hit, runtime, error_time, _, _ in rows:
+            bug_hits += bug_hit
+            bp_hits += bp_hit
+            runtimes.append(runtime)
+            if bug_hit and error_time is not None:
+                error_times.append(error_time)
         return TrialStats(
             app=self.app,
             bug=self.bug,
@@ -228,19 +246,19 @@ class TrialAggregator:
             runtimes=runtimes,
             error_times=error_times,
             failures=[self._failures[s] for s in sorted(self._failures)],
-            metrics=self._merged_metrics(bug_hits, bp_hits, runtimes),
+            metrics=self._merged_metrics(rows, bug_hits, bp_hits, runtimes),
         )
 
     def _merged_metrics(
-        self, bug_hits: int, bp_hits: int, runtimes: List[float]
+        self, rows: List[Row], bug_hits: int, bp_hits: int, runtimes: List[float]
     ) -> Optional[Dict[str, Any]]:
-        """Merge per-trial registries in ascending-seed order and add the
+        """Merge the seed-ordered rows' registries and add the
         harness-level aggregates.
 
         Determinism contract: every per-trial snapshot is a pure function
         of ``(app, config, seed)`` and the merge order is the sorted seed
-        range, so serial and parallel sweeps build identical registries —
-        only metrics explicitly flagged volatile (wall-clock latency,
+        range, so every runner builds identical registries — only
+        metrics explicitly flagged volatile (wall-clock latency,
         retries, crashes) may differ.  The merged registry is also folded
         into the ambient sink when :func:`repro.obs.collecting` is active.
         """
@@ -250,11 +268,13 @@ class TrialAggregator:
         from repro.obs.metrics import MetricsRegistry
 
         merged = MetricsRegistry()
-        for seed in sorted(self._outcomes):
-            wire = self._outcomes[seed].metrics
-            if wire:
-                merged.merge_wire(wire)
-        merged.counter("harness.trials").inc(len(self._outcomes))
+        walls = []
+        for row in rows:
+            if row[5]:
+                merged.merge_wire(row[5])
+            if row[4] is not None:
+                walls.append(row[4])
+        merged.counter("harness.trials").inc(len(rows))
         merged.counter("harness.bug_hits").inc(bug_hits)
         merged.counter("harness.bp_hits").inc(bp_hits)
         h = merged.histogram("harness.trial_runtime_seconds")
@@ -263,8 +283,11 @@ class TrialAggregator:
         for seed in sorted(self._failures):
             kind = self._failures[seed].kind
             merged.counter(f"harness.failures.{kind}").inc()
-        if self._runner_metrics is not None:
-            merged.merge(self._runner_metrics)
+        if walls:
+            wall = merged.histogram("harness.trial_wall_seconds", volatile=True)
+            for w in walls:
+                wall.observe(w)
+        merged.merge(self._runner_metrics)
         sink = current_sink()
         if sink is not None:
             sink.merge(merged)

@@ -31,7 +31,7 @@ export-trace <app> --seed S --format chrome|jsonl``, and
 ``--metrics-out`` on ``run``/``report``.
 """
 
-from .context import collecting, current_sink, not_collecting
+from .context import collecting, current_sink
 from .metrics import (
     DEFAULT_TIME_BUCKETS,
     Counter,
@@ -58,7 +58,6 @@ from .traceio import (
 __all__ = [
     "collecting",
     "current_sink",
-    "not_collecting",
     "Counter",
     "Gauge",
     "Histogram",

@@ -2,8 +2,10 @@
 
 A process-global :class:`~repro.obs.metrics.MetricsRegistry` that, when
 set (via :func:`collecting`), switches every trial sweep started
-underneath it into metrics-collection mode and receives the merged
-per-sweep registries.  This is how ``--metrics-out`` on ``report``
+underneath it into metrics-collection mode and receives each sweep's
+merged registry once, when the sweep's one aggregator finalizes — a
+cached sweep included, since its stored and fresh seeds fold into the
+same aggregator.  This is how ``--metrics-out`` on ``report``
 gathers one registry across all five table builders without threading
 a parameter through every call site; the flag still crosses process
 boundaries explicitly (``AppConfig.collect_metrics``), so pool workers
@@ -17,7 +19,7 @@ from typing import Iterator, Optional
 
 from .metrics import MetricsRegistry
 
-__all__ = ["collecting", "current_sink", "not_collecting"]
+__all__ = ["collecting", "current_sink"]
 
 
 #: Process-global merged-metrics sink (None = ambient collection off).
@@ -47,24 +49,5 @@ def collecting(registry: Optional[MetricsRegistry] = None) -> Iterator[MetricsRe
     _SINK = reg
     try:
         yield reg
-    finally:
-        _SINK = prev
-
-
-@contextlib.contextmanager
-def not_collecting() -> Iterator[None]:
-    """Suppress the ambient sink for the dynamic extent.
-
-    Used by the result cache when it re-runs missing seed segments: each
-    inner sweep would otherwise fold its merged registry into the sink
-    *and* the cache's final re-aggregation would fold the same trials
-    again — suppressing the sink around the inner runs keeps every trial
-    counted exactly once.
-    """
-    global _SINK
-    prev = _SINK
-    _SINK = None
-    try:
-        yield
     finally:
         _SINK = prev

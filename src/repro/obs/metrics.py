@@ -18,8 +18,9 @@ structured record).  Three properties drive the design:
   the end (see ``Kernel._flush_obs``), so per-step cost stays within the
   <5 % overhead gate.
 * **Wire friendliness** — :meth:`MetricsRegistry.to_wire` produces a
-  small picklable tuple that crosses the worker-process boundary
-  attached to each :class:`~repro.harness.stats.TrialOutcome`.
+  small picklable tuple that crosses the worker-process boundary as
+  the last field of each trial's :data:`~repro.harness.stats.Row` (and
+  is stored in that row, as JSON lists, by the result cache).
 
 Histograms use fixed bucket upper bounds (Prometheus-style ``le``
 semantics, plus an overflow bucket) so merging is exact bucket-wise

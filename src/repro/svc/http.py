@@ -29,7 +29,10 @@ with a single-threaded :mod:`selectors` event loop shared by the daemon
 * **Thread-safe wakeups.**  Executor slot threads and router forwarder
   threads hand work to the loop via :meth:`schedule` (a self-pipe
   wakeup), and the loop owns a timer heap (:meth:`call_later`) for
-  long-poll deadlines — no polling, no busy loops.
+  long-poll deadlines — no polling, no busy loops.  A callback or timer
+  that raises does not stop the loop: the exception is counted in
+  ``svc.http.callback_errors`` and logged with its traceback on the
+  ``repro.svc.http`` logger.
 
 The wire semantics (JSON bodies, status codes, header shapes) are
 unchanged from ``repro.svc/1``; this file is purely the concurrency
@@ -39,6 +42,7 @@ substrate.
 from __future__ import annotations
 
 import heapq
+import logging
 import selectors
 import socket
 import threading
@@ -49,6 +53,8 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from . import protocol
 
 __all__ = ["DEFERRED", "Request", "Response", "AsyncHTTPFrontend"]
+
+_log = logging.getLogger(__name__)
 
 #: Sentinel a handler returns to park the connection for a later
 #: :meth:`AsyncHTTPFrontend.complete` call.
@@ -386,21 +392,23 @@ class AsyncHTTPFrontend:
                     if not self._pending:
                         break
                     fn = self._pending.popleft()
-                try:
-                    fn()
-                except Exception:  # noqa: BLE001 - a bad callback must not kill the loop
-                    pass
+                self._call(fn, "callback")
             now = time.monotonic()
             while self._timers and (
                 self._timers[0].cancelled or self._timers[0].when <= now
             ):
                 timer = heapq.heappop(self._timers)
-                if timer.cancelled:
-                    continue
-                try:
-                    timer.fn()
-                except Exception:  # noqa: BLE001
-                    pass
+                if not timer.cancelled:
+                    self._call(timer.fn, "timer")
+
+    def _call(self, fn: Callable[[], None], what: str) -> None:
+        """Run one scheduled callback or timer; count and log what it raises."""
+        try:
+            fn()
+        except Exception:  # noqa: BLE001 - a bad callback must not kill the loop
+            if self._metrics is not None:
+                self._metrics.counter("svc.http.callback_errors", volatile=True).inc()
+            _log.exception("%s: a loop %s raised", self._name, what)
 
     def _teardown(self) -> None:
         sel = self._selector

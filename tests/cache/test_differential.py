@@ -32,6 +32,23 @@ def _crash_first_attempt(seed, attempt):
         os._exit(17)
 
 
+def _fault_first_attempts(seed, attempt):
+    """On a first attempt, kill the worker on seeds 3 and 11 and raise on
+    seeds 5 and 13 (picklable)."""
+    if attempt == 0 and seed in (3, 11):
+        os._exit(17)
+    if attempt == 0 and seed in (5, 13):
+        raise RuntimeError("injected")
+
+
+def _runner_counters(stats):
+    """``(harness.retries, harness.worker_crashes)`` of a collected sweep."""
+    return tuple(
+        stats.metrics.get(name, {}).get("value")
+        for name in ("harness.retries", "harness.worker_crashes")
+    )
+
+
 def _svc_crash_first_attempt(spec, attempt):
     """Kill the job child hard on its first attempt."""
     if attempt == 0:
@@ -149,6 +166,24 @@ class TestParallelDifferential:
         assert warm == fresh
         assert cold.failures == []
 
+    def test_cached_sweeps_report_the_runner_counters(self, cache):
+        """Retries and worker crashes of the seeds a cached sweep runs
+        reach its metrics, as they do uncached."""
+        kw = dict(bug="error1", workers=2, collect_metrics=True,
+                  trial_hook=_fault_first_attempts)
+        fresh = run_trials(Figure4, n=8, **kw)
+        cold = run_trials(Figure4, n=8, cache=cache, **kw)
+        # Seeds 0..7 are stored; 8..15 run, and 11 and 13 fault once.
+        extended = run_trials(Figure4, n=16, cache=cache, **kw)
+        assert _runner_counters(fresh) == (2, 1)
+        assert _runner_counters(cold) == (2, 1)
+        assert _runner_counters(extended) == (2, 1)
+        assert cold.failures == extended.failures == []
+        assert deterministic_view(cold.metrics) == deterministic_view(fresh.metrics)
+        plain = run_trials(Figure4, n=16, bug="error1", collect_metrics=True)
+        assert deterministic_view(extended.metrics) == deterministic_view(plain.metrics)
+        assert extended.runtimes == plain.runtimes
+
 
 # ---------------------------------------------------------------------------
 # Metrics: deterministic view must survive the cache round-trip
@@ -217,6 +252,33 @@ class TestCorruptionFallback:
 
         self._damage(tmp_path, swap_config)
         assert run_trials(Figure4, n=6, bug="error1", cache=cache) == fresh
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda row: row[:3],
+            lambda row: None,
+            lambda row: row[:2] + ["x"] + row[3:],
+        ],
+        ids=["three-fields", "null", "string-runtime"],
+    )
+    def test_a_damaged_row_recomputes(self, tmp_path, damage):
+        from repro.obs.metrics import MetricsRegistry
+
+        reg = MetricsRegistry()
+        cache = ResultCache(str(tmp_path), metrics=reg)
+        fresh = run_trials(Figure4, n=6, bug="error1")
+        run_trials(Figure4, n=6, bug="error1", cache=cache)
+
+        def damage_seed_2(p):
+            doc = json.loads(p.read_text())
+            doc["seeds"]["2"] = damage(doc["seeds"]["2"])
+            p.write_text(json.dumps(doc))
+
+        self._damage(tmp_path, damage_seed_2)
+        assert run_trials(Figure4, n=6, bug="error1", cache=cache) == fresh
+        assert cache.fetch_trials(Figure4, n=6, bug="error1") == fresh
+        assert reg.snapshot()["cache.corrupt"]["value"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -83,19 +83,19 @@ class TestNewSeedsOnly:
         [damaged] = tmp_path.glob("*/*/10+10.json")
         damaged.write_text("}junk{")
 
-        from repro.harness import runner
+        from repro.harness import parallel
 
         ran = []
-        real_run = runner.run_trials
-        monkeypatch.setattr(runner, "run_trials",
-                            lambda cls, **kw: ran.append((kw["base_seed"], kw["n"]))
-                            or real_run(cls, **kw))
+        real_trial = parallel.execute_trial
+        monkeypatch.setattr(parallel, "execute_trial",
+                            lambda cls, cfg, seed, **kw: ran.append(seed)
+                            or real_trial(cls, cfg, seed, **kw))
         reg = MetricsRegistry()
         served = run_trials(Figure4, n=20, bug="error1", cache=cache.with_metrics(reg))
         monkeypatch.undo()
 
         assert served == run_trials(Figure4, n=20, bug="error1")
-        assert ran == [(10, 10)]
+        assert ran == list(range(10, 20))
         assert _counter(reg, "cache.partial_hit") == 1
         assert _counter(reg, "cache.corrupt") == 1
         assert _counter(reg, "cache.store") == 1

@@ -18,7 +18,6 @@ from repro.apps import Figure4App, get_app
 from repro.harness import (
     TrialAggregator,
     TrialFailure,
-    TrialOutcome,
     measure,
     run_trials,
 )
@@ -185,28 +184,28 @@ def test_hung_trial_times_out_without_retry():
 # ---------------------------------------------------------------------------
 
 
-def _outcome(seed):
-    return TrialOutcome(seed=seed, bug_hit=True, bp_hit=True, runtime=0.5, error_time=0.2)
+def _row():
+    return [True, True, 0.5, 0.2, None, None]
 
 
 class TestTrialAggregator:
     def test_duplicate_seed_rejected(self):
         agg = TrialAggregator("app", "bug", 0, 4)
-        agg.add(_outcome(1))
+        agg.add(1, _row())
         with pytest.raises(ValueError, match="reported twice"):
-            agg.add(_outcome(1))
+            agg.add(1, _row())
         agg.add_failure(TrialFailure(seed=2, kind="crash", attempts=3))
         with pytest.raises(ValueError, match="reported twice"):
-            agg.add(_outcome(2))
+            agg.add(2, _row())
 
     def test_out_of_range_seed_rejected(self):
         agg = TrialAggregator("app", "bug", 10, 4)
         with pytest.raises(ValueError, match="outside trial range"):
-            agg.add(_outcome(3))
+            agg.add(3, _row())
 
     def test_finalize_refuses_missing_seeds(self):
         agg = TrialAggregator("app", "bug", 0, 3)
-        agg.add(_outcome(0))
+        agg.add(0, _row())
         with pytest.raises(ValueError, match="unaccounted"):
             agg.finalize()
 
@@ -214,9 +213,7 @@ class TestTrialAggregator:
         def filled(order):
             agg = TrialAggregator("app", "bug", 0, 4)
             for seed in order:
-                out = TrialOutcome(seed=seed, bug_hit=seed % 2 == 0, bp_hit=True,
-                                   runtime=float(seed), error_time=0.1)
-                agg.add(out)
+                agg.add(seed, [seed % 2 == 0, True, float(seed), 0.1, None, None])
             return agg.finalize()
 
         assert filled([3, 0, 2, 1]) == filled([0, 1, 2, 3])

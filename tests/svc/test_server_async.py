@@ -6,8 +6,10 @@ single reused socket) are exactly what an HTTP client library would
 paper over.
 """
 
+import logging
 import os
 import socket
+import threading
 import time
 
 import pytest
@@ -150,6 +152,32 @@ class TestKeepAlive:
             assert status == 200 and b'"jobs"' in body
         finally:
             sock.close()
+
+
+class TestLoopCallbacks:
+    def test_a_raising_callback_or_timer_is_counted_and_the_loop_runs_on(
+        self, service, caplog
+    ):
+        frontend = service._frontend
+        ran = threading.Event()
+
+        def boom():
+            raise RuntimeError("injected")
+
+        with caplog.at_level(logging.ERROR, logger="repro.svc.http"):
+            frontend.schedule(boom)
+            frontend.schedule(lambda: frontend.call_later(0.0, boom))
+            frontend.schedule(ran.set)
+            assert ran.wait(5)
+            # The 0 s timer fires in the same loop pass as ran.set, so
+            # before the loop reads this request.
+            assert ReproClient(service.address).health()["status"] == "ok"
+
+        snap = service.metrics.snapshot()
+        assert snap["svc.http.callback_errors"]["value"] == 2
+        records = [r for r in caplog.records if r.name == "repro.svc.http"]
+        assert len(records) == 2
+        assert all(r.exc_info and r.exc_info[0] is RuntimeError for r in records)
 
 
 class TestMalformedRequests:
