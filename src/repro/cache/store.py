@@ -255,9 +255,9 @@ class CacheStore:
     def reject(self, key: str, *, segment: Optional[Segment] = None) -> None:
         """Delete a damaged entry (or one segment of it) and count it ``corrupt``.
 
-        :meth:`load` rejects what it cannot parse; an owner rejects a
-        loaded document whose payload it cannot use.  As there, the
-        ledger keeps counting the bytes until the next scan.
+        :meth:`load` rejects a file it cannot parse or match; an owner
+        rejects a loaded document whose payload it cannot use.  Either
+        way the ledger keeps counting the bytes until the next scan.
         """
         self._event("corrupt")
         self._discard(self._file(key, segment))

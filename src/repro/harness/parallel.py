@@ -61,7 +61,7 @@ def default_workers() -> int:
 
 
 def _resolve_workers(workers: Union[int, str, None]) -> int:
-    """Normalise the ``workers`` argument: 0 means "stay in-process"."""
+    """Normalise the ``workers`` argument: 0 means "stay serial"."""
     if workers is None:
         return 0
     if workers == "auto":

@@ -53,7 +53,8 @@ def is_row(row: Any) -> bool:
         and type(row[0]) is bool
         and type(row[1]) is bool
         and type(row[2]) in _NUMBER
-        and all(t is None or type(t) in _NUMBER for t in row[3:5])
+        and (row[3] is None or type(row[3]) in _NUMBER)
+        and (row[4] is None or type(row[4]) in _NUMBER)
         and (row[5] is None or type(row[5]) is list)
     )
 
@@ -268,12 +269,9 @@ class TrialAggregator:
         from repro.obs.metrics import MetricsRegistry
 
         merged = MetricsRegistry()
-        walls = []
         for row in rows:
             if row[5]:
                 merged.merge_wire(row[5])
-            if row[4] is not None:
-                walls.append(row[4])
         merged.counter("harness.trials").inc(len(rows))
         merged.counter("harness.bug_hits").inc(bug_hits)
         merged.counter("harness.bp_hits").inc(bp_hits)
@@ -283,6 +281,7 @@ class TrialAggregator:
         for seed in sorted(self._failures):
             kind = self._failures[seed].kind
             merged.counter(f"harness.failures.{kind}").inc()
+        walls = [row[4] for row in rows if row[4] is not None]
         if walls:
             wall = merged.histogram("harness.trial_wall_seconds", volatile=True)
             for w in walls:

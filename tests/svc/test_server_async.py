@@ -171,7 +171,9 @@ class TestLoopCallbacks:
             assert ran.wait(5)
             # The 0 s timer fires in the same loop pass as ran.set, so
             # before the loop reads this request.
-            assert ReproClient(service.address).health()["status"] == "ok"
+            client = ReproClient(service.address)
+            assert client.health()["status"] == "ok"
+            client.close()
 
         snap = service.metrics.snapshot()
         assert snap["svc.http.callback_errors"]["value"] == 2
