@@ -100,6 +100,26 @@ class TestNewSeedsOnly:
         assert _counter(reg, "cache.corrupt") == 1
         assert _counter(reg, "cache.store") == 1
 
+    def test_every_gap_of_a_request_runs_in_one_call(self, tmp_path, monkeypatch):
+        cache = ResultCache(str(tmp_path))
+        run_trials(Figure4, n=5, bug="error1", cache=cache)
+        run_trials(Figure4, n=5, bug="error1", base_seed=10, cache=cache)
+
+        from repro.harness import parallel
+
+        calls = []
+        real_run_seeds = parallel.run_seeds
+        monkeypatch.setattr(parallel, "run_seeds",
+                            lambda agg, cls, seeds, **kw: calls.append(list(seeds))
+                            or real_run_seeds(agg, cls, seeds, **kw))
+        served = run_trials(Figure4, n=20, bug="error1", cache=cache)
+        monkeypatch.undo()
+
+        assert served == run_trials(Figure4, n=20, bug="error1")
+        assert calls == [[5, 6, 7, 8, 9, 15, 16, 17, 18, 19]]
+        assert sorted(p.name for p in tmp_path.glob("*/*/*.json")) == [
+            "0+5.json", "10+5.json", "15+5.json", "5+5.json"]
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs forked children")
     def test_a_failed_seed_splits_the_stored_run(self, tmp_path):
         cache = ResultCache(str(tmp_path))
