@@ -15,6 +15,9 @@ import time
 import pytest
 
 from repro.svc import JobSpec, ReproClient, ReproService
+from repro.svc.http import DEFERRED
+from repro.svc.jobs import JobRecord
+from repro.testing import ThreadSchedulePin
 
 pytestmark = pytest.mark.skipif(
     not hasattr(os, "fork") and not hasattr(os, "posix_spawn"),
@@ -320,5 +323,84 @@ class TestMassLongPolls:
             assert elapsed < 1.0  # the timer fired, not the job
             final = client.wait(job_id, timeout=60)
             assert final["state"] == "done"
+        finally:
+            svc.close()
+
+
+#: Pinned orders of one long-poll against its job's completion.  Each
+#: label is a point a test-installed wrapper holds until its turn.
+_COMPLETION_ORDERS = {
+    # The job completes after _handle_get_job read ``record.terminal``
+    # (False) and before it subscribes: the subscription must call back
+    # a record that is already terminal.
+    "between-check-and-subscribe": ["checked", "completed", "subscribe"],
+    # The job completes after the GET has parked: the record's
+    # subscriber answers the parked request.
+    "after-park": ["parked", "completed"],
+}
+
+
+class TestLongPollCompletionOrder:
+    @pytest.mark.parametrize("order", sorted(_COMPLETION_ORDERS))
+    def test_one_answer_per_long_poll_in_either_order(self, order, monkeypatch):
+        """Concurrent breakpoints pin where the job completes relative to
+        one long-poll; in both orders the poll gets exactly one ``200``
+        with the done record, long before its ``wait=``, and the next
+        request on the same keep-alive socket gets its own answer."""
+        # The test's own last point waits until every pinned point ran.
+        pin = ThreadSchedulePin(_COMPLETION_ORDERS[order] + ["end"], timeout=30)
+
+        def point(label):
+            if label in pin.order:
+                with pin.at(label):
+                    pass
+
+        subscribe, finish = JobRecord.subscribe, JobRecord.finish
+        handle_get_job = ReproService._handle_get_job
+
+        def pinned_subscribe(record, callback):
+            point("checked")
+            if "subscribe" in pin.order:
+                with pin.at("subscribe"):
+                    return subscribe(record, callback)
+            return subscribe(record, callback)
+
+        def pinned_finish(record, result):
+            if "completed" in pin.order:
+                with pin.at("completed"):
+                    return finish(record, result)
+            return finish(record, result)
+
+        def pinned_handle_get_job(service, request, token):
+            result = handle_get_job(service, request, token)
+            if result is DEFERRED:
+                point("parked")
+            return result
+
+        monkeypatch.setattr(JobRecord, "subscribe", pinned_subscribe)
+        monkeypatch.setattr(JobRecord, "finish", pinned_finish)
+        monkeypatch.setattr(ReproService, "_handle_get_job", pinned_handle_get_job)
+        svc = ReproService(slots=1, queue_size=4).start()
+        try:
+            job_id = ReproClient(svc.address).submit(
+                JobSpec(app="figure4", bug="error1", trials=1, timeout=0.2)
+            )
+            sock = socket.create_connection((svc.host, svc.port), timeout=30)
+            try:
+                f = sock.makefile("rb")
+                sock.sendall(
+                    f"GET /jobs/{job_id}?wait=600 HTTP/1.1\r\nHost: x\r\n\r\n".encode()
+                )
+                status, body = _recv_response(f)
+                assert status == 200
+                assert f'"id": "{job_id}"'.encode() in body
+                assert b'"state": "done"' in body
+                sock.sendall(b"GET /jobs HTTP/1.1\r\nHost: x\r\n\r\n")
+                status, body = _recv_response(f)
+                assert status == 200
+                assert body.startswith(b'{"jobs": [')
+            finally:
+                sock.close()
+            point("end")
         finally:
             svc.close()
