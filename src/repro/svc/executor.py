@@ -1,10 +1,15 @@
-"""Job executor: slot threads driving the persistent worker pool.
+"""Job executor: the loop hands jobs to slot threads, one worker each.
 
-Each of ``slots`` executor threads pulls one job at a time off the
-bounded queue, serves it from the result cache when the cache covers it
-entirely, and otherwise runs it on that slot's **pre-forked worker
-process** (:class:`~repro.svc.pool.WorkerPool`).  Workers import once
-and serve many jobs over a pipe.
+The daemon's event-loop thread owns the executor's state (which slot
+runs which record, and the latency EMA): :meth:`~JobExecutor.dispatch`
+hands queued jobs to free slots.  Each slot thread blocks on its own
+inbox and does only the full-coverage cache lookup
+(:func:`~repro.svc.jobs.try_cached_result`, counting into the job's own
+registry) and, on a miss, the run on the slot's **pre-forked worker
+process** (:class:`~repro.svc.pool.WorkerPool`).  It hands the outcome
+and the job's metric deltas back through the loop's ``schedule``; that
+loop step finishes the record, which answers its parked long-polls, and
+feeds the slot its next job.
 
 Faults follow the one contract of :mod:`repro.pool` under the
 executor's budget:
@@ -26,6 +31,11 @@ executor's budget:
   volatile: they describe service operation, never reproduction
   results.
 
+**Drain.**  Once the queue is closed and nothing is queued or running,
+:meth:`~JobExecutor.dispatch` retires the slots: each slot thread
+retires its own worker, and the hand-back of the last one runs
+``on_retired``.
+
 A job may itself fan its trials or DPOR shards over a nested pool
 (``spec.workers > 0``); pool workers are non-daemonic so they can own
 worker processes of their own.
@@ -33,12 +43,15 @@ worker processes of their own.
 
 from __future__ import annotations
 
+import functools
+import queue as _queue
 import threading
 import time
-from typing import Any, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.harness.stats import TrialFailure
 from repro.obs.metrics import MetricsRegistry
+from repro.pool import Result
 
 from .jobs import JobRecord, try_cached_result
 from .pool import FaultHook, WorkerPool
@@ -51,7 +64,7 @@ _EMA_ALPHA = 0.3
 
 
 class JobExecutor:
-    """Slot threads feeding queued jobs to the persistent worker pool."""
+    """Slot threads running the jobs the loop takes off the fair queue."""
 
     def __init__(
         self,
@@ -64,6 +77,7 @@ class JobExecutor:
         fault_hook: Optional[FaultHook] = None,
         cache: Optional[Any] = None,
         worker_max_jobs: int = 256,
+        on_retired: Optional[Callable[[], None]] = None,
     ) -> None:
         if slots <= 0:
             raise ValueError(f"executor slots must be positive, got {slots}")
@@ -82,159 +96,157 @@ class JobExecutor:
             max_jobs_per_worker=worker_max_jobs,
         )
         self._threads: List[threading.Thread] = []
-        self._busy = 0
+        #: One inbox per slot thread, made by start(): a job, or None to
+        #: retire the slot.
+        self._inboxes: List["_queue.SimpleQueue[Any]"] = []
+        #: The record each slot runs (None = free).
+        self._running: List[Optional[JobRecord]] = [None] * slots
+        self._retiring = False
+        self._retired_slots = 0
+        self._on_retired = on_retired
         self._ema_latency: Optional[float] = None
-        self._stop = False
-        self._lock = threading.Lock()
         metrics.gauge("svc.workers.slots").set(slots)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def start(self) -> None:
+    def start(self, schedule: Callable[..., None]) -> None:
         """Pre-fork the worker pool, then spawn the slot threads.
 
         Workers are forked before the slot threads (and before the HTTP
         event loop) exist, so every worker starts from a quiet image.
+        ``schedule`` runs a callable on the loop thread: every hand-back
+        of a slot thread and every pool event goes through it.
         """
         if self._threads:
             raise RuntimeError("executor already started")
-        self.pool.start()
-        for i in range(self.slots):
-            t = threading.Thread(
-                target=self._slot_loop, args=(i,), name=f"svc-slot-{i}", daemon=True
-            )
+        self.pool.start(schedule)
+        self._inboxes = [_queue.SimpleQueue() for _ in range(self.slots)]
+        for i, inbox in enumerate(self._inboxes):
+            t = threading.Thread(target=self._slot_loop, args=(i, inbox, schedule),
+                                 name=f"svc-slot-{i}", daemon=True)
             t.start()
             self._threads.append(t)
 
+    def kill(self, timeout: float = 10.0) -> None:
+        """Once :meth:`retire` has run, kill in-flight jobs (they account
+        as crashes, never retried) and wait for the slot threads."""
+        self.pool.kill_running()
+        for t in self._threads:
+            t.join(timeout=timeout)
+
+    # ------------------------------------------------------------------
+    # Loop methods
+    # ------------------------------------------------------------------
     @property
     def busy(self) -> int:
         """Slots currently executing a job."""
-        with self._lock:
-            return self._busy
+        return sum(record is not None for record in self._running)
 
     def retry_hint(self) -> float:
-        """Suggested client backoff: one average job per free-ish slot.
-
-        Called by the queue *while holding its own lock* (only on a
-        rejection, when the queue is known to be at capacity), so this
-        must not read locked queue state — ``maxsize`` is the depth.
-        """
-        with self._lock:
-            ema = self._ema_latency
+        """Suggested client backoff: one average job per free-ish slot
+        (asked only on a rejection, so the queue holds ``maxsize``)."""
         backlog = self._queue.maxsize + self.slots  # full queue + (worst case) running
-        per_job = ema if ema is not None else 1.0
+        per_job = self._ema_latency if self._ema_latency is not None else 1.0
         return min(30.0, max(0.05, backlog * per_job / self.slots))
 
-    def idle(self) -> bool:
-        """No queued backlog and no running job."""
-        return self._queue.depth == 0 and self.busy == 0
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Block until every accepted job finished (True) or ``timeout``.
-
-        Call :meth:`BoundedJobQueue.close` first so no new work arrives;
-        this merely waits for the backlog and in-flight jobs.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while not self.idle():
-            if deadline is not None and time.monotonic() > deadline:
-                return False
-            time.sleep(0.02)
-        return True
-
-    def shutdown(self, kill: bool = False, timeout: float = 10.0) -> None:
-        """Stop the slot threads and retire the worker pool.
-
-        ``kill`` terminates in-flight jobs (their workers die and the
-        jobs account as crashes without further retries); otherwise
-        workers get a graceful exit message once their slot thread
-        stops feeding them.
-        """
-        self._queue.close()
-        self._stop = True
-        if kill:
-            self.pool.kill_running()
-        for t in self._threads:
-            t.join(timeout=timeout)
-        self.pool.shutdown(kill=kill)
-
-    # ------------------------------------------------------------------
-    # Slot machinery
-    # ------------------------------------------------------------------
-    def _slot_loop(self, slot: int) -> None:
-        """One slot thread: dequeue, execute on the slot's worker, repeat."""
-        while True:
-            record = self._queue.get(timeout=0.2)
-            if record is None:
-                if self._stop or self._queue.closed:
-                    return
+    def dispatch(self) -> None:
+        """Hand queued jobs to free slots; once the queue is closed and
+        nothing is queued or running, :meth:`retire` the slots."""
+        if self._retiring:
+            return
+        for slot, inbox in enumerate(self._inboxes):
+            if self._running[slot] is not None:
                 continue
+            record = self._queue.get()
+            if record is None:
+                break
             # In-flight tenant accounting brackets the whole execution:
             # a tenant's running jobs count against its fair share.
             self._queue.note_running(record)
-            with self._lock:
-                self._busy += 1
-                self._metrics.gauge("svc.workers.busy", volatile=True).set(self._busy)
-            try:
-                self._run_job(slot, record)
-            finally:
-                with self._lock:
-                    self._busy -= 1
-                    self._metrics.gauge("svc.workers.busy", volatile=True).set(self._busy)
-                self._queue.note_finished(record)
+            record.mark_running()
+            self._running[slot] = record
+            self._note_busy()
+            wait = self._metrics.histogram("svc.job_queue_wait_seconds", volatile=True)
+            wait.observe(record.queue_wait())
+            spec = record.spec
+            inbox.put((spec, self.job_timeout if spec.job_timeout is None else spec.job_timeout))
+        if self._queue.closed and self._queue.depth == 0 and self.busy == 0:
+            self.retire()
 
-    def _run_job(self, slot: int, record: JobRecord) -> None:
-        """Drive one job to a terminal state: the cache, else the pool."""
-        spec = record.spec
-        record.mark_running()
-        wait = record.queue_wait()
-        with self._lock:
-            if wait is not None:
-                self._metrics.histogram(
-                    "svc.job_queue_wait_seconds", volatile=True
-                ).observe(wait)
-        cached = try_cached_result(self.cache, spec)
-        if cached is not None:
-            # Full cache coverage: no pipe round-trip, no attempt — the
-            # lookup itself already counted cache.hit into the registry.
-            self._note_done(record, failed=False)
-            record.finish(cached)
-            return
-        budget = spec.job_timeout if spec.job_timeout is not None else self.job_timeout
-        record.attempts = 1
-        result = self.pool.run(slot, spec, budget, self.max_job_retries)
-        record.attempts = result.attempts
-        if result.attempts > 1:
-            with self._lock:
+    def retire(self) -> None:
+        """Feed the slots no more jobs: each slot thread retires its worker
+        once its current job, if any, is handed back."""
+        if not self._retiring:
+            self._retiring = True
+            for inbox in self._inboxes:
+                inbox.put(None)
+
+    def _settle(self, slot: int, cached: Any, result: Optional[Result], deltas: Any) -> None:
+        """One slot's hand-back: fold the job's metrics in, finish its
+        record and feed the slot."""
+        record, self._running[slot] = self._running[slot], None
+        self._metrics.merge_wire(deltas)
+        if result is not None:
+            record.attempts = result.attempts
+            if result.attempts > 1:
                 self._metrics.counter("svc.jobs.retries", volatile=True).inc(
                     result.attempts - 1
                 )
-        self._note_done(record, failed=not result.ok)
-        if result.ok:
+        # Account before the record turns terminal: completing it answers
+        # parked long-polls, and a client acting on that answer (e.g.
+        # scraping /metrics) must see this job already counted.
+        self._note_done(record, failed=result is not None and not result.ok)
+        self._note_busy()
+        self._queue.note_finished(record)
+        if cached is not None:
+            record.finish(cached)
+        elif result.ok:
             record.finish(result.value)
-            return
-        seed = spec.seed if spec.kind == "explore" else spec.base_seed
-        record.fail(TrialFailure(
-            seed=seed, kind=result.kind, attempts=result.attempts, message=result.message
-        ))
+        else:
+            spec = record.spec
+            record.fail(TrialFailure(
+                seed=spec.seed if spec.kind == "explore" else spec.base_seed,
+                kind=result.kind, attempts=result.attempts, message=result.message,
+            ))
+        self.dispatch()
+
+    def _slot_retired(self) -> None:
+        """One slot thread retired its worker; the last one calls back."""
+        self._retired_slots += 1
+        if self._retired_slots == self.slots and self._on_retired is not None:
+            self._on_retired()
+
+    def _note_busy(self) -> None:
+        self._metrics.gauge("svc.workers.busy", volatile=True).set(self.busy)
 
     def _note_done(self, record: JobRecord, failed: bool) -> None:
-        """Fold a finishing job into the metrics and the latency EMA.
-
-        Runs *before* the record turns terminal: completing the record
-        wakes parked long-polls, and a client acting on the response
-        (e.g. scraping ``/metrics``, as the endpoint tests do) must see
-        this job already accounted.
-        """
+        """Fold a finishing job into the metrics and the latency EMA."""
         latency = time.monotonic() - record.submitted_at
-        with self._lock:
-            name = "svc.jobs.failed" if failed else "svc.jobs.completed"
-            self._metrics.counter(name, volatile=True).inc()
-            self._metrics.histogram(
-                "svc.job_latency_seconds", volatile=True
-            ).observe(latency)
-            if self._ema_latency is None:
-                self._ema_latency = latency
-            else:
-                self._ema_latency += _EMA_ALPHA * (latency - self._ema_latency)
+        name = "svc.jobs.failed" if failed else "svc.jobs.completed"
+        self._metrics.counter(name, volatile=True).inc()
+        self._metrics.histogram("svc.job_latency_seconds", volatile=True).observe(latency)
+        if self._ema_latency is None:
+            self._ema_latency = latency
+        else:
+            self._ema_latency += _EMA_ALPHA * (latency - self._ema_latency)
+
+    # ------------------------------------------------------------------
+    # Slot threads
+    # ------------------------------------------------------------------
+    def _slot_loop(self, slot: int, inbox: Any, schedule: Callable[..., None]) -> None:
+        """One slot thread: run each job its inbox hands it and hand the
+        outcome back; retire the slot's worker when the inbox says so."""
+        while (job := inbox.get()) is not None:
+            spec, budget = job
+            job_metrics = MetricsRegistry()
+            cache = None if self.cache is None else self.cache.with_metrics(job_metrics)
+            cached = try_cached_result(cache, spec)
+            result = None
+            if cached is None:
+                result = self.pool.run(slot, spec, budget, self.max_job_retries, job_metrics)
+            schedule(functools.partial(
+                self._settle, slot, cached, result, job_metrics.to_wire()
+            ))
+        self.pool.retire(slot)
+        schedule(self._slot_retired)

@@ -26,13 +26,14 @@ with a single-threaded :mod:`selectors` event loop shared by the daemon
   :meth:`AsyncHTTPFrontend.complete`.  Long-polls (``GET
   /jobs/<id>?wait=``) and the router's upstream forwards ride this: the
   event loop never blocks on job completion or an upstream daemon.
-* **Thread-safe wakeups.**  Executor slot threads and router forwarder
-  threads hand work to the loop via :meth:`schedule` (a self-pipe
-  wakeup), and the loop owns a timer heap (:meth:`call_later`) for
-  long-poll deadlines — no polling, no busy loops.  A callback or timer
-  that raises does not stop the loop: the exception is counted in
-  ``svc.http.callback_errors`` and logged with its traceback on the
-  ``repro.svc.http`` logger.
+* **One owner thread.**  The daemon and the router keep their state on
+  the loop thread.  Their slot and forwarder threads hand work to the
+  loop via :meth:`schedule` (a self-pipe wakeup), any thread reads or
+  changes that state via :meth:`call`, and the loop owns a timer heap
+  (:meth:`call_later`) for deadlines — no polling, no busy loops.  A
+  callback or timer that raises does not stop the loop: the exception
+  is counted in ``svc.http.callback_errors`` and logged with its
+  traceback on the ``repro.svc.http`` logger.
 
 The wire semantics (JSON bodies, status codes, header shapes) are
 unchanged from ``repro.svc/1``; this file is purely the concurrency
@@ -48,6 +49,7 @@ import socket
 import threading
 import time
 from collections import deque
+from concurrent.futures import Future
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from . import protocol
@@ -264,10 +266,12 @@ class AsyncHTTPFrontend:
         self._wake_w: Optional[socket.socket] = None
         self._pending: "deque[Callable[[], None]]" = deque()
         self._pending_lock = threading.Lock()
+        #: The loop takes calls (after start, until it stops); guarded
+        #: by ``_pending_lock``.
+        self._live = False
         self._timers: list = []
         self._conns: Dict[socket.socket, _Conn] = {}
         self._stopping = False
-        self._started = threading.Event()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -288,8 +292,8 @@ class AsyncHTTPFrontend:
         self._thread = threading.Thread(
             target=self._loop, name=self._name, daemon=True
         )
+        self._live = True
         self._thread.start()
-        self._started.set()
         return self
 
     @property
@@ -298,12 +302,22 @@ class AsyncHTTPFrontend:
         assert self._listener is not None, "frontend not started"
         return self._listener.getsockname()[1]
 
+    @property
+    def running(self) -> bool:
+        """Does the loop take calls (started and not yet stopped)?"""
+        return self._live
+
     def stop(self, timeout: float = 5.0) -> None:
-        """Stop the loop, close every connection, release the port."""
-        if self._thread is None:
+        """Stop the loop, close every connection, release the port (from
+        the loop thread itself: once the current step is done)."""
+        thread = self._thread
+        if thread is None:
+            return
+        if thread is threading.current_thread():
+            self._begin_stop()
             return
         self.schedule(self._begin_stop)
-        self._thread.join(timeout=timeout)
+        thread.join(timeout=timeout)
         self._thread = None
 
     def _begin_stop(self) -> None:
@@ -316,6 +330,34 @@ class AsyncHTTPFrontend:
         """Run ``fn`` on the loop thread soon (callable from any thread)."""
         with self._pending_lock:
             self._pending.append(fn)
+        self._wake()
+
+    def call(self, fn: Callable[[], Any]) -> Any:
+        """Run ``fn`` where the state lives and return its value.
+
+        While the loop runs, ``fn`` runs on the loop thread, the calling
+        thread (never the loop's own) waits for it, and what ``fn``
+        raises is raised here.  Before :meth:`start` and once the loop
+        has stopped, the caller owns the state and runs ``fn`` itself.
+        """
+        future: "Future[Any]" = Future()
+
+        def run() -> None:
+            try:
+                future.set_result(fn())
+            except Exception as exc:  # noqa: BLE001 - raised on the caller
+                future.set_exception(exc)
+
+        with self._pending_lock:
+            taken = self._live
+            if taken:
+                self._pending.append(run)
+        if not taken:
+            return fn()
+        self._wake()
+        return future.result()
+
+    def _wake(self) -> None:
         wake = self._wake_w
         if wake is not None:
             try:
@@ -411,6 +453,8 @@ class AsyncHTTPFrontend:
             _log.exception("%s: a loop %s raised", self._name, what)
 
     def _teardown(self) -> None:
+        """Close every socket, then run what is still scheduled, so no
+        :meth:`call` the loop took waits on a loop that is gone."""
         sel = self._selector
         for conn in list(self._conns.values()):
             self._close_conn(conn, notify=False)
@@ -428,6 +472,12 @@ class AsyncHTTPFrontend:
                     pass
         if sel is not None:
             sel.close()
+        with self._pending_lock:
+            self._live = False
+            left = list(self._pending)
+            self._pending.clear()
+        for fn in left:
+            self._call(fn, "callback")
 
     def _accept(self) -> None:
         assert self._listener is not None and self._selector is not None

@@ -15,14 +15,14 @@ Job-level failures (a job whose worker crashes, times out, or raises)
 reuse the harness's :class:`~repro.harness.stats.TrialFailure` record —
 same ``kind`` vocabulary (``"crash"`` / ``"timeout"`` / ``"exception"``),
 same attempt accounting — so a service client reads failures exactly the
-way a `run_trials` caller reads per-trial failures.
+way a `run_trials` caller reads per-trial failures.  A
+:class:`JobRecord` is plain data of the daemon's event-loop thread.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import re
-import threading
 import time
 from typing import Any, Dict, Optional, Tuple
 
@@ -393,11 +393,11 @@ def try_cached_result(cache: Optional[Any], spec: JobSpec) -> Optional[Dict[str,
 class JobRecord:
     """Server-side lifecycle of one accepted job.
 
-    Thread-safe: the HTTP handler threads read it while an executor slot
-    drives it through ``queued → running → done | failed``.  Completion
-    is signalled through an event so long-poll readers block without
-    spinning.  Wall-clock stamps are operational data (volatile in the
-    metrics sense) — they never feed into results.
+    Once the service has started, only its event-loop thread reads or
+    writes a record: it moves the record through ``queued → running →
+    done | failed``, and completion callbacks (:meth:`subscribe`) run on
+    that thread too.  Wall-clock stamps are operational data (volatile
+    in the metrics sense) — they never feed into results.
     """
 
     def __init__(self, job_id: str, spec: JobSpec) -> None:
@@ -410,11 +410,9 @@ class JobRecord:
         self.submitted_at = time.monotonic()
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
-        self._done = threading.Event()
-        self._subs_lock = threading.Lock()
         self._subs: list = []
 
-    # -- transitions (executor slot thread) -----------------------------
+    # -- transitions ----------------------------------------------------
     def mark_running(self) -> None:
         """Queue → running (stamps the queue-wait boundary)."""
         self.state = RUNNING
@@ -424,22 +422,18 @@ class JobRecord:
         """Running → done with a wire-form result payload."""
         self.result = result
         self.state = DONE
-        self.finished_at = time.monotonic()
-        self._done.set()
-        self._notify_subscribers()
+        self._settle()
 
     def fail(self, failure: TrialFailure) -> None:
         """Running → failed with a :class:`TrialFailure` account."""
         self.failure = failure
         self.state = FAILED
-        self.finished_at = time.monotonic()
-        self._done.set()
-        self._notify_subscribers()
+        self._settle()
 
-    def _notify_subscribers(self) -> None:
-        """Fire-and-clear every completion callback exactly once."""
-        with self._subs_lock:
-            subs, self._subs = self._subs, []
+    def _settle(self) -> None:
+        """Stamp the end; fire-and-clear every completion callback once."""
+        self.finished_at = time.monotonic()
+        subs, self._subs = self._subs, []
         for cb in subs:
             try:
                 cb()
@@ -449,35 +443,26 @@ class JobRecord:
     def subscribe(self, callback) -> None:
         """Register ``callback()`` to run once the job turns terminal.
 
-        The async frontend's long-polls ride this instead of blocking a
-        thread in :meth:`wait`.  A record that is already terminal calls
-        back immediately (same thread); otherwise the callback runs on
-        whichever executor thread completes the job — subscribers must
-        marshal back to their own event loop.
+        The async frontend's long-polls ride this.  A record that is
+        already terminal calls back at once.
         """
-        with self._subs_lock:
-            if not self.terminal:
-                self._subs.append(callback)
-                return
-        callback()
+        if self.terminal:
+            callback()
+        else:
+            self._subs.append(callback)
 
     def unsubscribe(self, callback) -> None:
         """Remove a pending completion callback (no-op if already fired)."""
-        with self._subs_lock:
-            try:
-                self._subs.remove(callback)
-            except ValueError:
-                pass
+        try:
+            self._subs.remove(callback)
+        except ValueError:
+            pass
 
-    # -- readers (HTTP handler threads) ---------------------------------
+    # -- readers ----------------------------------------------------------
     @property
     def terminal(self) -> bool:
         """Has the job reached a final state?"""
         return self.state in TERMINAL_STATES
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until the job is terminal (long-poll support)."""
-        return self._done.wait(timeout)
 
     def queue_wait(self) -> Optional[float]:
         """Seconds spent queued, once running (None while queued)."""

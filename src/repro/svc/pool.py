@@ -11,23 +11,23 @@ raises or whose worker crashes is retried within the executor's
 ``max_job_retries`` (a crashed worker is replaced first), and a job
 over its wall-clock budget has its worker killed and replaced and is
 never retried.  Workers are **recycled** (gracefully replaced) after
-``max_jobs_per_worker`` jobs as leak hygiene.  Because each worker
-rebinds the shared result cache to a private registry per job and ships
-the counter deltas back with the result, the service's ``cache.*``
-metrics stay accurate across the fork boundary.
+``max_jobs_per_worker`` jobs as leak hygiene.  Each worker rebinds the
+shared result cache to a private registry per job and ships the counter
+deltas back with the result; :meth:`WorkerPool.run` merges them into
+the job's own registry, which the slot thread hands to the loop.
 
+Once started, every pool event reaches the registry through the
+``schedule`` :meth:`WorkerPool.start` was given (the daemon's loop).
 Operational surface: ``svc.pool.workers`` (gauge) plus the
 ``svc.pool.spawned`` / ``svc.pool.recycled`` / ``svc.pool.crashes``
-(worker deaths; timeout kills are not crashes) / ``svc.pool.jobs``
-(jobs a worker answered) counters — all volatile, all on
-``GET /metrics``.
+(worker deaths; timeout kills are not crashes) / ``svc.pool.jobs`` (jobs
+a worker answered) counters — all volatile, all on ``GET /metrics``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import threading
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro._lazy import preload
@@ -76,9 +76,8 @@ def _run_job(
 class WorkerPool:
     """One single-worker pool per executor slot.
 
-    Each slot's pool is driven only by that slot's executor thread, so
-    job traffic on a pipe is single-threaded; the lock guards only the
-    shared metrics registry.
+    Each slot's pool is driven only by that slot's thread, so job traffic
+    on a pipe is single-threaded.
     """
 
     def __init__(
@@ -99,7 +98,8 @@ class WorkerPool:
         self._metrics = metrics
         self.slots = slots
         self.max_jobs_per_worker = max_jobs_per_worker
-        self._lock = threading.Lock()
+        #: Runs each pool event's metric write (here, until start()).
+        self._schedule: Callable[..., None] = lambda fn: fn()
         task = functools.partial(_run_job, fault_hook, cache)
         self._pools = [
             Pool(
@@ -111,16 +111,20 @@ class WorkerPool:
             for slot in range(slots)
         ]
 
-    def start(self) -> "WorkerPool":
+    def start(self, schedule: Optional[Callable[..., None]] = None) -> "WorkerPool":
         """Pre-fork one worker per slot (call before other threads exist).
 
-        What jobs run is loaded first, so every worker, replacements
-        included, inherits it instead of importing it once per lifetime:
-        numpy (three apps use it) and the inference stack with networkx.
+        From then on ``schedule`` (when given) runs each pool event's
+        metric write where the registry lives.  What jobs run is loaded
+        first, so every worker, replacements included, inherits it
+        instead of importing it once per lifetime: numpy (three apps use
+        it) and the inference stack with networkx.
         """
         preload("numpy", "networkx", "repro.infer")
         for pool in self._pools:
             pool.start()
+        if schedule is not None:
+            self._schedule = schedule
         return self
 
     def worker_pid(self, slot: int) -> Optional[int]:
@@ -133,17 +137,22 @@ class WorkerPool:
         for pool in self._pools:
             pool.kill()
 
-    def shutdown(self, kill: bool = False, timeout: float = 10.0) -> None:
-        """Retire every worker; ``kill`` skips the graceful exit message."""
-        for pool in self._pools:
-            pool.close(kill=kill)
+    def retire(self, slot: int) -> None:
+        """Retire the slot's worker (its slot thread calls this last)."""
+        self._pools[slot].close()
 
     def run(
-        self, slot: int, spec: JobSpec, budget: Optional[float], max_retries: int
+        self,
+        slot: int,
+        spec: JobSpec,
+        budget: Optional[float],
+        max_retries: int,
+        metrics: MetricsRegistry,
     ) -> Result:
         """Run one job on the slot's worker under the wall-clock budget,
         retrying up to ``max_retries`` times; the result's value is the
-        job's wire payload."""
+        job's wire payload, and the worker's metric deltas are merged into
+        ``metrics`` (the job's own registry)."""
         (result,) = self._pools[slot].map(
             [spec], max_retries=max_retries, timeout=budget
         )
@@ -151,15 +160,16 @@ class WorkerPool:
             return result
         payload, deltas = result.value
         if deltas:
-            with self._lock:
-                self._metrics.merge_wire(deltas)
+            metrics.merge_wire(deltas)
         return dataclasses.replace(result, value=payload)
 
     def _note(self, event: str) -> None:
+        self._schedule(functools.partial(self._count, event))
+
+    def _count(self, event: str) -> None:
         """Fold one pool event into the ``svc.pool.*`` metrics."""
-        with self._lock:
-            if event in _COUNTERS:
-                self._metrics.counter(_COUNTERS[event], volatile=True).inc()
-            if event in ("spawned", "retired"):
-                live = sum(pid is not None for p in self._pools for pid in p.pids())
-                self._metrics.gauge("svc.pool.workers", volatile=True).set(live)
+        if event in _COUNTERS:
+            self._metrics.counter(_COUNTERS[event], volatile=True).inc()
+        if event in ("spawned", "retired"):
+            live = sum(pid is not None for p in self._pools for pid in p.pids())
+            self._metrics.gauge("svc.pool.workers", volatile=True).set(live)

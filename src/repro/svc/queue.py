@@ -23,19 +23,20 @@ subsequent ``put`` (:class:`QueueClosed`), while ``get`` keeps serving
 until the backlog is empty — accepted jobs always finish, which is the
 in-flight half of the SIGTERM contract.
 
+The queue is a plain object of the daemon's event-loop thread
+(:mod:`repro.svc.server`): it needs no lock, and ``get`` never blocks.
+
 Depth is mirrored into the service metrics registry on every transition
 (``svc.queue.depth`` gauge, ``svc.queue.high_water``), alongside the
 per-tenant families ``svc.tenant.<name>.queued`` /
 ``svc.tenant.<name>.inflight`` (gauges, bounded to the first
 ``_TENANT_METRIC_LIMIT`` distinct tenants), ``svc.tenant.shed``
-(counter) and ``svc.queue.tenants`` (active-tenant gauge), so
-``/metrics`` always shows the current backlog without locking the queue.
+(counter) and ``svc.queue.tenants`` (active-tenant gauge).
 """
 
 from __future__ import annotations
 
 import collections
-import threading
 from typing import Deque, Dict, Optional
 
 from repro.obs.metrics import MetricsRegistry
@@ -81,12 +82,12 @@ class TenantOverShare(Exception):
 
 
 class BoundedJobQueue:
-    """Thread-safe bounded queue of :class:`~repro.svc.jobs.JobRecord`
-    with one FIFO lane per tenant and weighted-round-robin dequeue.
+    """Bounded queue of :class:`~repro.svc.jobs.JobRecord` with one FIFO
+    lane per tenant and weighted-round-robin dequeue.
 
     ``retry_hint`` is a callable returning the suggested client backoff
-    in seconds (the executor supplies one based on its observed job
-    latency); it is consulted only on rejection.  ``tenant_weights``
+    in seconds (the service supplies its executor's, based on observed
+    job latency); it is consulted only on rejection.  ``tenant_weights``
     maps tenant name to a positive integer dequeue weight (unlisted
     tenants weigh 1): a weight-2 tenant is served two jobs per
     round-robin turn and owns twice the fair share.
@@ -109,8 +110,6 @@ class BoundedJobQueue:
         self._credit: Dict[str, int] = {}  # turns left this RR pass
         self._inflight: Dict[str, int] = {}  # dequeued, not yet finished
         self._depth = 0
-        self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
         self._closed = False
         self._metrics = metrics
         self._metric_tenants: set = set()
@@ -132,17 +131,17 @@ class BoundedJobQueue:
         """The record's admission-control lane (spec tenant label)."""
         return getattr(record.spec, "tenant", "anon") or "anon"
 
-    def _note_depth_locked(self) -> None:
+    def _note_depth(self) -> None:
         """Mirror depth and per-tenant occupancy into the registry."""
         if self._metrics is None:
             return
         self._metrics.gauge("svc.queue.depth", volatile=True).set(self._depth)
         self._metrics.gauge("svc.queue.high_water", volatile=True).max(self._depth)
         self._metrics.gauge("svc.queue.tenants", volatile=True).set(
-            len(self._active_tenants_locked())
+            len(self._active_tenants())
         )
 
-    def _note_tenant_locked(self, tenant: str) -> None:
+    def _note_tenant(self, tenant: str) -> None:
         """Refresh one tenant's queued/inflight gauges (bounded keyspace)."""
         if self._metrics is None:
             return
@@ -158,7 +157,7 @@ class BoundedJobQueue:
             self._inflight.get(tenant, 0)
         )
 
-    def _active_tenants_locked(self) -> set:
+    def _active_tenants(self) -> set:
         """Tenants with queued or in-flight work right now."""
         active = {t for t, lane in self._lanes.items() if lane}
         active.update(t for t, n in self._inflight.items() if n > 0)
@@ -167,8 +166,7 @@ class BoundedJobQueue:
     @property
     def depth(self) -> int:
         """Jobs currently queued (excludes running jobs)."""
-        with self._lock:
-            return self._depth
+        return self._depth
 
     @property
     def closed(self) -> bool:
@@ -177,15 +175,14 @@ class BoundedJobQueue:
 
     def tenants_snapshot(self) -> Dict[str, Dict[str, int]]:
         """Per-tenant ``{"queued": n, "inflight": n}`` occupancy map."""
-        with self._lock:
-            out: Dict[str, Dict[str, int]] = {}
-            for tenant in self._active_tenants_locked():
-                lane = self._lanes.get(tenant)
-                out[tenant] = {
-                    "queued": len(lane) if lane else 0,
-                    "inflight": self._inflight.get(tenant, 0),
-                }
-            return out
+        out: Dict[str, Dict[str, int]] = {}
+        for tenant in self._active_tenants():
+            lane = self._lanes.get(tenant)
+            out[tenant] = {
+                "queued": len(lane) if lane else 0,
+                "inflight": self._inflight.get(tenant, 0),
+            }
+        return out
 
     # ------------------------------------------------------------------
     def put(self, record: JobRecord) -> None:
@@ -194,111 +191,90 @@ class BoundedJobQueue:
         the record's tenant is at its share and other tenants are active.
         """
         tenant = self._tenant_of(record)
-        with self._lock:
-            if self._closed:
-                raise QueueClosed("service is draining")
-            if self._depth >= self.maxsize:
-                if self._metrics is not None:
-                    self._metrics.counter("svc.queue.rejected", volatile=True).inc()
-                hint = self._retry_hint() if self._retry_hint is not None else 1.0
-                raise QueueFull(max(0.05, float(hint)))
-            active = self._active_tenants_locked()
-            active.add(tenant)
-            if len(active) > 1:
-                total_weight = sum(self._weight(t) for t in active)
-                share = max(
-                    1, (self.maxsize * self._weight(tenant)) // total_weight
-                )
-                lane = self._lanes.get(tenant)
-                occupancy = (len(lane) if lane else 0) + self._inflight.get(
-                    tenant, 0
-                )
-                if occupancy >= share:
-                    if self._metrics is not None:
-                        self._metrics.counter(
-                            "svc.tenant.shed", volatile=True
-                        ).inc()
-                    hint = (
-                        self._retry_hint() if self._retry_hint is not None else 1.0
-                    )
-                    # One slot's worth of backoff, not a full queue drain:
-                    # the tenant only needs one of its own jobs to finish.
-                    raise TenantOverShare(
-                        tenant, share, max(0.05, float(hint) / self.maxsize)
-                    )
+        if self._closed:
+            raise QueueClosed("service is draining")
+        if self._depth >= self.maxsize:
+            if self._metrics is not None:
+                self._metrics.counter("svc.queue.rejected", volatile=True).inc()
+            hint = self._retry_hint() if self._retry_hint is not None else 1.0
+            raise QueueFull(max(0.05, float(hint)))
+        active = self._active_tenants()
+        active.add(tenant)
+        if len(active) > 1:
+            total_weight = sum(self._weight(t) for t in active)
+            share = max(1, (self.maxsize * self._weight(tenant)) // total_weight)
             lane = self._lanes.get(tenant)
-            if lane is None:
-                lane = self._lanes[tenant] = collections.deque()
-            if not lane and tenant not in self._order:
-                self._order.append(tenant)
-                self._credit[tenant] = self._weight(tenant)
-            lane.append(record)
-            self._depth += 1
-            self._note_depth_locked()
-            self._note_tenant_locked(tenant)
-            self._not_empty.notify()
+            occupancy = (len(lane) if lane else 0) + self._inflight.get(tenant, 0)
+            if occupancy >= share:
+                if self._metrics is not None:
+                    self._metrics.counter("svc.tenant.shed", volatile=True).inc()
+                hint = self._retry_hint() if self._retry_hint is not None else 1.0
+                # One slot's worth of backoff, not a full queue drain:
+                # the tenant only needs one of its own jobs to finish.
+                raise TenantOverShare(
+                    tenant, share, max(0.05, float(hint) / self.maxsize)
+                )
+        lane = self._lanes.get(tenant)
+        if lane is None:
+            lane = self._lanes[tenant] = collections.deque()
+        if not lane and tenant not in self._order:
+            self._order.append(tenant)
+            self._credit[tenant] = self._weight(tenant)
+        lane.append(record)
+        self._depth += 1
+        self._note_depth()
+        self._note_tenant(tenant)
 
-    def get(self, timeout: Optional[float] = None) -> Optional[JobRecord]:
-        """Dequeue the next job weighted-round-robin across tenant lanes,
-        blocking up to ``timeout`` seconds.
+    def get(self) -> Optional[JobRecord]:
+        """Dequeue the next job weighted-round-robin across tenant lanes
+        (None when nothing is queued).
 
         Within one lane order is FIFO; across lanes each tenant is served
-        ``weight`` jobs per turn.  Returns None on timeout or when the
-        queue is closed and empty — the executor's slot threads use the
-        latter as their exit signal.
+        ``weight`` jobs per turn.
         """
-        with self._not_empty:
-            if self._depth == 0:
-                if self._closed:
-                    return None
-                self._not_empty.wait(timeout)
-            if self._depth == 0:
-                return None
-            tenant = self._order[0]
-            lane = self._lanes[tenant]
-            record = lane.popleft()
-            self._depth -= 1
-            self._credit[tenant] -= 1
-            if not lane:
-                self._order.popleft()
-                self._credit.pop(tenant, None)
-                del self._lanes[tenant]
-            elif self._credit[tenant] <= 0:
-                self._order.rotate(-1)
-                self._credit[tenant] = self._weight(tenant)
-            self._note_depth_locked()
-            self._note_tenant_locked(tenant)
-            return record
+        if self._depth == 0:
+            return None
+        tenant = self._order[0]
+        lane = self._lanes[tenant]
+        record = lane.popleft()
+        self._depth -= 1
+        self._credit[tenant] -= 1
+        if not lane:
+            self._order.popleft()
+            self._credit.pop(tenant, None)
+            del self._lanes[tenant]
+        elif self._credit[tenant] <= 0:
+            self._order.rotate(-1)
+            self._credit[tenant] = self._weight(tenant)
+        self._note_depth()
+        self._note_tenant(tenant)
+        return record
 
     # ------------------------------------------------------------------
     def note_running(self, record: JobRecord) -> None:
         """Account a dequeued job as in flight for its tenant.
 
-        Called by the executor the moment a slot picks the job up;
+        Called by the executor the moment it hands the job to a slot;
         in-flight occupancy counts against the tenant's fair share, so a
         tenant cannot dodge shedding by keeping the queue short while
         hogging every slot.
         """
         tenant = self._tenant_of(record)
-        with self._lock:
-            self._inflight[tenant] = self._inflight.get(tenant, 0) + 1
-            self._note_tenant_locked(tenant)
-            self._note_depth_locked()
+        self._inflight[tenant] = self._inflight.get(tenant, 0) + 1
+        self._note_tenant(tenant)
+        self._note_depth()
 
     def note_finished(self, record: JobRecord) -> None:
         """Release a finished job's in-flight share accounting."""
         tenant = self._tenant_of(record)
-        with self._lock:
-            left = self._inflight.get(tenant, 0) - 1
-            if left > 0:
-                self._inflight[tenant] = left
-            else:
-                self._inflight.pop(tenant, None)
-            self._note_tenant_locked(tenant)
-            self._note_depth_locked()
+        left = self._inflight.get(tenant, 0) - 1
+        if left > 0:
+            self._inflight[tenant] = left
+        else:
+            self._inflight.pop(tenant, None)
+        self._note_tenant(tenant)
+        self._note_depth()
 
     def close(self) -> None:
-        """Enter drain mode: refuse puts, serve the backlog, wake waiters."""
-        with self._lock:
-            self._closed = True
-            self._not_empty.notify_all()
+        """Enter drain mode: refuse puts, keep serving the backlog."""
+        self._closed = True

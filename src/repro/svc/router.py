@@ -412,10 +412,12 @@ class FleetRouter:
 
     Threading: after :meth:`start`, the frontend's event-loop thread
     owns every piece of routing state, and the forwarder threads only
-    talk upstream (see the module docstring).  :attr:`peers`,
-    :meth:`describe` and :meth:`drain` may be called from any thread:
-    they run their reads and writes on the loop and wait for them.
-    Before :meth:`start` no loop exists and the caller owns the state.
+    talk upstream (see the module docstring).  Once started,
+    :attr:`peers`, :meth:`describe` and :meth:`drain` may be called from
+    any thread: they run their reads and writes on the loop through
+    :meth:`AsyncHTTPFrontend.call
+    <repro.svc.http.AsyncHTTPFrontend.call>` and wait for them.  Before
+    :meth:`start` no loop exists and the caller owns the state.
 
     Fault-tolerance knobs: ``eject_after`` consecutive upstream
     failures eject a shard from placement (a failed ``/health`` probe
@@ -514,11 +516,11 @@ class FleetRouter:
     @property
     def peers(self) -> List[str]:
         """Base URLs of the current ring members (stable-index order)."""
-        return self._on_loop(lambda: [s.url for s in self._shards if s.member])
+        return self._frontend.call(lambda: [s.url for s in self._shards if s.member])
 
     def describe(self) -> str:
         """One-line banner for ``repro route``."""
-        parts = self._on_loop(
+        parts = self._frontend.call(
             lambda: [
                 f"{s.url}{'' if s.alive else ' (DOWN)'}"
                 for s in self._shards
@@ -545,7 +547,7 @@ class FleetRouter:
             self._draining = True
             return [s.url for s in self._shards if s.member]
 
-        members = self._on_loop(stop_intake)
+        members = self._frontend.call(stop_intake)
         deadline = None if timeout is None else time.monotonic() + timeout
         for url in members:
             try:
@@ -562,43 +564,9 @@ class FleetRouter:
         """Stop the frontend (and its timers), then the forwarder pool."""
         if self._frontend is not None:
             self._frontend.stop()
-            self._frontend = None
         if self._forwarders is not None:
             self._forwarders.stop()
             self._forwarders = None
-
-    def _on_loop(self, fn: Callable[[], Any]) -> Any:
-        """Run ``fn`` where the state lives and return its value.
-
-        While the loop runs, ``fn`` runs on the loop thread and the
-        calling thread waits for it, and an exception ``fn`` raises is
-        raised here; before :meth:`start` and after :meth:`close` the
-        caller owns the state and runs ``fn`` itself.  A loop that
-        :meth:`close` stops before it gets to ``fn`` never runs it, so
-        then the caller does, once :meth:`close` has let go of it.
-        """
-        frontend = self._frontend
-        if frontend is None:
-            return fn()
-        done = threading.Event()
-        box: List[Any] = []
-
-        def run() -> None:
-            try:
-                box.append((True, fn()))
-            except Exception as exc:  # noqa: BLE001 - re-raised on the caller
-                box.append((False, exc))
-            finally:
-                done.set()
-
-        frontend.schedule(run)
-        while not done.wait(0.05):
-            if self._frontend is not frontend and not done.is_set():
-                return fn()
-        ok, value = box[0]
-        if not ok:
-            raise value
-        return value
 
     # ------------------------------------------------------------------
     # Shard health (ejection / re-admission state machine)

@@ -30,6 +30,19 @@ interesting lives in the lifecycle:
   snapshot incl. the ``svc.pool.*`` worker-pool and ``svc.http.*``
   frontend families) are what the smoke test and the throughput bench
   scrape.
+
+**One thread owns the state.**  After :meth:`ReproService.start`, the
+frontend's event-loop thread alone reads and writes the job table and
+history, the fair queue, slot occupancy, tenant in-flight counts, the
+latency EMA, the drain state, every record and the metrics registry.
+Slot threads only run the job the loop hands them and hand the outcome
+back (:mod:`repro.svc.executor`), so every daemon decision is one loop
+step and ``/health`` is one consistent snapshot.  A drain finishes in
+the loop step that settles the last job: the slot threads retire their
+workers, and the hand-back of the last one stops the listener.  Public
+methods run on the loop through :meth:`AsyncHTTPFrontend.call
+<repro.svc.http.AsyncHTTPFrontend.call>`; before :meth:`start` the
+caller owns the state.
 """
 
 from __future__ import annotations
@@ -93,17 +106,20 @@ class ReproService:
         tenant_weights: Optional[Dict[str, int]] = None,
     ) -> None:
         self.host = host
-        self.requested_port = port
         self.metrics = MetricsRegistry()
         self.cache = None
         if cache_dir is not None:
             from repro.cache import ResultCache
 
-            # One cache shared across every job; hit/miss/evict counters
-            # land in the service registry and surface on /metrics.
-            self.cache = ResultCache(cache_dir, metrics=self.metrics)
+            # One cache shared across every job.  Each lookup and each
+            # worker rebinds it to the job's own registry; the deltas
+            # reach /metrics through the loop.
+            self.cache = ResultCache(cache_dir)
         self.queue = BoundedJobQueue(
-            queue_size, metrics=self.metrics, tenant_weights=tenant_weights
+            queue_size,
+            metrics=self.metrics,
+            retry_hint=lambda: self.executor.retry_hint(),
+            tenant_weights=tenant_weights,
         )
         self.executor = JobExecutor(
             self.queue,
@@ -114,14 +130,19 @@ class ReproService:
             fault_hook=fault_hook,
             cache=self.cache,
             worker_max_jobs=worker_max_jobs,
+            on_retired=self._retired,
         )
-        self.queue._retry_hint = self.executor.retry_hint
         self._jobs: "collections.OrderedDict[str, JobRecord]" = collections.OrderedDict()
         self._next_id = 1
-        self._lock = threading.Lock()
-        self._draining = False
         self._drained = threading.Event()
-        self._frontend: Optional[AsyncHTTPFrontend] = None
+        self._frontend = AsyncHTTPFrontend(
+            self._handle,
+            host,
+            port,
+            metrics=self.metrics,
+            on_disconnect=self._on_parked_disconnect,
+            name="svc-http",
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -132,21 +153,13 @@ class ReproService:
         Pool workers are forked *before* the event-loop thread exists so
         every worker starts from a quiet, single-threaded image.
         """
-        self.executor.start()
-        self._frontend = AsyncHTTPFrontend(
-            self._handle,
-            self.host,
-            self.requested_port,
-            metrics=self.metrics,
-            on_disconnect=self._on_parked_disconnect,
-            name="svc-http",
-        ).start()
+        self.executor.start(self._frontend.schedule)
+        self._frontend.start()
         return self
 
     @property
     def port(self) -> int:
         """The bound TCP port (after :meth:`start`)."""
-        assert self._frontend is not None, "service not started"
         return self._frontend.port
 
     @property
@@ -163,7 +176,7 @@ class ReproService:
 
     def __enter__(self) -> "ReproService":
         """Context-manager entry: starts the service if not yet started."""
-        if self._frontend is None:
+        if not self._frontend.running:
             self.start()
         return self
 
@@ -172,18 +185,59 @@ class ReproService:
         self.close()
 
     # ------------------------------------------------------------------
-    # HTTP handling (event-loop thread)
+    # Any thread: each call runs on the loop once started
+    # ------------------------------------------------------------------
+    def submit(self, spec: JobSpec) -> JobRecord:
+        """Validate, register, and enqueue one job.
+
+        Raises :class:`JobValidationError` (→ 400),
+        :class:`~repro.svc.queue.QueueFull` (→ 503 + Retry-After),
+        :class:`~repro.svc.queue.TenantOverShare` (→ 429 + Retry-After)
+        or :class:`ServiceDraining` (→ 503 draining).
+        """
+        return self._frontend.call(lambda: self._submit(spec))
+
+    def get_job(self, job_id: str) -> Optional[JobRecord]:
+        """Look up a record by id (None when unknown or evicted)."""
+        return self._frontend.call(lambda: self._jobs.get(job_id))
+
+    def list_jobs(self) -> list:
+        """Summaries of every known record, oldest first."""
+        return self._frontend.call(self._list_jobs)
+
+    def health(self) -> Dict[str, Any]:
+        """The ``GET /health`` payload."""
+        return self._frontend.call(self._health)
+
+    def drain(self, timeout: Optional[float] = None) -> bool:
+        """Synchronous graceful shutdown; True when fully drained."""
+        self._frontend.call(self._begin_drain)
+        return self.wait_drained(timeout)
+
+    def wait_drained(self, timeout: Optional[float] = None) -> bool:
+        """Block until a previously started drain completes."""
+        return self._drained.wait(timeout)
+
+    def close(self) -> None:
+        """Hard stop: kill running jobs, stop threads, free the port."""
+        self._frontend.call(self._stop_intake)
+        self.executor.kill()
+        self._frontend.stop()
+        self._drained.set()
+
+    # ------------------------------------------------------------------
+    # HTTP handling and state changes (event-loop thread)
     # ------------------------------------------------------------------
     def _handle(self, request: Request, token: Any):
         """Route one request; returns a Response or parks a long-poll."""
         path = request.path
         if request.method == "GET":
             if path == "/health":
-                return Response(200, self.health())
+                return Response(200, self._health())
             if path == "/metrics":
                 return Response(200, self.metrics.snapshot())
             if path == "/jobs":
-                return Response(200, {"jobs": self.list_jobs()})
+                return Response(200, {"jobs": self._list_jobs()})
             if path.startswith("/jobs/"):
                 return self._handle_get_job(request, token)
             return Response(404, protocol.error_body(f"no such endpoint {path!r}"))
@@ -191,7 +245,7 @@ class ReproService:
             if path == "/jobs":
                 return self._handle_submit(request)
             if path == "/drain":
-                self.begin_drain()
+                self._begin_drain()
                 return Response(
                     202, {"draining": True, "protocol": protocol.PROTOCOL}
                 )
@@ -200,7 +254,7 @@ class ReproService:
 
     def _handle_get_job(self, request: Request, token: Any):
         job_id = urllib.parse.unquote(request.path[len("/jobs/"):])
-        record = self.get_job(job_id)
+        record = self._jobs.get(job_id)
         if record is None:
             return Response(404, protocol.error_body(f"no such job {job_id!r}"))
         wait, err = protocol.parse_wait(request.query)
@@ -209,14 +263,12 @@ class ReproService:
         if wait is None or record.terminal:
             return Response(200, record.to_json())
         # Long-poll: park the connection; respond on completion or
-        # deadline, whichever fires first (both marshal onto the loop,
-        # and complete() matches the per-request token, so the loser —
-        # or any stale callback from an earlier round — is a no-op).
+        # deadline, whichever fires first (complete() matches the
+        # per-request token, so a stale answer is a no-op).
         frontend = self._frontend
-        assert frontend is not None
 
         def on_terminal() -> None:
-            frontend.schedule(timer.cancel)
+            timer.cancel()
             frontend.complete(token, Response(200, record.to_json()))
 
         def on_deadline() -> None:
@@ -234,7 +286,7 @@ class ReproService:
     def _handle_submit(self, request: Request) -> Response:
         try:
             spec = JobSpec.from_json(protocol.loads(request.body))
-            record = self.submit(spec)
+            record = self._submit(spec)
         except (ValueError, JobValidationError) as exc:
             return Response(400, protocol.error_body(str(exc)))
         except TenantOverShare as exc:
@@ -258,37 +310,25 @@ class ReproService:
         return Response(202, record.to_json(include_result=False))
 
     def _on_parked_disconnect(self, token: Any) -> None:
-        """A long-polling client vanished before its response."""
-        self.note_disconnect()
+        """A long-polling client vanished mid-wait (counted, never fatal)."""
+        self.metrics.counter("svc.http.disconnects", volatile=True).inc()
 
-    # ------------------------------------------------------------------
-    # Job admission and lookup
-    # ------------------------------------------------------------------
-    def submit(self, spec: JobSpec) -> JobRecord:
-        """Validate, register, and enqueue one job.
+    def _submit(self, spec: JobSpec) -> JobRecord:
+        self.metrics.counter("svc.jobs.submitted", volatile=True).inc()
+        if self.queue.closed:
+            raise ServiceDraining("service is draining")
+        spec.validate()
+        record = JobRecord(f"job-{self._next_id:06d}", spec)
+        # Enqueue before publishing the id: a rejected job gets none.
+        self.queue.put(record)
+        self._next_id += 1
+        self._jobs[record.id] = record
+        self.metrics.counter("svc.jobs.accepted", volatile=True).inc()
+        self._evict()
+        self.executor.dispatch()
+        return record
 
-        Raises :class:`JobValidationError` (→ 400),
-        :class:`~repro.svc.queue.QueueFull` (→ 503 + Retry-After) or
-        :class:`ServiceDraining` / :class:`~repro.svc.queue.QueueClosed`
-        (→ 503 draining).
-        """
-        with self._lock:
-            self.metrics.counter("svc.jobs.submitted", volatile=True).inc()
-            if self._draining:
-                raise ServiceDraining("service is draining")
-            spec.validate()
-            job_id = f"job-{self._next_id:06d}"
-            record = JobRecord(job_id, spec)
-            # Enqueue under the lock so an id is never published for a
-            # rejected job; the queue's own lock nests safely inside.
-            self.queue.put(record)
-            self._next_id += 1
-            self._jobs[job_id] = record
-            self.metrics.counter("svc.jobs.accepted", volatile=True).inc()
-            self._evict_locked()
-            return record
-
-    def _evict_locked(self) -> None:
+    def _evict(self) -> None:
         """Drop the oldest *finished* records beyond the history limit.
 
         The walk stops at the ``excess``-th finished record, so a submit
@@ -302,30 +342,13 @@ class ReproService:
         for job_id in list(itertools.islice(finished, excess)):
             del self._jobs[job_id]
 
-    def get_job(self, job_id: str) -> Optional[JobRecord]:
-        """Look up a record by id (None when unknown or evicted)."""
-        with self._lock:
-            return self._jobs.get(job_id)
+    def _list_jobs(self) -> list:
+        return [rec.to_json(include_result=False) for rec in self._jobs.values()]
 
-    def list_jobs(self) -> list:
-        """Summaries of every known record, oldest first."""
-        with self._lock:
-            return [rec.to_json(include_result=False) for rec in self._jobs.values()]
-
-    def note_disconnect(self) -> None:
-        """A client vanished mid-response (counted, never fatal)."""
-        with self._lock:
-            self.metrics.counter("svc.http.disconnects", volatile=True).inc()
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def health(self) -> Dict[str, Any]:
-        """The ``GET /health`` payload."""
-        with self._lock:
-            states = collections.Counter(rec.state for rec in self._jobs.values())
+    def _health(self) -> Dict[str, Any]:
+        states = collections.Counter(rec.state for rec in self._jobs.values())
         return {
-            "status": "draining" if self._draining else "ok",
+            "status": "draining" if self.queue.closed else "ok",
             "protocol": protocol.PROTOCOL,
             "queue_depth": self.queue.depth,
             "queue_size": self.queue.maxsize,
@@ -335,46 +358,17 @@ class ReproService:
             "tenants": self.queue.tenants_snapshot(),
         }
 
-    # ------------------------------------------------------------------
-    # Drain and shutdown
-    # ------------------------------------------------------------------
-    def begin_drain(self) -> None:
-        """Stop accepting work; finish the backlog asynchronously."""
-        with self._lock:
-            if self._draining:
-                return
-            self._draining = True
+    def _begin_drain(self) -> None:
         self.queue.close()
-        threading.Thread(target=self._drain_body, name="svc-drain", daemon=True).start()
+        self.executor.dispatch()  # retires the slots at once when idle
 
-    def _drain_body(self) -> None:
-        """Background drain: wait for in-flight work, then stop serving."""
-        self.executor.drain()
-        self.executor.shutdown()
-        self._stop_http()
-        self._drained.set()
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Synchronous graceful shutdown; True when fully drained."""
-        self.begin_drain()
-        return self._drained.wait(timeout)
-
-    def wait_drained(self, timeout: Optional[float] = None) -> bool:
-        """Block until a previously started drain completes."""
-        return self._drained.wait(timeout)
-
-    def _stop_http(self) -> None:
-        """Stop the event loop and release the socket."""
-        if self._frontend is not None:
-            self._frontend.stop()
-
-    def close(self) -> None:
-        """Hard stop: kill running jobs, stop threads, free the port."""
-        with self._lock:
-            self._draining = True
+    def _stop_intake(self) -> None:
         self.queue.close()
-        self.executor.shutdown(kill=True)
-        self._stop_http()
+        self.executor.retire()
+
+    def _retired(self) -> None:
+        """Every slot retired its worker: stop the listener; drained."""
+        self._frontend.stop()
         self._drained.set()
 
 

@@ -333,7 +333,7 @@ class TestTenantFairQueue:
         for r in greedy:
             q.put(r)
         q.put(polite)
-        served = [q.get(timeout=1) for _ in range(5)]
+        served = [q.get() for _ in range(5)]
         # 4:1 greedy/polite mix: the polite job is served second, not
         # fifth — it waits behind one greedy job, not four.
         assert served[0] is greedy[0]
@@ -347,7 +347,7 @@ class TestTenantFairQueue:
         for r in greedy:
             q.put(r)
         q.put(polite)
-        served = [q.get(timeout=1) for _ in range(4)]
+        served = [q.get() for _ in range(4)]
         assert served[:2] == greedy[:2]  # weight 2 → two jobs per turn
         assert served[2] is polite
 
@@ -367,7 +367,7 @@ class TestTenantFairQueue:
         q = BoundedJobQueue(4)
         running = _record(0, "greedy")
         q.put(running)
-        assert q.get(timeout=1) is running
+        assert q.get() is running
         q.note_running(running)  # dequeued but executing: still greedy's
         q.put(_record(1, "greedy"))
         q.put(_record(2, "polite"))
@@ -383,7 +383,7 @@ class TestTenantFairQueue:
             q.put(r)
         with pytest.raises(QueueFull):  # never TenantOverShare alone
             q.put(_record(9))
-        assert [q.get(timeout=1) for _ in range(4)] == records
+        assert [q.get() for _ in range(4)] == records
 
     def test_tenants_snapshot_reports_occupancy(self):
         q = BoundedJobQueue(8)
@@ -745,7 +745,7 @@ class TestLoopOwnership:
         router = FleetRouter([DEAD], probe_interval=0).start()
         try:
             with pytest.raises(ZeroDivisionError):
-                router._on_loop(lambda: 1 / 0)
+                router._frontend.call(lambda: 1 / 0)
             assert router.peers == [DEAD]
         finally:
             router.close()

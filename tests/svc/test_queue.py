@@ -1,4 +1,9 @@
-"""Bounded queue semantics: FIFO, backpressure, drain, concurrency."""
+"""Bounded queue semantics: FIFO, backpressure, drain, concurrency.
+
+The queue is a plain object its owner's event loop drives; concurrent
+submitters reach it the way the daemon's callers do, through
+:meth:`AsyncHTTPFrontend.call`, which runs each put on the loop thread.
+"""
 
 import threading
 import time
@@ -7,6 +12,7 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.svc.executor import JobExecutor
+from repro.svc.http import AsyncHTTPFrontend, Response
 from repro.svc.jobs import JobRecord, JobSpec
 from repro.svc.queue import BoundedJobQueue, QueueClosed, QueueFull
 
@@ -15,13 +21,21 @@ def _record(i):
     return JobRecord(f"job-{i:06d}", JobSpec(app="figure4", bug="error1", trials=1))
 
 
+@pytest.fixture()
+def owner():
+    """A running event loop that owns the queue under test."""
+    frontend = AsyncHTTPFrontend(lambda request, token: Response(404, {}), name="q-owner")
+    yield frontend.start()
+    frontend.stop()
+
+
 class TestBoundedJobQueue:
     def test_fifo_order(self):
         q = BoundedJobQueue(8)
         records = [_record(i) for i in range(5)]
         for r in records:
             q.put(r)
-        assert [q.get(timeout=0.1).id for _ in records] == [r.id for r in records]
+        assert [q.get().id for _ in records] == [r.id for r in records]
 
     def test_full_queue_rejects_with_retry_hint(self):
         q = BoundedJobQueue(2, retry_hint=lambda: 3.5)
@@ -45,27 +59,13 @@ class TestBoundedJobQueue:
         q.close()
         with pytest.raises(QueueClosed):
             q.put(_record(2))
-        assert q.get(timeout=0.1).id == "job-000000"
-        assert q.get(timeout=0.1).id == "job-000001"
-        assert q.get(timeout=0.1) is None  # closed and empty: exit signal
+        assert q.get().id == "job-000000"
+        assert q.get().id == "job-000001"
+        assert q.get() is None  # closed and empty
 
-    def test_get_timeout_returns_none(self):
+    def test_get_on_an_empty_queue_returns_none(self):
         q = BoundedJobQueue(4)
-        assert q.get(timeout=0.05) is None
-
-    def test_close_wakes_blocked_getter(self):
-        q = BoundedJobQueue(4)
-        got = []
-
-        def consume():
-            got.append(q.get(timeout=5.0))
-
-        t = threading.Thread(target=consume)
-        t.start()
-        q.close()
-        t.join(timeout=2.0)
-        assert not t.is_alive()
-        assert got == [None]
+        assert q.get() is None
 
     def test_depth_gauge_tracks_transitions(self):
         reg = MetricsRegistry()
@@ -74,7 +74,7 @@ class TestBoundedJobQueue:
         q.put(_record(1))
         assert reg.gauge("svc.queue.depth", volatile=True).value == 2
         assert reg.gauge("svc.queue.high_water", volatile=True).value == 2
-        q.get(timeout=0.1)
+        q.get()
         assert reg.gauge("svc.queue.depth", volatile=True).value == 1
         assert reg.gauge("svc.queue.high_water", volatile=True).value == 2
 
@@ -92,12 +92,12 @@ class TestBoundedJobQueue:
 
 
 class TestConcurrentSubmitters:
-    def test_per_submitter_admission_order_is_preserved(self):
+    def test_per_submitter_admission_order_is_preserved(self, owner):
         """Many threads race put(); each thread's records stay FIFO.
 
-        The queue serialises admissions under one lock, so whatever
-        global interleaving the race produces, the per-producer order —
-        the property clients observe — must survive.
+        The owner's loop serialises admissions, so whatever global
+        interleaving the race produces, the per-producer order — the
+        property clients observe — must survive.
         """
         producers, per_thread = 8, 25
         q = BoundedJobQueue(producers * per_thread)
@@ -106,7 +106,7 @@ class TestConcurrentSubmitters:
         def produce(tid):
             barrier.wait()
             for seq in range(per_thread):
-                q.put(_record(tid * 1000 + seq))
+                owner.call(lambda: q.put(_record(tid * 1000 + seq)))
 
         threads = [
             threading.Thread(target=produce, args=(tid,)) for tid in range(producers)
@@ -116,14 +116,14 @@ class TestConcurrentSubmitters:
         for t in threads:
             t.join(timeout=10)
         drained = []
-        while (rec := q.get(timeout=0.1)) is not None:
+        while (rec := q.get()) is not None:
             drained.append(rec.id)
         assert len(drained) == producers * per_thread
         for tid in range(producers):
             mine = [i for i in drained if i.startswith(f"job-00{tid}")]
             assert mine == sorted(mine)
 
-    def test_overloaded_queue_rejects_every_excess_submitter(self):
+    def test_overloaded_queue_rejects_every_excess_submitter(self, owner):
         """Sustained overload: exactly capacity admissions, rest rejected
         with positive, finite Retry-After hints."""
         reg = MetricsRegistry()
@@ -135,7 +135,7 @@ class TestConcurrentSubmitters:
         def submit(i):
             barrier.wait()
             try:
-                q.put(_record(i))
+                owner.call(lambda: q.put(_record(i)))
                 with lock:
                     admitted.append(i)
             except QueueFull as exc:
@@ -180,12 +180,12 @@ class TestConcurrentSubmitters:
         q.close()
         with pytest.raises(QueueClosed):  # closed now wins over full
             q.put(_record(4))
-        assert [q.get(timeout=0.1).id for _ in range(3)] == [
+        assert [q.get().id for _ in range(3)] == [
             "job-000000", "job-000001", "job-000002",
         ]
-        assert q.get(timeout=0.1) is None
+        assert q.get() is None
 
-    def test_concurrent_close_while_submitters_race(self):
+    def test_concurrent_close_while_submitters_race(self, owner):
         """close() during a submission storm: every put() resolves to
         admitted, QueueFull, or QueueClosed — never a hang or a leak —
         and the drained backlog matches the admissions exactly."""
@@ -197,7 +197,7 @@ class TestConcurrentSubmitters:
         def submit(i):
             barrier.wait()
             try:
-                q.put(_record(i))
+                owner.call(lambda: q.put(_record(i)))
                 with lock:
                     outcomes.append("ok")
             except QueueFull:
@@ -211,12 +211,12 @@ class TestConcurrentSubmitters:
         for t in threads:
             t.start()
         barrier.wait()
-        q.close()
+        owner.call(q.close)
         for t in threads:
             t.join(timeout=10)
         assert len(outcomes) == 12
         admitted = outcomes.count("ok")
         drained = 0
-        while q.get(timeout=0.1) is not None:
+        while q.get() is not None:
             drained += 1
         assert drained == admitted <= 8

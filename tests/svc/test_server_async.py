@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.svc import JobSpec, ReproClient, ReproService
-from repro.svc.http import DEFERRED
+from repro.svc.http import DEFERRED, AsyncHTTPFrontend
 from repro.svc.jobs import JobRecord
 from repro.testing import ThreadSchedulePin
 
@@ -327,15 +327,16 @@ class TestMassLongPolls:
             svc.close()
 
 
-#: Pinned orders of one long-poll against its job's completion.  Each
-#: label is a point a test-installed wrapper holds until its turn.
+#: Pinned orders of one long-poll against its job's completion, which
+#: is the slot thread's hand-back of the outcome to the loop.  Each label
+#: is a point a test-installed wrapper holds until its turn.
 _COMPLETION_ORDERS = {
-    # The job completes after _handle_get_job read ``record.terminal``
-    # (False) and before it subscribes: the subscription must call back
-    # a record that is already terminal.
+    # The slot hands the outcome back after _handle_get_job read
+    # ``record.terminal`` (False) and before it subscribes: the loop
+    # settles the job after the GET has parked, in the same pass.
     "between-check-and-subscribe": ["checked", "completed", "subscribe"],
-    # The job completes after the GET has parked: the record's
-    # subscriber answers the parked request.
+    # The slot hands the outcome back once the GET has parked: the
+    # record's subscriber answers the parked request.
     "after-park": ["parked", "completed"],
 }
 
@@ -355,7 +356,7 @@ class TestLongPollCompletionOrder:
                 with pin.at(label):
                     pass
 
-        subscribe, finish = JobRecord.subscribe, JobRecord.finish
+        subscribe, schedule = JobRecord.subscribe, AsyncHTTPFrontend.schedule
         handle_get_job = ReproService._handle_get_job
 
         def pinned_subscribe(record, callback):
@@ -365,11 +366,12 @@ class TestLongPollCompletionOrder:
                     return subscribe(record, callback)
             return subscribe(record, callback)
 
-        def pinned_finish(record, result):
-            if "completed" in pin.order:
+        def pinned_schedule(frontend, fn):
+            settle = getattr(getattr(fn, "func", None), "__name__", None) == "_settle"
+            if settle and "completed" in pin.order:
                 with pin.at("completed"):
-                    return finish(record, result)
-            return finish(record, result)
+                    return schedule(frontend, fn)
+            return schedule(frontend, fn)
 
         def pinned_handle_get_job(service, request, token):
             result = handle_get_job(service, request, token)
@@ -378,7 +380,7 @@ class TestLongPollCompletionOrder:
             return result
 
         monkeypatch.setattr(JobRecord, "subscribe", pinned_subscribe)
-        monkeypatch.setattr(JobRecord, "finish", pinned_finish)
+        monkeypatch.setattr(AsyncHTTPFrontend, "schedule", pinned_schedule)
         monkeypatch.setattr(ReproService, "_handle_get_job", pinned_handle_get_job)
         svc = ReproService(slots=1, queue_size=4).start()
         try:

@@ -116,7 +116,7 @@ print("ok")
 def test_service_loads_what_its_workers_run_before_it_forks(tmp_path):
     out = tmp_path / "hook.txt"
     _run('''
-from repro.svc import JobSpec, ReproService
+from repro.svc import JobSpec, ReproClient, ReproService
 
 assert not ran("numpy") and not ran("networkx")
 svc = ReproService(
@@ -124,7 +124,8 @@ svc = ReproService(
 ).start()
 try:
     record = svc.submit(JobSpec(app="figure4", bug="error1", trials=2))
-    assert record.wait(120) and record.state == "done", record.to_json()
+    done = ReproClient(svc.address).wait(record.id, timeout=120)
+    assert done["state"] == "done", done
 finally:
     svc.close()
 print("ok")
