@@ -64,7 +64,11 @@ _EMA_ALPHA = 0.3
 
 
 class JobExecutor:
-    """Slot threads running the jobs the loop takes off the fair queue."""
+    """Slot threads running the jobs the loop takes off the fair queue.
+
+    ``on_settled`` runs on the loop after each job's record turns
+    terminal, ``on_retired`` once every slot has retired its worker.
+    """
 
     def __init__(
         self,
@@ -77,7 +81,8 @@ class JobExecutor:
         fault_hook: Optional[FaultHook] = None,
         cache: Optional[Any] = None,
         worker_max_jobs: int = 256,
-        on_retired: Optional[Callable[[], None]] = None,
+        on_settled: Callable[[], None] = lambda: None,
+        on_retired: Callable[[], None] = lambda: None,
     ) -> None:
         if slots <= 0:
             raise ValueError(f"executor slots must be positive, got {slots}")
@@ -103,7 +108,7 @@ class JobExecutor:
         self._running: List[Optional[JobRecord]] = [None] * slots
         self._retiring = False
         self._retired_slots = 0
-        self._on_retired = on_retired
+        self._on_settled, self._on_retired = on_settled, on_retired
         self._ema_latency: Optional[float] = None
         metrics.gauge("svc.workers.slots").set(slots)
 
@@ -209,12 +214,13 @@ class JobExecutor:
                 seed=spec.seed if spec.kind == "explore" else spec.base_seed,
                 kind=result.kind, attempts=result.attempts, message=result.message,
             ))
+        self._on_settled()
         self.dispatch()
 
     def _slot_retired(self) -> None:
         """One slot thread retired its worker; the last one calls back."""
         self._retired_slots += 1
-        if self._retired_slots == self.slots and self._on_retired is not None:
+        if self._retired_slots == self.slots:
             self._on_retired()
 
     def _note_busy(self) -> None:

@@ -130,6 +130,7 @@ class ReproService:
             fault_hook=fault_hook,
             cache=self.cache,
             worker_max_jobs=worker_max_jobs,
+            on_settled=self._evict,
             on_retired=self._retired,
         )
         self._jobs: "collections.OrderedDict[str, JobRecord]" = collections.OrderedDict()
@@ -329,7 +330,8 @@ class ReproService:
         return record
 
     def _evict(self) -> None:
-        """Drop the oldest *finished* records beyond the history limit.
+        """Drop the oldest *finished* records beyond the history limit
+        (after each submit and each finished job).
 
         The walk stops at the ``excess``-th finished record, so a submit
         pays for the unfinished records older than it, not for the whole

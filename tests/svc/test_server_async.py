@@ -6,6 +6,7 @@ single reused socket) are exactly what an HTTP client library would
 paper over.
 """
 
+import itertools
 import logging
 import os
 import socket
@@ -23,11 +24,6 @@ pytestmark = pytest.mark.skipif(
     not hasattr(os, "fork") and not hasattr(os, "posix_spawn"),
     reason="service tests need a POSIX process model",
 )
-
-
-def _slow_hook(spec, attempt):
-    """Fault hook: stretch every job to ~1s (module-level, picklable)."""
-    time.sleep(1.0)
 
 
 def _recv_response(sock_file):
@@ -50,6 +46,21 @@ def service():
     svc = ReproService(slots=2, queue_size=8).start()
     yield svc
     svc.close()
+
+
+def _note_parks(monkeypatch, n=1):
+    """Return an Event the loop sets once ``n`` long-polls have parked."""
+    parked, count = threading.Event(), itertools.count(1)
+    handle_get_job = ReproService._handle_get_job
+
+    def noting(service, request, token):
+        result = handle_get_job(service, request, token)
+        if result is DEFERRED and next(count) >= n:
+            parked.set()
+        return result
+
+    monkeypatch.setattr(ReproService, "_handle_get_job", noting)
+    return parked
 
 
 class TestKeepAlive:
@@ -209,14 +220,15 @@ class TestMalformedRequests:
 
 
 class TestMassLongPolls:
-    def test_many_parked_connections_on_one_job(self):
-        """64 clients long-poll one slow job; all wake on completion.
+    def test_many_parked_connections_on_one_job(self, gate, monkeypatch):
+        """64 clients long-poll one held job; all wake on completion.
 
         Under the old thread-per-connection frontend this cost 64
         blocked threads; the event loop parks them all and completes
         them from the job's subscriber callback.
         """
-        svc = ReproService(slots=1, queue_size=8, fault_hook=_slow_hook).start()
+        parked = _note_parks(monkeypatch, 64)
+        svc = ReproService(slots=1, queue_size=8, fault_hook=gate.hook).start()
         try:
             client = ReproClient(svc.address)
             job_id = client.submit(
@@ -230,8 +242,10 @@ class TestMassLongPolls:
                 s = socket.create_connection((svc.host, svc.port), timeout=60)
                 s.sendall(req)
                 socks.append(s)
-            # All 64 are parked now; the job finishes ~1s in and every
+            # Once all 64 are parked the job may finish, and every
             # waiter gets the same terminal record.
+            assert parked.wait(60)
+            gate.release()
             done = 0
             for s in socks:
                 status, body = _recv_response(s.makefile("rb"))
@@ -243,34 +257,38 @@ class TestMassLongPolls:
         finally:
             svc.close()
 
-    def test_disconnected_waiter_is_counted_and_job_survives(self):
-        svc = ReproService(slots=1, queue_size=8, fault_hook=_slow_hook).start()
+    def test_disconnected_waiter_is_counted_and_job_survives(self, gate, monkeypatch):
+        parked, disconnected = _note_parks(monkeypatch), threading.Event()
+        on_disconnect = ReproService._on_parked_disconnect
+
+        def noting(service, token):
+            on_disconnect(service, token)
+            disconnected.set()
+
+        monkeypatch.setattr(ReproService, "_on_parked_disconnect", noting)
+        svc = ReproService(slots=1, queue_size=8, fault_hook=gate.hook).start()
         try:
             client = ReproClient(svc.address)
             job_id = client.submit(
                 JobSpec(app="figure4", bug="error1", trials=2, timeout=0.2)
             )
-            # The slow hook holds the job ~1s, so this waiter really parks.
+            # The gate holds the job, so this waiter really parks.
             s = socket.create_connection((svc.host, svc.port), timeout=5)
             s.sendall(
                 f"GET /jobs/{job_id}?wait=30 HTTP/1.1\r\nHost: x\r\n\r\n".encode()
             )
-            time.sleep(0.2)  # let the loop park the connection
+            assert parked.wait(30)
             s.close()  # vanish mid-wait
+            assert disconnected.wait(30)
+            gate.release()
             record = client.wait(job_id, timeout=60)
             assert record["state"] == "done"
-            deadline = time.monotonic() + 5
-            snap = {}
-            while time.monotonic() < deadline:
-                snap = client.metrics()
-                if snap.get("svc.http.disconnects", {}).get("value", 0) >= 1:
-                    break
-                time.sleep(0.05)
+            snap = client.metrics()
             assert snap["svc.http.disconnects"]["value"] >= 1
         finally:
             svc.close()
 
-    def test_timed_out_poll_never_answers_a_later_request(self):
+    def test_timed_out_poll_never_answers_a_later_request(self, gate, monkeypatch):
         """A stale long-poll callback must not misdeliver across requests.
 
         Sequence on ONE keep-alive socket: long-poll job A with a short
@@ -280,7 +298,8 @@ class TestMassLongPolls:
         can only match its own request token — so the parked request
         gets *B's* terminal record, never A's.
         """
-        svc = ReproService(slots=1, queue_size=8, fault_hook=_slow_hook).start()
+        parked = _note_parks(monkeypatch, 2)
+        svc = ReproService(slots=1, queue_size=8, fault_hook=gate.hook).start()
         try:
             client = ReproClient(svc.address)
             spec = JobSpec(app="figure4", bug="error1", trials=1, timeout=0.2)
@@ -298,8 +317,12 @@ class TestMassLongPolls:
                 sock.sendall(
                     f"GET /jobs/{job_b}?wait=30 HTTP/1.1\r\nHost: x\r\n\r\n".encode()
                 )
-                # A finishes (~1s) while B's poll is parked; the answer
-                # must wait for B (~2s) and carry B's record.
+                # A finishes while B's poll is parked; the answer must
+                # wait for B and carry B's record.
+                assert parked.wait(30)
+                gate.release()
+                gate.started()  # A is done, B runs
+                gate.release()
                 status, body = _recv_response(f)
                 assert status == 200
                 assert f'"id": "{job_b}"'.encode() in body
@@ -309,8 +332,8 @@ class TestMassLongPolls:
         finally:
             svc.close()
 
-    def test_long_poll_timeout_returns_nonterminal_record(self):
-        svc = ReproService(slots=1, queue_size=8, fault_hook=_slow_hook).start()
+    def test_long_poll_timeout_returns_nonterminal_record(self, gate):
+        svc = ReproService(slots=1, queue_size=8, fault_hook=gate.hook).start()
         try:
             client = ReproClient(svc.address)
             job_id = client.submit(
@@ -321,6 +344,7 @@ class TestMassLongPolls:
             elapsed = time.monotonic() - t0
             assert record["state"] in ("queued", "running")
             assert elapsed < 1.0  # the timer fired, not the job
+            gate.release()
             final = client.wait(job_id, timeout=60)
             assert final["state"] == "done"
         finally:

@@ -1,10 +1,12 @@
 """End-to-end HTTP service tests: endpoints, backpressure, drain."""
 
+import functools
 import http.client
+import itertools
 import json
 import os
 import socket
-import time
+import threading
 
 import pytest
 
@@ -15,16 +17,16 @@ from repro.svc import (
     ReproService,
     ServiceError,
 )
+from repro.svc.client import JobFailed
+from repro.svc.executor import JobExecutor
+from repro.svc.jobs import JobRecord
+from repro.svc.pool import WorkerPool
+from repro.svc.queue import BoundedJobQueue
 
 pytestmark = pytest.mark.skipif(
     not hasattr(os, "fork") and not hasattr(os, "posix_spawn"),
     reason="service tests need a POSIX process model",
 )
-
-
-def _sleep_hook(spec, attempt):
-    """Fault hook: make every job attempt slow (picklable, module-level)."""
-    time.sleep(0.5)
 
 
 @pytest.fixture()
@@ -149,17 +151,24 @@ class TestEndpoints:
 
 
 class TestBackpressure:
-    def test_full_queue_rejected_with_retry_after(self):
-        svc = ReproService(slots=1, queue_size=1, fault_hook=_sleep_hook).start()
+    def test_full_queue_rejected_with_retry_after(self, gate, monkeypatch):
+        # The gate holds the jobs until the client helper's first attempt
+        # below has been turned away too.
+        handle_submit, rejected = ReproService._handle_submit, itertools.count(1)
+
+        def releasing(service, request):
+            response = handle_submit(service, request)
+            if response.status == 503 and next(rejected) == 2:
+                gate.release(3)
+            return response
+
+        monkeypatch.setattr(ReproService, "_handle_submit", releasing)
+        svc = ReproService(slots=1, queue_size=1, fault_hook=gate.hook).start()
         try:
             client = ReproClient(svc.address)
             spec = JobSpec(app="figure4", bug="error1", trials=1, timeout=0.2)
             first = client.submit(spec)
-            # wait until the slow first job occupies the slot
-            for _ in range(100):
-                if client.health()["busy"] == 1:
-                    break
-                time.sleep(0.02)
+            gate.started()  # the first job occupies the slot
             second = client.submit(spec)  # fills the queue
             status, doc = client._request("POST", "/jobs", body=spec.to_json())
             assert status == 503
@@ -172,16 +181,13 @@ class TestBackpressure:
         finally:
             svc.close()
 
-    def test_exhausted_patience_raises_backpressure_error(self):
-        svc = ReproService(slots=1, queue_size=1, fault_hook=_sleep_hook).start()
+    def test_exhausted_patience_raises_backpressure_error(self, gate):
+        svc = ReproService(slots=1, queue_size=1, fault_hook=gate.hook).start()
         try:
             client = ReproClient(svc.address)
             spec = JobSpec(app="figure4", bug="error1", trials=1, timeout=0.2)
             client.submit(spec)
-            for _ in range(100):
-                if client.health()["busy"] == 1:
-                    break
-                time.sleep(0.02)
+            gate.started()  # the first job occupies the slot
             client.submit(spec)
             with pytest.raises(BackpressureError):
                 client.submit(spec, max_wait=0.0)
@@ -217,6 +223,79 @@ class TestDrain:
         with pytest.raises(OSError):
             s = socket.create_connection(("127.0.0.1", port), timeout=0.5)
             s.close()
+
+
+def _raise_or_hold(hold, spec, attempt):
+    """Fault hook: seed 13 raises; tenant ``held`` waits on the gate."""
+    if spec.base_seed == 13:
+        raise RuntimeError("injected")
+    if spec.tenant == "held":
+        hold(spec, attempt)
+
+
+#: The daemon's state-changing methods, by owning class.
+_LOOP_METHODS = {
+    ReproService: ("_submit", "_evict", "_handle_get_job", "_list_jobs", "_health",
+                   "_begin_drain", "_retired", "_on_parked_disconnect"),
+    JobExecutor: ("dispatch", "retire", "_settle", "_slot_retired", "_note_done",
+                  "_note_busy", "retry_hint"),
+    BoundedJobQueue: ("put", "get", "note_running", "note_finished", "close",
+                      "tenants_snapshot"),
+    JobRecord: ("mark_running", "finish", "fail", "subscribe", "unsubscribe"),
+    WorkerPool: ("_count",),
+}
+
+
+class TestLoopOwnership:
+    def test_every_state_change_runs_on_the_loop_thread(self, gate, monkeypatch, tmp_path):
+        """Wrap the daemon's state-changing methods, run its paths through
+        real sockets — submit to done, a full cache hit, a job whose fault
+        hook raises, long-polls, a ``429`` tenant shed, ``/health`` and
+        ``POST /drain`` — and check every call ran on the loop thread."""
+        calls, recording = [], threading.Event()
+        for cls, names in _LOOP_METHODS.items():
+            for name in names:
+                def wrapped(*args, _name=name, _method=getattr(cls, name), **kw):
+                    if recording.is_set():
+                        calls.append((_name, threading.current_thread()))
+                    return _method(*args, **kw)
+
+                monkeypatch.setattr(cls, name, wrapped)
+        svc = ReproService(
+            slots=1, queue_size=2, cache_dir=str(tmp_path),
+            fault_hook=functools.partial(_raise_or_hold, gate.hook),
+        ).start()
+        recording.set()
+        loop = svc._frontend._thread
+        try:
+            client = ReproClient(svc.address)
+            spec = JobSpec(app="figure4", bug="error1", trials=2, timeout=0.2)
+            assert client.wait(client.submit(spec), timeout=60)["state"] == "done"
+            assert client.wait(client.submit(spec), timeout=60)["state"] == "done"  # a hit
+            broken = JobSpec(app="figure4", bug="error1", trials=1, base_seed=13)
+            with pytest.raises(JobFailed, match="injected"):
+                client.wait(client.submit(broken), timeout=60)
+            held = client.submit(JobSpec(app="figure4", trials=1, tenant="held"))
+            gate.started()
+            other = client.submit(JobSpec(app="figure4", trials=1, tenant="other"))
+            status, _ = client._request(
+                "POST", "/jobs", body=JobSpec(app="figure4", tenant="held").to_json()
+            )
+            assert status == 429
+            assert client.health()["busy"] == 1
+            gate.release()
+            for job_id in (held, other):
+                assert client.wait(job_id, timeout=60)["state"] == "done"
+            client.drain()
+            assert svc.wait_drained(30)
+            recording.clear()
+        finally:
+            svc.close()
+        names = {name for name, _ in calls}
+        assert {"_submit", "_settle", "dispatch", "fail", "finish", "subscribe",
+                "_count", "_health", "_begin_drain", "_slot_retired", "_retired"} <= names
+        assert {thread for _, thread in calls} == {loop}
+        assert svc.metrics.snapshot()["cache.hit"]["value"] >= 1
 
 
 class TestClientValidation:
