@@ -18,10 +18,12 @@ them on the existing harness:
   (thousands of keep-alive connections, parked long-polls, one thread);
 * :mod:`repro.svc.pool` — the persistent pre-forked worker pool
   (import once, serve many jobs, recycle after N or on crash);
-* :mod:`repro.svc.executor` — slot threads feeding queued jobs to the
-  pool with wall-clock timeouts and bounded crash retry;
-* :mod:`repro.svc.server` — the HTTP daemon, ``/health`` + ``/metrics``
-  introspection, graceful SIGTERM drain;
+* :mod:`repro.svc.executor` — slot threads that run the jobs the event
+  loop hands them on the pool, with wall-clock timeouts and bounded
+  crash retry;
+* :mod:`repro.svc.server` — the HTTP daemon, whose event-loop thread
+  owns all of its state; ``/health`` + ``/metrics`` introspection,
+  graceful SIGTERM drain;
 * :mod:`repro.svc.router` — the fleet router: cache-affine
   consistent-hash sharding across many daemons, with shard failover,
   health tracking, and live ring rebalancing (``/ring``);
