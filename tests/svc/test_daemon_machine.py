@@ -36,8 +36,8 @@ from repro.svc import protocol, server
 from repro.svc.http import DEFERRED, Request
 
 SLOTS = 2
-MAXSIZE = 4
-LIMIT = 3
+MAXSIZE = 3
+LIMIT = 2
 WEIGHTS = {"a": 1, "b": 2}
 PAYLOAD = {"type": "trials"}
 UNFINISHED = ("queued", "running")
@@ -61,13 +61,12 @@ class _Frontend:
     """Records what the daemon answers, the timers it arms and its stop."""
 
     def __init__(self):
-        self.answers = {}
+        self.answers = {}  # token → every response the daemon gave it
         self.timers = []
         self.stopped = False
 
     def complete(self, token, response):
-        assert token not in self.answers, "a request was answered twice"
-        self.answers[token] = response
+        self.answers.setdefault(token, []).append(response)
 
     def call_later(self, delay, fn):
         timer = _Timer(fn)
@@ -147,8 +146,12 @@ class DaemonMachine(RuleBasedStateMachine):
             self.history.remove(job_id)
 
     # -- rules ----------------------------------------------------------
-    @rule(tenant=st.sampled_from(sorted(WEIGHTS)))
-    def submit(self, tenant):
+    @rule(tenant=st.sampled_from(sorted(WEIGHTS)), n=st.integers(1, 3))
+    def submit(self, tenant, n):
+        for _ in range(n):
+            self._submit(tenant)
+
+    def _submit(self, tenant):
         spec = JobSpec(app="figure4", bug="error1", trials=1,
                        base_seed=len(self.jobs), tenant=tenant)
         unfinished = self._in(*UNFINISHED)
@@ -187,7 +190,7 @@ class DaemonMachine(RuleBasedStateMachine):
         self.svc.executor._settle(job.slot, cached, result, ())
         job.state, job.slot = ("failed" if outcome == "failed" else "done"), None
         for token, timer in job.polls.items():
-            answer = self.frontend.answers[token]
+            (answer,) = self.frontend.answers[token]
             assert (answer.status, answer.body["state"]) == (200, job.state)
             assert timer.cancelled
         job.polls.clear()
@@ -195,9 +198,10 @@ class DaemonMachine(RuleBasedStateMachine):
         self._observe()
 
     @precondition(lambda self: self.jobs)
-    @rule(k=st.integers(0, 100), wait=st.booleans())
-    def get(self, k, wait):
-        job = list(self.jobs.values())[k % len(self.jobs)]
+    @rule(k=st.integers(0, 100), wait=st.booleans(), unfinished=st.booleans())
+    def get(self, k, wait, unfinished):
+        jobs = (unfinished and self._in(*UNFINISHED)) or list(self.jobs.values())
+        job = jobs[k % len(jobs)]
         token = _Token()
         request = Request("GET", f"/jobs/{job.id}", "wait=3600" if wait else "", {}, b"")
         timers = len(self.frontend.timers)
@@ -219,9 +223,10 @@ class DaemonMachine(RuleBasedStateMachine):
         timer = job.polls.pop(token)
         assert not timer.cancelled
         timer.fn()
-        answer = self.frontend.answers[token]
+        (answer,) = self.frontend.answers[token]
         assert (answer.status, answer.body["state"]) == (200, job.state)
 
+    @precondition(lambda self: len(self.jobs) >= 3)
     @rule()
     def drain(self):
         response = self.svc._handle(Request("POST", "/drain", "", {}, b""), _Token())
@@ -254,6 +259,8 @@ class DaemonMachine(RuleBasedStateMachine):
             for token, timer in job.polls.items():
                 assert job.state in UNFINISHED and not timer.cancelled
                 assert token not in self.frontend.answers
+        for token, answers in self.frontend.answers.items():
+            assert len(answers) == 1, "a request was answered twice"
 
     @invariant()
     def health_is_one_snapshot_and_busy_fits_the_slots(self):
