@@ -32,9 +32,7 @@ executor's budget:
   results.
 
 **Drain.**  Once the queue is closed and nothing is queued or running,
-:meth:`~JobExecutor.dispatch` retires the slots: each slot thread
-retires its own worker, and the hand-back of the last one runs
-``on_retired``.
+:meth:`~JobExecutor.dispatch` has each slot thread retire its worker.
 
 A job may itself fan its trials or DPOR shards over a nested pool
 (``spec.workers > 0``); pool workers are non-daemonic so they can own

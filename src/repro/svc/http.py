@@ -302,11 +302,6 @@ class AsyncHTTPFrontend:
         assert self._listener is not None, "frontend not started"
         return self._listener.getsockname()[1]
 
-    @property
-    def running(self) -> bool:
-        """Does the loop take calls (started and not yet stopped)?"""
-        return self._live
-
     def stop(self, timeout: float = 5.0) -> None:
         """Stop the loop, close every connection, release the port (from
         the loop thread itself: once the current step is done)."""

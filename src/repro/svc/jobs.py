@@ -22,6 +22,7 @@ way a `run_trials` caller reads per-trial failures.  A
 from __future__ import annotations
 
 import dataclasses
+import logging
 import re
 import time
 from typing import Any, Dict, Optional, Tuple
@@ -438,18 +439,12 @@ class JobRecord:
             try:
                 cb()
             except Exception:  # noqa: BLE001 - a waiter must not break others
-                pass
+                logging.getLogger(__name__).exception("a callback of %s raised", self.id)
 
     def subscribe(self, callback) -> None:
-        """Register ``callback()`` to run once the job turns terminal.
-
-        The async frontend's long-polls ride this.  A record that is
-        already terminal calls back at once.
-        """
-        if self.terminal:
-            callback()
-        else:
-            self._subs.append(callback)
+        """Register ``callback()`` to run once the unfinished job turns
+        terminal (the async frontend's long-polls ride this)."""
+        self._subs.append(callback)
 
     def unsubscribe(self, callback) -> None:
         """Remove a pending completion callback (no-op if already fired)."""

@@ -78,7 +78,7 @@ class ReproService:
 
     Usage::
 
-        with ReproService(slots=4, queue_size=32).start() as svc:
+        with ReproService(slots=4, queue_size=32) as svc:
             client = ReproClient(svc.address)
             ...
 
@@ -176,10 +176,8 @@ class ReproService:
         )
 
     def __enter__(self) -> "ReproService":
-        """Context-manager entry: starts the service if not yet started."""
-        if not self._frontend.running:
-            self.start()
-        return self
+        """Context-manager entry: starts the service."""
+        return self.start()
 
     def __exit__(self, *exc_info: Any) -> None:
         """Context-manager exit: hard close."""
