@@ -184,6 +184,8 @@ class JobExecutor:
             self._retiring = True
             for inbox in self._inboxes:
                 inbox.put(None)
+            if not self._inboxes:  # never started: no slot has a worker
+                self._on_retired()
 
     def _settle(self, slot: int, cached: Any, result: Optional[Result], deltas: Any) -> None:
         """One slot's hand-back: fold the job's metrics in, finish its

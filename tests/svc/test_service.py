@@ -214,6 +214,11 @@ class TestDrain:
         finally:
             svc.close()
 
+    def test_an_unstarted_service_drains_at_once(self):
+        svc = ReproService(slots=1, queue_size=2)
+        assert svc.drain(timeout=5)
+        svc.close()
+
     def test_drained_service_releases_port(self):
         svc = ReproService(slots=1, queue_size=2).start()
         port = svc.port
