@@ -41,9 +41,9 @@ class TestRun:
         assert run_cli("run", "stringbuffer", "nope") == 2
         assert "error" in capsys.readouterr().out
 
-    def test_unknown_app_raises(self):
-        with pytest.raises(KeyError):
-            run_cli("run", "nosuchapp", "bug")
+    def test_unknown_app_is_an_error(self, capsys):
+        assert run_cli("run", "nosuchapp", "bug") == 2
+        assert "error" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [
@@ -62,6 +62,38 @@ def test_trials_below_one_exits_2(argv, capsys):
         run_cli(*argv)
     assert exc.value.code == 2
     assert "trials must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ("explore", "figure4", "--max-schedules", "0"),
+    ("explore", "bank", "lost_update", "--bound-preemptions", "-1"),
+    ("explore", "bank", "--sleep-sets"),
+    ("explore", "bank", "--workers", "2"),
+    ("run", "figure4", "nope"),
+    ("run", "figure4", "nope", "--no-bp", "--trials", "3"),
+    ("explore", "bank", "nope"),
+    ("run", "nosuchapp", "bug"),
+    ("explore", "nosuchapp"),
+    ("infer", "nosuchapp"),
+], ids=["max-schedules-0", "negative-bound", "sleep-sets-without-dpor",
+        "workers-without-dpor", "run-unknown-bug", "run-unknown-bug-no-bp",
+        "explore-unknown-bug", "run-unknown-app", "explore-unknown-app",
+        "infer-unknown-app"])
+def test_a_job_command_and_its_submit_twin_refuse_alike(command, monkeypatch, capsys):
+    """A job command and ``submit --kind`` build one JobSpec and check it
+    once, so both refuse an invalid job with exit 2 and submit nothing."""
+    from repro.svc import ReproClient
+
+    def no_submit(self, spec):
+        raise AssertionError(f"submitted {spec!r}")
+
+    monkeypatch.setattr(ReproClient, "submit", no_submit)
+    name, *args = command
+    kind = "trials" if name == "run" else name
+    twin = ("submit", *args, "--kind", kind, "--server", "http://127.0.0.1:9")
+    for argv in (command, twin):
+        assert run_cli(*argv) == 2, argv
+        assert "error" in capsys.readouterr().out
 
 
 class TestTables:
@@ -298,6 +330,17 @@ class TestServeAndSubmit:
         assert job.startswith("  job            : ")
         assert "".join(remote) == local
 
+    def test_a_capped_sharded_walk_says_its_cap_is_per_shard(self, service, capsys):
+        # Each shard's walk stops at --max-schedules, so the walk as a
+        # whole may explore more than the cap; submit prints it alike.
+        args = ("bank", "lost_update", "--dpor", "--workers", "2", "--max-schedules", "50")
+        assert run_cli("explore", *args) == 0
+        local = capsys.readouterr().out
+        assert "(capped at 50 per shard, stateless pool)" in local
+        assert run_cli("submit", *args, "--kind", "explore", "--server", service.address) == 0
+        *remote, _job = capsys.readouterr().out.splitlines(keepends=True)
+        assert "".join(remote) == local
+
     def test_submit_unknown_bug_is_an_error(self, service, capsys):
         assert run_cli("submit", "figure4", "nope", "--server",
                        service.address) == 2
@@ -346,6 +389,7 @@ class TestExplore:
 
     def test_negative_workers_mean_one_per_cpu(self, monkeypatch, capsys):
         import repro.harness
+        from repro.harness import default_workers
 
         seen = {}
         real = repro.harness.explore_summary
@@ -358,7 +402,7 @@ class TestExplore:
         assert run_cli("explore", "bank", "lost_update", "--dpor",
                        "--sleep-sets", "--workers", "-1",
                        "--max-schedules", "2000") == 0
-        assert seen["workers"] == "auto"
+        assert seen["workers"] == default_workers()
         assert "dpor" in capsys.readouterr().out
 
     def test_snapshots_flag_is_rejected(self, capsys):
