@@ -1,7 +1,7 @@
 """Job executor: the loop hands jobs to slot threads, one worker each.
 
 The daemon's event-loop thread owns the executor's state (which slot
-runs which record, and the latency EMA): :meth:`~JobExecutor.dispatch`
+runs which record, and the run-time EMA): :meth:`~JobExecutor.dispatch`
 hands queued jobs to free slots.  Each slot thread blocks on its own
 inbox and does only the full-coverage cache lookup
 (:func:`~repro.svc.jobs.try_cached_result`, counting into the job's own
@@ -57,7 +57,7 @@ from .queue import BoundedJobQueue
 
 __all__ = ["JobExecutor"]
 
-#: Exponential-moving-average weight for the latency-based retry hint.
+#: Exponential-moving-average weight for the run-time-based retry hint.
 _EMA_ALPHA = 0.3
 
 
@@ -107,7 +107,8 @@ class JobExecutor:
         self._retiring = False
         self._retired_slots = 0
         self._on_settled, self._on_retired = on_settled, on_retired
-        self._ema_latency: Optional[float] = None
+        #: EMA of the settled jobs' run times (start to settle, no queue wait).
+        self._ema_run: Optional[float] = None
         metrics.gauge("svc.workers.slots").set(slots)
 
     # ------------------------------------------------------------------
@@ -147,10 +148,14 @@ class JobExecutor:
         return sum(record is not None for record in self._running)
 
     def retry_hint(self) -> float:
-        """Suggested client backoff: one average job per free-ish slot
-        (asked only on a rejection, so the queue holds ``maxsize``)."""
+        """Suggested client backoff: the backlog's run time spread over the
+        slots (asked only on a rejection, so the queue holds ``maxsize``).
+        Until a job settles, the longest run in progress stands in."""
         backlog = self._queue.maxsize + self.slots  # full queue + (worst case) running
-        per_job = self._ema_latency if self._ema_latency is not None else 1.0
+        per_job = self._ema_run
+        if per_job is None:
+            now = time.monotonic()
+            per_job = max((now - r.started_at for r in self._running if r is not None), default=0.0)
         return min(30.0, max(0.05, backlog * per_job / self.slots))
 
     def dispatch(self) -> None:
@@ -227,15 +232,16 @@ class JobExecutor:
         self._metrics.gauge("svc.workers.busy", volatile=True).set(self.busy)
 
     def _note_done(self, record: JobRecord, failed: bool) -> None:
-        """Fold a finishing job into the metrics and the latency EMA."""
-        latency = time.monotonic() - record.submitted_at
+        """Fold a finishing job into the metrics and the run-time EMA."""
+        now = time.monotonic()
+        latency, run = now - record.submitted_at, now - record.started_at
         name = "svc.jobs.failed" if failed else "svc.jobs.completed"
         self._metrics.counter(name, volatile=True).inc()
         self._metrics.histogram("svc.job_latency_seconds", volatile=True).observe(latency)
-        if self._ema_latency is None:
-            self._ema_latency = latency
+        if self._ema_run is None:
+            self._ema_run = run
         else:
-            self._ema_latency += _EMA_ALPHA * (latency - self._ema_latency)
+            self._ema_run += _EMA_ALPHA * (run - self._ema_run)
 
     # ------------------------------------------------------------------
     # Slot threads

@@ -162,7 +162,7 @@ class TestConcurrentSubmitters:
         hints = []
         for latency in (0.2, 0.5, 1.0, 2.0, 4.0):
             rec = _record(0)
-            rec.submitted_at = time.monotonic() - latency
+            rec.started_at = time.monotonic() - latency
             ex._note_done(rec, failed=False)
             hints.append(ex.retry_hint())
         assert hints == sorted(hints)

@@ -7,6 +7,7 @@ import json
 import os
 import socket
 import threading
+import time
 
 import pytest
 
@@ -178,6 +179,26 @@ class TestBackpressure:
             for job_id in (first, second, third):
                 assert client.wait(job_id, timeout=60)["state"] == "done"
             assert client.metrics()["svc.queue.rejected"]["value"] >= 1
+        finally:
+            svc.close()
+
+    def test_first_rejection_hints_from_the_running_job(self, gate):
+        # No job has settled yet, so the hint comes from how long the
+        # held job has run: at most the time this test has taken, spread
+        # over the backlog of one queued and one running job per slot.
+        svc = ReproService(slots=1, queue_size=1, fault_hook=gate.hook).start()
+        try:
+            client = ReproClient(svc.address)
+            spec = JobSpec(app="figure4", bug="error1", trials=1, timeout=0.2)
+            t0 = time.monotonic()
+            client.submit(spec)
+            gate.started()  # the first job occupies the slot
+            client.submit(spec)  # fills the queue
+            status, doc = client._request("POST", "/jobs", body=spec.to_json())
+            held = time.monotonic() - t0
+            assert status == 503
+            assert 0 < doc["retry_after"] <= max(0.05, 2 * held)
+            gate.release(2)
         finally:
             svc.close()
 
