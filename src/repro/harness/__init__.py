@@ -14,11 +14,7 @@ from .exploration import (
     outcome_hit,
 )
 from .paperdata import SECTION5, SECTION62, TABLE1, TABLE2
-from .parallel import (
-    ParallelExecutionError,
-    default_workers,
-    run_trials_parallel,
-)
+from .parallel import ParallelExecutionError, default_workers
 from .report import generate_report
 from .runner import OverheadRow, measure, run_trials
 from .stats import (
@@ -56,7 +52,6 @@ __all__ = [
     "generate_report",
     "measure",
     "run_trials",
-    "run_trials_parallel",
     "TrialAggregator",
     "TrialFailure",
     "TrialStats",

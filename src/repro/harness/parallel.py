@@ -3,9 +3,8 @@
 The paper's protocol runs every configuration 100 times; each trial is
 fully determined by ``(app class, config, seed)``, so the sweep is
 embarrassingly parallel.  :func:`run_seeds` is the one loop behind every
-sweep — uncached (:func:`repro.harness.run_trials`,
-:func:`run_trials_parallel`) and cached (the result cache hands it
-every missing seed of a request in one call).  With no workers it runs
+sweep — uncached (:func:`repro.harness.run_trials`) and cached (the
+result cache hands it every missing seed of a request in one call).  With no workers it runs
 the seeds in-process; otherwise it deals them to the worker *processes*
 of one :class:`repro.pool.Pool` (the kernel is pure Python; threads
 would serialise on the GIL) in chunks to amortise IPC.  Either way
@@ -38,11 +37,10 @@ from repro.obs.context import current_sink
 from repro.obs.metrics import MetricsRegistry
 from repro.pool import ParallelExecutionError, Pool
 
-from .stats import Row, TrialAggregator, TrialFailure, TrialStats
+from .stats import Row, TrialAggregator, TrialFailure
 
 __all__ = [
     "ParallelExecutionError",
-    "run_trials_parallel",
     "run_seeds",
     "execute_trial",
     "default_workers",
@@ -226,39 +224,3 @@ def run_seeds(
                     attempts=result.attempts, message=result.message,
                 ))
 
-
-def run_trials_parallel(
-    app_cls: Type[BaseApp],
-    n: int = 100,
-    bug: Optional[str] = None,
-    timeout: float = 0.100,
-    flip_order: bool = False,
-    use_policies: bool = True,
-    base_seed: int = 0,
-    params: Optional[Dict[str, Any]] = None,
-    *,
-    workers: int = 0,
-    trial_timeout: Optional[float] = None,
-    max_retries: int = 2,
-    chunk_size: Optional[int] = None,
-    trial_hook: Optional[Callable[[int, int], None]] = None,
-    collect_metrics: bool = False,
-) -> TrialStats:
-    """Pooled :func:`repro.harness.run_trials`, which also takes ``chunk_size``.
-
-    ``workers <= 0`` picks :func:`default_workers`.  ``trial_timeout`` is
-    the per-trial *wall-clock* budget (None = unlimited) — unrelated to
-    the breakpoint pause ``timeout``, which is virtual time inside the
-    simulation.  ``max_retries`` bounds additional attempts for a trial
-    whose worker crashed or raised.  ``trial_hook`` is a picklable
-    fault-injection callable for tests.  See :func:`run_seeds`.
-    """
-    check_trial_count(n)
-    agg = sweep_aggregator(app_cls, n, bug, base_seed, collect_metrics)
-    run_seeds(
-        agg, app_cls, range(base_seed, base_seed + n),
-        timeout=timeout, flip_order=flip_order, use_policies=use_policies, params=params,
-        workers=workers if workers > 0 else default_workers(), trial_timeout=trial_timeout,
-        max_retries=max_retries, chunk_size=chunk_size, trial_hook=trial_hook,
-    )
-    return agg.finalize()

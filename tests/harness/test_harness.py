@@ -19,7 +19,6 @@ from repro.harness import (
     run_trials,
     wilson_interval,
 )
-from repro.harness.parallel import run_trials_parallel
 from repro.harness.stats import TrialStats
 
 
@@ -49,8 +48,6 @@ class TestRunTrials:
         kwargs = {}
         if path == "workers":
             kwargs["workers"] = 2
-            with pytest.raises(ValueError, match=r"^n must be >= 0 .* got -3$"):
-                run_trials_parallel(Figure4App, n=-3, bug="error1", workers=2)
         elif path == "cache":
             from repro.cache import ResultCache
 

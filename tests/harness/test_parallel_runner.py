@@ -21,7 +21,7 @@ from repro.harness import (
     measure,
     run_trials,
 )
-from repro.harness.parallel import run_trials_parallel
+from repro.harness.parallel import run_seeds, sweep_aggregator
 
 # ---------------------------------------------------------------------------
 # Differential: parallel output is identical to serial
@@ -53,10 +53,9 @@ def test_parallel_identical_to_serial(app_name, bug, n, base_seed, workers):
 def test_parallel_identical_across_chunk_sizes():
     serial = run_trials(Figure4App, n=11, bug="error1")
     for chunk_size in (1, 2, 5, 11):
-        parallel = run_trials_parallel(
-            Figure4App, n=11, bug="error1", workers=2, chunk_size=chunk_size
-        )
-        assert parallel == serial
+        agg = sweep_aggregator(Figure4App, 11, "error1", 0, False)
+        run_seeds(agg, Figure4App, range(11), workers=2, chunk_size=chunk_size)
+        assert agg.finalize() == serial
 
 
 def test_parallel_no_bug_config():
@@ -118,7 +117,7 @@ def test_crash_retry_recovers_bit_identical():
     retried trial lands on another worker and the final stats are
     indistinguishable from a crash-free serial run."""
     serial = run_trials(Figure4App, n=10, bug="error1")
-    stats = run_trials_parallel(
+    stats = run_trials(
         Figure4App, n=10, bug="error1", workers=2,
         trial_hook=_crash_seed5_first_attempt,
     )
@@ -127,7 +126,7 @@ def test_crash_retry_recovers_bit_identical():
 
 
 def test_crash_retries_are_bounded():
-    stats = run_trials_parallel(
+    stats = run_trials(
         Figure4App, n=8, bug="error1", workers=2, max_retries=2,
         trial_hook=_crash_seed3_always,
     )
@@ -144,7 +143,7 @@ def test_crash_retries_are_bounded():
 
 
 def test_exception_recorded_as_structured_failure():
-    stats = run_trials_parallel(
+    stats = run_trials(
         Figure4App, n=10, bug="error1", workers=2, max_retries=1,
         trial_hook=_raise_seed7_always,
     )
@@ -157,7 +156,7 @@ def test_exception_recorded_as_structured_failure():
 
 def test_transient_exception_recovers_within_retry_budget():
     serial = run_trials(Figure4App, n=6, bug="error1")
-    stats = run_trials_parallel(
+    stats = run_trials(
         Figure4App, n=6, bug="error1", workers=2, max_retries=2,
         trial_hook=_raise_seed2_twice,
     )
@@ -167,7 +166,7 @@ def test_transient_exception_recovers_within_retry_budget():
 
 def test_hung_trial_times_out_without_retry():
     t0 = time.monotonic()
-    stats = run_trials_parallel(
+    stats = run_trials(
         Figure4App, n=8, bug="error1", workers=2, trial_timeout=1.0,
         trial_hook=_hang_seed4,
     )
