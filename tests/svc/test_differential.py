@@ -11,7 +11,7 @@ the parallel-vs-serial contract of ``repro.harness.parallel``.
 
 import os
 import socket
-import time
+import threading
 
 import pytest
 
@@ -41,11 +41,6 @@ def _raise_first_attempt(spec, attempt):
     """Raise inside the job child on its first attempt."""
     if attempt == 0:
         raise RuntimeError("injected exception")
-
-
-def _hang(spec, attempt):
-    """Stall the job child past any reasonable job timeout."""
-    time.sleep(60)
 
 
 def assert_stats_identical(remote, direct):
@@ -147,9 +142,10 @@ class TestCrashInjection:
         finally:
             svc.close()
 
-    def test_job_timeout_kills_and_is_not_retried(self):
+    def test_job_timeout_kills_and_is_not_retried(self, gate):
+        # The gate is never released: the job child stalls past its budget.
         svc = ReproService(slots=1, queue_size=4, job_timeout=0.4,
-                           max_job_retries=3, fault_hook=_hang).start()
+                           max_job_retries=3, fault_hook=gate.hook).start()
         try:
             client = ReproClient(svc.address)
             with pytest.raises(JobFailed) as exc:
@@ -162,22 +158,32 @@ class TestCrashInjection:
 
 
 class TestClientDisconnect:
-    def test_result_survives_disconnect_mid_wait(self):
+    def test_result_survives_disconnect_mid_wait(self, gate, monkeypatch):
         """A client that vanishes during a long-poll loses nothing: the
         job completes once and the result is identical on re-fetch."""
-        svc = ReproService(slots=1, queue_size=4).start()
+        handle_get_job, parked = ReproService._handle_get_job, threading.Event()
+
+        def parking(service, request, token):
+            response = handle_get_job(service, request, token)
+            parked.set()
+            return response
+
+        monkeypatch.setattr(ReproService, "_handle_get_job", parking)
+        svc = ReproService(slots=1, queue_size=4, fault_hook=gate.hook).start()
         try:
             client = ReproClient(svc.address)
             job_id = client.submit(JobSpec(app="figure4", bug="error1", trials=6,
                                            timeout=0.2))
+            gate.started()  # the job is held until the long-poll has parked
             # raw long-poll, then slam the connection shut mid-wait
             sock = socket.create_connection((svc.host, svc.port), timeout=5)
             sock.sendall(
                 f"GET /jobs/{job_id}?wait=30 HTTP/1.1\r\n"
                 f"Host: {svc.host}\r\nConnection: close\r\n\r\n".encode()
             )
-            time.sleep(0.05)
+            assert parked.wait(timeout=60)
             sock.close()
+            gate.release()
             # a fresh client still reads the one-and-only execution
             record = client.wait(job_id, timeout=60)
             assert record["attempts"] == 1

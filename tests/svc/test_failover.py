@@ -80,11 +80,6 @@ sys.exit(serve_forever(
 """
 
 
-def _sleep_hook(spec, attempt):
-    """Fault hook: make every job attempt slow (picklable, module-level)."""
-    time.sleep(0.4)
-
-
 def _record(i, tenant="anon"):
     return JobRecord(
         f"job-{i:06d}",
@@ -397,12 +392,11 @@ class TestTenantFairQueue:
 
 
 class TestTenantFairnessEndToEnd:
-    def test_greedy_tenant_gets_429_polite_tenant_flows(self):
-        # The sleep hook keeps each job in the worker long enough for
-        # occupancy (queued + inflight) to build up; bare jobs finish in
-        # milliseconds and would never trip the share check.
-        svc = ReproService(slots=1, queue_size=4,
-                           fault_hook=_sleep_hook).start()
+    def test_greedy_tenant_gets_429_polite_tenant_flows(self, gate):
+        # The gate holds each job in the worker until occupancy (queued +
+        # inflight) has built up; bare jobs finish in milliseconds and
+        # would never trip the share check.
+        svc = ReproService(slots=1, queue_size=4, fault_hook=gate.hook).start()
         try:
             client = ReproClient(svc.address)
 
@@ -413,16 +407,14 @@ class TestTenantFairnessEndToEnd:
                                tenant=tenant)
 
             ids = [client.submit(spec(0, "greedy"))]
-            for _ in range(100):  # first greedy job occupies the slot
-                if client.health()["busy"] == 1:
-                    break
-                time.sleep(0.02)
+            gate.started()  # the first greedy job occupies the slot
             ids.append(client.submit(spec(1, "greedy")))
             ids.append(client.submit(spec(0, "polite")))
             with pytest.raises(BackpressureError) as exc:
                 client.submit(spec(2, "greedy"), max_wait=0)
             assert exc.value.status == 429
             assert exc.value.retry_after is not None
+            gate.release(len(ids))
             # The polite job and the accepted greedy jobs all finish.
             for job_id in ids:
                 assert client.wait(job_id, timeout=120)["state"] == "done"

@@ -122,11 +122,12 @@ class TestFaultModel:
             assert exc.value.failure.kind == "crash"
             assert exc.value.failure.attempts == 2
 
-    def test_timeout_is_neither_a_crash_nor_a_retry(self):
+    def test_timeout_is_neither_a_crash_nor_a_retry(self, gate):
         from repro.svc.client import JobFailed
 
+        # The gate is never released: the job stalls past its budget.
         with ReproService(
-            slots=1, queue_size=8, fault_hook=_sleep_long, job_timeout=0.5,
+            slots=1, queue_size=8, fault_hook=gate.hook, job_timeout=0.5,
             max_job_retries=2,
         ) as svc:
             client = ReproClient(svc.address)
@@ -139,15 +140,15 @@ class TestFaultModel:
             # The killed worker was replaced: two forks in all.
             assert _counter_value(snap, "svc.pool.spawned") == 2
 
-    def test_pool_survives_shutdown_with_hung_worker(self):
+    def test_pool_survives_shutdown_with_hung_worker(self, gate):
         """Hard close while a worker is hung must not wedge the service."""
         svc = ReproService(
-            slots=1, queue_size=8, fault_hook=_sleep_long, job_timeout=30.0
+            slots=1, queue_size=8, fault_hook=gate.hook, job_timeout=30.0
         ).start()
         client = ReproClient(svc.address)
         job_id = client.submit(JobSpec(app="figure4", bug="error1", trials=1,
                                        timeout=0.2))
-        time.sleep(0.3)  # let the worker start sleeping in the hook
+        gate.started()  # the worker is held in the hook and never let go
         start = time.monotonic()
         svc.close()
         assert time.monotonic() - start < 10.0
@@ -199,8 +200,3 @@ class TestDaemonDeath:
                 signal.pidfd_send_signal(fd, signal.SIGKILL)
                 os.close(fd)
             os.close(report_r)
-
-
-def _sleep_long(spec, attempt):
-    """Fault hook: wedge the worker far past any test budget."""
-    time.sleep(300)
