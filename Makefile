@@ -5,8 +5,8 @@ TRIALS ?= 100
 # -1 = one worker per CPU
 WORKERS ?= -1
 
-.PHONY: install test test-par test-cache test-infer test-bounded test-explore test-obs test-e2e \
-	lint docstrings serve-smoke fleet-smoke bench bench-par bench-explore \
+.PHONY: install test test-par test-cache test-infer test-bounded test-explore test-obs \
+	test-engine test-e2e lint docstrings serve-smoke fleet-smoke bench bench-par bench-explore \
 	bench-svc bench-cache bench-kernel bench-infer bench-bounding bench-e2e \
 	golden report examples all
 
@@ -61,6 +61,15 @@ test-explore:
 test-obs:
 	$(PYTHON) -m pytest tests/obs/ tests/sim/test_golden_metrics.py \
 	    tests/sim/test_golden_traces.py
+
+# The BTrigger battery: the engine, its trigger types and the OS-thread
+# backend (pairs and groups on one release path), the simulated
+# breakpoint semantics, the trace corpus, kernel determinism, and the
+# paper's methodologies end to end.
+test-engine:
+	$(PYTHON) -m pytest tests/core/ tests/sim/test_btrigger_sim.py \
+	    tests/sim/test_golden_traces.py tests/sim/test_kernel_determinism.py \
+	    tests/integration/test_methodology.py
 
 # The end-to-end benchmark's own unit tests (job generation, metrics,
 # span attribution); pytest's default testpaths do not include them.

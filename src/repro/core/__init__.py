@@ -19,7 +19,6 @@ Public surface:
 from .config import GLOBAL, Config, DEFAULT_TIMEOUT
 from .engine import (
     ArrivalResult,
-    MatchedGroup,
     BreakpointEngine,
     BreakpointStats,
     Matched,
@@ -49,7 +48,6 @@ __all__ = [
     "BreakpointEngine",
     "BreakpointStats",
     "Matched",
-    "MatchedGroup",
     "Postponed",
     "PostponedEntry",
     "Skipped",

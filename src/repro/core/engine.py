@@ -14,9 +14,16 @@ BTrigger works as follows (quoting the paper's mechanism):
   because this could result in a deadlock situation.
 
 This module implements exactly that bookkeeping — the *Postponed* sets,
-matching, ordering decision, and per-breakpoint statistics — with no
-threading or timing of its own.  Backends supply synchronisation and real
-or virtual timers:
+matching, the release order, and per-breakpoint statistics — with no
+threading or timing of its own.  A pair is the two-party case of one
+rule: an arrival matches once it finds ``inst.parties - 1`` postponed
+partners on distinct threads (``parties`` is 2 for every pair trigger; a
+:class:`~repro.core.spec.GroupTrigger` sets its own), and every member is
+released in ascending ``(inst.release_rank(is_first), park order)``.
+For a pair that is Section 2's decision: the ``is_first_action`` side
+goes first, and a tie goes to the thread postponed earlier.
+
+Backends supply synchronisation and real or virtual timers:
 
 * :mod:`repro.core.threads` wraps calls in a ``threading.Lock`` and parks
   threads on ``threading.Event`` objects;
@@ -33,7 +40,7 @@ import dataclasses
 import itertools
 from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Tuple, Union
 
-from .spec import BTrigger, GroupTrigger
+from .spec import BTrigger
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a core<->obs cycle
     from repro.obs import MetricsRegistry
@@ -89,27 +96,21 @@ class PostponedEntry:
     park_time: float = 0.0
     #: Backends stash their wake handle here (threading.Event / SimThread).
     handle: object = None
-    #: Filled in by the engine when a partner matches this entry.
-    matched_with: Optional["PostponedEntry"] = None
-    #: True iff, after the match, this side's thread must act first.
-    acts_first: bool = False
+    #: This entry's index in its match's release order (0 acts first);
+    #: None until a match takes the entry.
+    release: Optional[int] = None
 
 
 @dataclasses.dataclass
 class Matched:
-    """Arrival outcome: a partner was postponed and the predicates agree."""
+    """Arrival outcome: the arrival completed a party of ``inst.parties``.
+
+    ``ordered`` holds every member, the arriving ``entry`` among them, in
+    release order: ascending ``inst.release_rank(is_first)``, ties to the
+    earlier park.  ``ordered[i].release == i``.
+    """
 
     entry: PostponedEntry  # the arriving side (never parked)
-    partner: PostponedEntry  # the previously postponed side
-
-
-@dataclasses.dataclass
-class MatchedGroup:
-    """Arrival outcome for an N-thread breakpoint: the arriving entry
-    completed a party of ``k``; ``ordered`` lists all k entries in the
-    release order (rank 0 first)."""
-
-    entry: PostponedEntry
     ordered: List[PostponedEntry]
 
 
@@ -128,7 +129,12 @@ class Skipped:
     reason: str
 
 
-ArrivalResult = Union[Matched, MatchedGroup, Postponed, Skipped]
+ArrivalResult = Union[Matched, Postponed, Skipped]
+
+
+def _release_key(entry: PostponedEntry) -> Tuple[int, int]:
+    """Release order: the trigger's rank for this side, then park order."""
+    return entry.inst.release_rank(entry.is_first), entry.token
 
 
 class BreakpointEngine:
@@ -226,16 +232,16 @@ class BreakpointEngine:
         """A thread reached a breakpoint site; decide its fate.
 
         Evaluates the policy and local predicate, then scans the
-        same-name postponed set for a partner on a *different* thread
+        same-name postponed set, in park order, for ``inst.parties - 1``
+        partners on threads distinct from each other and from this one
         whose joint predicate holds (``arriving.predicate_global(parked)``,
         the direction used in the paper's Figure 6 implementation).  On a
-        match the partner entry is removed from the postponed set and the
-        ordering decision is recorded on both entries; the caller is
-        responsible for waking the partner and enforcing the order.
+        match the partners leave the postponed set and every member's
+        ``release`` index is set; the caller wakes the partners and
+        enforces the order.  Otherwise the arrival is postponed.
         """
         st = self.stats_for(inst.name)
         st.visits += 1
-        obs = self.obs
 
         if inst.policy is not None and not inst.policy.should_attempt():
             st.local_skips += 1
@@ -253,83 +259,40 @@ class BreakpointEngine:
             park_time=now,
         )
 
-        if isinstance(inst, GroupTrigger):
-            return self._arrive_group(inst, entry, st)
-
-        queue = self._postponed.get(inst.name, ())
+        queue = self._postponed.get(inst.name)
+        if queue is None:
+            queue = self._postponed[inst.name] = []
+        # Built on the first find, so a visit that finds none allocates nothing.
+        partners: Optional[List[PostponedEntry]] = None
         for parked in queue:
-            if parked.thread_key == thread_key:
+            key = parked.thread_key
+            if key == thread_key or not inst.predicate_global(parked.inst):
                 continue
-            if inst.predicate_global(parked.inst):
-                self._postponed[inst.name].remove(parked)
-                first, second = self._decide_order(entry, parked)
-                first.acts_first, second.acts_first = True, False
-                entry.matched_with, parked.matched_with = parked, entry
-                st.hits += 1
-                self.total_hits += 1
-                for side in (entry, parked):
-                    if side.inst.policy is not None:
-                        side.inst.policy.record_trigger()
-                if obs is not None:
-                    self._pause_log.append(now - parked.park_time)
-                return Matched(entry=entry, partner=parked)
-
-        self._postponed.setdefault(inst.name, []).append(entry)
-        st.postpones += 1
-        return Postponed(entry=entry)
-
-    def _arrive_group(self, inst, entry: PostponedEntry, st: BreakpointStats) -> ArrivalResult:
-        """N-thread matching: fire once ``parties`` distinct threads are
-        simultaneously postponed at compatible sites."""
-        queue = self._postponed.get(inst.name, [])
-        partners: List[PostponedEntry] = []
-        seen_threads = {entry.thread_key}
-        for parked in queue:
-            if parked.thread_key in seen_threads:
+            if partners is None:
+                partners = [parked]
+            elif any(p.thread_key == key for p in partners):
                 continue
-            if inst.predicate_global(parked.inst):
+            else:
                 partners.append(parked)
-                seen_threads.add(parked.thread_key)
-                if len(partners) == inst.parties - 1:
-                    break
-        if len(partners) < inst.parties - 1:
-            self._postponed.setdefault(inst.name, []).append(entry)
+            if len(partners) == inst.parties - 1:
+                break
+        else:
+            queue.append(entry)
             st.postpones += 1
             return Postponed(entry=entry)
-        for parked in partners:
-            self._postponed[inst.name].remove(parked)
-        group = partners + [entry]
-        # Release order: ascending rank, park order breaking ties.
-        group.sort(key=lambda e: (getattr(e.inst, "rank", 0), e.token))
-        for i, member in enumerate(group):
-            member.acts_first = i == 0
-            member.matched_with = entry if member is not entry else group[0]
-        st.hits += 1
-        self.total_hits += 1
-        for member in group:
+
+        for p in partners:
+            queue.remove(p)
+        ordered = sorted((entry, *partners), key=_release_key)
+        for i, member in enumerate(ordered):
+            member.release = i
             if member.inst.policy is not None:
                 member.inst.policy.record_trigger()
+        st.hits += 1
+        self.total_hits += 1
         if self.obs is not None:
-            now = entry.park_time  # the completing arrival's timestamp
-            for parked in partners:
-                self._pause_log.append(now - parked.park_time)
-        return MatchedGroup(entry=entry, ordered=group)
-
-    @staticmethod
-    def _decide_order(a: PostponedEntry, b: PostponedEntry) -> Tuple[PostponedEntry, PostponedEntry]:
-        """Which side acts first (Section 2's scheduling decision)?
-
-        The side whose ``trigger_here`` was called with
-        ``is_first_action=True`` goes first.  If both sides claim the same
-        flag (legal when a symmetric race is instrumented with one shared
-        call site) the tie is broken in favour of the thread postponed
-        earlier, which makes re-runs deterministic.
-        """
-        if a.is_first and not b.is_first:
-            return a, b
-        if b.is_first and not a.is_first:
-            return b, a
-        return (b, a) if b.token < a.token else (a, b)
+            self._pause_log.extend(now - p.park_time for p in partners)
+        return Matched(entry=entry, ordered=ordered)
 
     # ------------------------------------------------------------------
     def expire(self, entry: PostponedEntry) -> bool:

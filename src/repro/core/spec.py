@@ -80,11 +80,22 @@ class BTrigger(abc.ABC):
 
     __slots__ = ("name", "policy")
 
+    #: Threads one match takes; :class:`GroupTrigger` sets its own.
+    parties = 2
+
     def __init__(self, name: str, policy: Optional[SitePolicy] = None) -> None:
         if not name:
             raise ValueError("breakpoint name must be non-empty")
         self.name = name
         self.policy = policy
+
+    def release_rank(self, is_first: bool) -> int:
+        """This side's rank in its match's release order (lower goes first).
+
+        A pair ranks its ``is_first_action`` side 0 and the other 1; the
+        engine gives a tie to the side postponed earlier.
+        """
+        return 0 if is_first else 1
 
     # -- predicate halves -------------------------------------------------
     def predicate_local(self) -> bool:
@@ -238,13 +249,12 @@ class GroupTrigger(ConflictTrigger):
     involves three threads.  Our implementation ... can be extended
     accordingly."  This is that extension: the breakpoint fires when
     ``parties`` distinct threads are simultaneously postponed at
-    same-name sites referencing the same object; on a match the threads
-    are released in ascending ``rank`` order (rank 0 acts first) — the
-    k-ary generalisation of the first/second action flag.
+    same-name sites referencing the same object.
 
-    ``rank`` replaces ``is_first_action`` semantically; pass any value
-    for the flag when calling ``trigger_here`` (it is ignored for
-    groups).
+    ``rank`` is this member's :meth:`release_rank` and replaces
+    ``is_first_action``, whose value is ignored.  The engine releases a
+    group exactly as it releases a pair: ascending rank (rank 0 acts
+    first), ties to the earlier park.
     """
 
     __slots__ = ("parties", "rank")
@@ -266,6 +276,10 @@ class GroupTrigger(ConflictTrigger):
             raise ValueError("rank must be in [0, parties)")
         self.parties = parties
         self.rank = rank
+
+    def release_rank(self, is_first: bool) -> int:
+        """A member's rank is its own ``rank``; ``is_first`` is ignored."""
+        return self.rank
 
     def predicate_global(self, other: BTrigger) -> bool:
         """Joint predicate over the whole ``parties``-sized party."""

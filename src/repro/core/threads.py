@@ -11,11 +11,12 @@ objects.
 Ordering caveat: after a match the paper requires the first-action
 thread's *next instruction* to execute before the second's.  Without
 instrumentation this can only be approximated on a preemptive runtime —
-the second thread is held back for ``GLOBAL.order_window`` seconds after
-the first is released.  The simulation backend enforces the ordering
-exactly (the kernel pins the first thread for its next step), which is why
-the evaluation harness uses it; see DESIGN.md decision 2 and the A1
-ablation bench.
+member ``i`` of the match's release order (``entry.release``; 0 for the
+first-action side of a pair) is held back for ``i * GLOBAL.order_window``
+seconds.  The simulation backend enforces the ordering exactly (the
+kernel pins the first thread for its next step), which is why the
+evaluation harness uses it; see DESIGN.md decision 2 and the A1 ablation
+bench.
 """
 
 from __future__ import annotations
@@ -26,14 +27,7 @@ from typing import Dict, Optional
 
 from . import runtimectx
 from .config import GLOBAL
-from .engine import (
-    BreakpointEngine,
-    BreakpointStats,
-    Matched,
-    MatchedGroup,
-    Postponed,
-    Skipped,
-)
+from .engine import BreakpointEngine, BreakpointStats, Matched, Postponed, Skipped
 from .locks import held_tracked_locks
 from .spec import BTrigger
 
@@ -90,49 +84,28 @@ def trigger_here(inst: BTrigger, is_first_action: bool, timeout: Optional[float]
                 timeout=timeout,
             )
             if isinstance(result, Matched):
-                partner = result.partner
-                my_entry = result.entry
-                # Wake the parked partner; it finds ``matched_with`` set.
-                partner.handle.set()
-            elif isinstance(result, MatchedGroup):
-                my_rank = result.ordered.index(result.entry)
+                # Wake the parked partners; each finds its ``release`` set.
                 for member in result.ordered:
                     if member is not result.entry:
-                        member.rank_in_group = result.ordered.index(member)
                         member.handle.set()
+            elif isinstance(result, Postponed):
+                # Under the lock: a later arrival may match it at once.
+                result.entry.handle = threading.Event()
     finally:
         runtimectx.pop_held_locks()
 
     if isinstance(result, Skipped):
         return False
-
-    if isinstance(result, Matched):
-        if not my_entry.acts_first:
-            time.sleep(GLOBAL.order_window)
-        return True
-
-    if isinstance(result, MatchedGroup):
-        # Approximate the rank ordering with staggered head starts
-        # (exact ordering lives in the simulation backend).
-        if my_rank:
-            time.sleep(GLOBAL.order_window * my_rank)
-        return True
-
-    # Postponed: park on an Event until matched or timed out.
-    assert isinstance(result, Postponed)
     entry = result.entry
-    entry.handle = threading.Event()
-    entry.handle.wait(timeout)
-    with _mutex:
-        if entry.matched_with is not None:
-            acts_first = entry.acts_first
-            rank = getattr(entry, "rank_in_group", None)
-        else:
-            _engine.expire(entry)
-            return False
-    if rank is not None:
-        if rank:
-            time.sleep(GLOBAL.order_window * rank)
-    elif not acts_first:
-        time.sleep(GLOBAL.order_window)
+    if isinstance(result, Postponed):
+        # Park until a match wakes this thread or the timeout passes.
+        entry.handle.wait(timeout)
+        with _mutex:
+            if entry.release is None:
+                _engine.expire(entry)
+                return False
+    # Approximate the release order with staggered head starts (exact
+    # ordering lives in the simulation backend).
+    if entry.release:
+        time.sleep(GLOBAL.order_window * entry.release)
     return True

@@ -73,10 +73,6 @@ class Counter:
         """Plain-dict snapshot for JSON export."""
         return {"type": self.kind, "value": self.value, "volatile": self.volatile}
 
-    def merge(self, other: "Counter") -> None:
-        """Fold another counter in by summing."""
-        self.value += other.value
-
 
 class Gauge:
     """Last-written value; merges by taking the maximum (documented
@@ -103,11 +99,6 @@ class Gauge:
     def snapshot(self) -> Dict[str, Any]:
         """Plain-dict snapshot for JSON export."""
         return {"type": self.kind, "value": self.value, "volatile": self.volatile}
-
-    def merge(self, other: "Gauge") -> None:
-        """Fold another gauge in by taking the maximum."""
-        if other.value > self.value:
-            self.value = other.value
 
 
 class Histogram:
@@ -162,18 +153,6 @@ class Histogram:
             "sum": self.sum,
             "volatile": self.volatile,
         }
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram in; buckets must match."""
-        if other.buckets != self.buckets:
-            raise ValueError(
-                f"cannot merge histogram {self.name!r}: bucket mismatch "
-                f"{self.buckets} vs {other.buckets}"
-            )
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.count += other.count
-        self.sum += other.sum
 
 
 Metric = Union[Counter, Gauge, Histogram]
@@ -326,15 +305,9 @@ class MetricsRegistry:
     # Merging
     # ------------------------------------------------------------------
     def merge(self, other: "MetricsRegistry") -> None:
-        """Fold ``other`` into this registry (exact; see class docs)."""
-        for name in sorted(other._metrics):
-            m = other._metrics[name]
-            if isinstance(m, Histogram):
-                self.histogram(name, m.buckets, volatile=m.volatile).merge(m)
-            elif isinstance(m, Gauge):
-                self.gauge(name, volatile=m.volatile).merge(m)
-            else:
-                self.counter(name, volatile=m.volatile).merge(m)
+        """Fold ``other`` into this registry through its wire form (exact;
+        see :meth:`merge_wire`)."""
+        self.merge_wire(other.to_wire())
 
     def merge_wire(self, wire: Iterable[Tuple[str, Tuple[Any, ...]]]) -> None:
         """Merge a :meth:`to_wire` payload (the worker → parent path).

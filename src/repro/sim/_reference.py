@@ -38,7 +38,7 @@ import math
 from typing import Any, List, Optional
 
 from repro.core import runtimectx
-from repro.core.engine import Matched, MatchedGroup, Postponed, Skipped
+from repro.core.engine import Matched, Skipped
 
 from . import syscalls as sc
 from .errors import SimSyscallError
@@ -462,13 +462,18 @@ class ReferenceKernel(Kernel):
             t.pending = False
             return
 
-        if isinstance(result, MatchedGroup):
-            threads = [e.handle if e.handle is not None else t for e in result.ordered]
+        entry = result.entry
+        entry.handle = t
+        if isinstance(result, Matched):
+            threads = [e.handle for e in result.ordered]
             self._record(
                 OP.TRIGGER_HIT,
                 obj=inst,
                 loc=loc,
-                extra={"name": inst.name, "threads": tuple(th.name for th in threads)},
+                extra={
+                    "name": inst.name,
+                    "threads": (t.name, *[th.name for th in threads if th is not t]),
+                },
             )
             for th in threads:
                 if th is not t:
@@ -481,28 +486,6 @@ class ReferenceKernel(Kernel):
                 prev.order_waiters.append(nxt)
             return
 
-        if isinstance(result, Matched):
-            partner_thread: SimThread = result.partner.handle
-            self._record(
-                OP.TRIGGER_HIT,
-                obj=inst,
-                loc=loc,
-                extra={"name": inst.name, "threads": (t.name, partner_thread.name)},
-            )
-            self._wake(partner_thread, True)
-            t.pending = True
-            first_entry = result.entry if result.entry.acts_first else result.partner
-            first_thread = t if first_entry is result.entry else partner_thread
-            second_thread = partner_thread if first_entry is result.entry else t
-            self._pinned.append(first_thread)
-            second_thread.state = TState.ORDER_WAIT
-            second_thread.waiting_on = first_thread
-            first_thread.order_waiters.append(second_thread)
-            return
-
-        assert isinstance(result, Postponed)
-        entry = result.entry
-        entry.handle = t
         self._record(OP.TRIGGER_POSTPONE, obj=inst, loc=loc, extra={"name": inst.name})
         t.state = TState.BLOCKED
         t.waiting_on = ("breakpoint", entry)

@@ -20,10 +20,10 @@ Key mechanics:
   reproduction are virtual-clock readings.
 * **Breakpoints.**  The ``Trigger`` syscall routes through a
   :class:`~repro.core.engine.BreakpointEngine` shared with the OS
-  backend.  On a match the kernel *pins* the first-action thread so its
-  next instruction executes before the partner resumes — the exact
-  scheduling action of paper Section 2, which the OS backend can only
-  approximate.
+  backend.  On a match the kernel *pins* the first thread of the release
+  order so its next instruction executes before the next member resumes,
+  and so on down the order — the exact scheduling action of paper
+  Section 2, which the OS backend can only approximate.
 * **Stall/deadlock detection.**  No runnable thread and no timers with
   live threads is a deadlock (reported with the wait-for cycle, like the
   Jigsaw example); exceeding ``max_time`` with live threads is a stall —
@@ -75,7 +75,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core import runtimectx
 from repro.core.config import GLOBAL
-from repro.core.engine import BreakpointEngine, Matched, MatchedGroup, Postponed, Skipped
+from repro.core.engine import BreakpointEngine, Matched, Skipped
 
 from . import syscalls as sc
 from .errors import SimDeadlockError, SimSyscallError, ThreadFailure, ThreadInterrupted
@@ -382,7 +382,7 @@ class Kernel:
                 self.current = prev
         elif kind == "trigger_timeout":
             entry = payload
-            if entry.matched_with is None:
+            if entry.release is None:
                 self.engine.expire(entry)
                 self._record(
                     OP.TRIGGER_TIMEOUT, obj=entry.inst, loc="?", extra={"name": entry.inst.name},
@@ -929,6 +929,10 @@ class Kernel:
 
     # -- concurrent breakpoints --------------------------------------------
     def _h_trigger(self, t: SimThread, call: sc.Trigger) -> None:
+        """A thread reached a breakpoint site: skip it, park it, or release
+        a match.  A match of any size runs one path: ``ordered[0]`` is
+        pinned for its next step and every later member waits in
+        ``ORDER_WAIT`` for its predecessor's next step."""
         inst = call.inst
         if not GLOBAL.enabled:
             t.pending = False
@@ -947,17 +951,22 @@ class Kernel:
             t.pending = False
             return
 
-        if isinstance(result, MatchedGroup):
-            threads = [e.handle if e.handle is not None else t for e in result.ordered]
+        entry = result.entry
+        entry.handle = t
+        if isinstance(result, Matched):
+            threads = [e.handle for e in result.ordered]
             self._record(
                 OP.TRIGGER_HIT,
                 obj=inst,
                 loc=loc,
-                extra={"name": inst.name, "threads": tuple(th.name for th in threads)},
+                extra={
+                    "name": inst.name,
+                    "threads": (t.name, *[th.name for th in threads if th is not t]),
+                },
             )
-            # Wake everyone, then chain the ordering: rank 0 is pinned,
-            # each later rank resumes only after its predecessor's next
-            # instruction has executed.
+            # Exact Section 2 semantics: wake the partners, pin the first
+            # member of the release order, and chain the rest so each
+            # resumes only after its predecessor's next instruction.
             for th in threads:
                 if th is not t:
                     self._wake(th, True)
@@ -968,29 +977,6 @@ class Kernel:
                 prev.order_waiters.append(nxt)
             return
 
-        if isinstance(result, Matched):
-            partner_thread: SimThread = result.partner.handle
-            self._record(
-                OP.TRIGGER_HIT,
-                obj=inst,
-                loc=loc,
-                extra={"name": inst.name, "threads": (t.name, partner_thread.name)},
-            )
-            self._wake(partner_thread, True)
-            t.pending = True
-            first_entry = result.entry if result.entry.acts_first else result.partner
-            first_thread = t if first_entry is result.entry else partner_thread
-            second_thread = partner_thread if first_entry is result.entry else t
-            # Exact Section 2 semantics: first thread's next instruction
-            # runs before the second thread resumes.
-            self._pinned.append(first_thread)
-            self._block(second_thread, TState.ORDER_WAIT, first_thread)
-            first_thread.order_waiters.append(second_thread)
-            return
-
-        assert isinstance(result, Postponed)
-        entry = result.entry
-        entry.handle = t
         self._record(OP.TRIGGER_POSTPONE, obj=inst, loc=loc, extra={"name": inst.name})
         self._block(t, TState.BLOCKED, ("breakpoint", entry))
         self._arm_timer(t, call.timeout, "trigger_timeout", entry)

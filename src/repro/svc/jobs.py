@@ -157,7 +157,8 @@ class JobSpec:
             raise JobValidationError(
                 f"workers must be >= 0 (0 = serial), got {self.workers}"
             )
-        if self.kind == "trials" and self.trial_timeout is not None and self.workers == 0:
+        timed = self.kind in ("trials", "infer") and self.trial_timeout is not None
+        if timed and self.workers == 0:
             raise JobValidationError("trial_timeout requires workers > 0")
         if self.kind == "infer" and self.bug is not None:
             raise JobValidationError(

@@ -74,18 +74,21 @@ class TestOrdering:
     def test_first_flag_wins(self, engine):
         arrive(engine, tkey=1, first=False)
         res = arrive(engine, tkey=2, first=True)
-        assert res.entry.acts_first and not res.partner.acts_first
+        assert res.ordered[0] is res.entry
+        assert [e.release for e in res.ordered] == [0, 1]
 
     def test_parked_first_flag_wins(self, engine):
-        arrive(engine, tkey=1, first=True)
+        parked = arrive(engine, tkey=1, first=True).entry
         res = arrive(engine, tkey=2, first=False)
-        assert res.partner.acts_first and not res.entry.acts_first
+        assert res.ordered == [parked, res.entry]
+        assert (parked.release, res.entry.release) == (0, 1)
 
     def test_tie_broken_by_postpone_order(self, engine):
-        arrive(engine, tkey=1, first=True)
+        parked = arrive(engine, tkey=1, first=True).entry
         res = arrive(engine, tkey=2, first=True)
         # Earlier-parked side (lower token) acts first on a tie.
-        assert res.partner.acts_first
+        assert res.ordered == [parked, res.entry]
+        assert parked.release == 0
 
 
 class TestDeadlockMatching:

@@ -2,18 +2,21 @@
 
 A seeded driver generates hundreds of arbitrary arrival sequences —
 random breakpoint names, objects, thread keys, first/second flags,
-failing local predicates, interleaved with expiries, cancellations and
-clock advances — and checks the accounting identities that every
+failing local predicates, pair triggers interleaved on one engine with
+group triggers (2, 3 or 4 parties, by seed), expiries, cancellations
+and clock advances — and checks the accounting identities that every
 statistic in the paper's tables is computed from:
 
 * ``visits == local_skips + postpones + hits`` per name (each arrival is
   classified exactly once: rejected, parked, or instantly matched);
 * every ``Matched`` outcome increments ``hits`` by exactly one, removes
-  exactly one parked entry, and designates exactly one side to act first;
+  exactly ``parties - 1`` parked entries on distinct threads, and
+  releases its members in (rank, park order), each ``release`` set once;
 * ``postpones`` decomposes into matched partners + timeouts + cancels +
   still-parked — nothing is lost or double-counted;
-* an entry whose deadline passed never survives its ``expire`` call, and
-  a stale timer (already matched/cancelled) never counts a timeout;
+* an entry whose deadline passed never survives its ``expire`` call, is
+  never released, and a stale timer (already matched/cancelled) never
+  counts a timeout;
 * the whole state machine is deterministic: same seed, same sequence,
   same statistics.
 """
@@ -28,9 +31,9 @@ from repro.core.engine import (
     Postponed,
     Skipped,
 )
-from repro.core.spec import ConflictTrigger, DeadlockTrigger
+from repro.core.spec import ConflictTrigger, DeadlockTrigger, GroupTrigger
 
-NAMES = ["bp_a", "bp_b", "bp_c"]
+NAMES = ["bp_a", "bp_b", "bp_c", "bp_g"]
 N_OBJS = 2
 N_THREADS = 4
 TIMEOUT = 1.0
@@ -40,12 +43,21 @@ def _false():
     return False
 
 
+def _rank(entry):
+    """Model of the release rank: a group member's ``rank``, else the
+    pair's first/second flag."""
+    if isinstance(entry.inst, GroupTrigger):
+        return entry.inst.rank
+    return 0 if entry.is_first else 1
+
+
 class _Driver:
     """Apply a random operation sequence, mirroring the engine's
     bookkeeping in independent counters."""
 
     def __init__(self, seed: int, ops: int = 60) -> None:
         self.rng = random.Random(seed)
+        self.group_parties = 2 + seed % 3
         self.ops = ops
         self.engine = BreakpointEngine()
         self.now = 0.0
@@ -60,7 +72,8 @@ class _Driver:
         self.timeouts = {n: 0 for n in NAMES}
         self.cancels = {n: 0 for n in NAMES}
         self.matched_partners = {n: 0 for n in NAMES}
-        self.match_log = []  # (entry, partner) pairs as reported
+        self.match_log = []  # Matched outcomes as reported
+        self.withdrawn = []  # entries that expired or were cancelled
 
     # -- operations --------------------------------------------------------
     def _make_trigger(self):
@@ -70,12 +83,19 @@ class _Driver:
             if self.rng.random() < 0.5:
                 return DeadlockTrigger(name, l1, l2)
             return DeadlockTrigger(name, l2, l1)
+        if name == "bp_g":
+            parties = self.group_parties
+            return GroupTrigger(
+                name, self.objs[0], parties=parties, rank=self.rng.randrange(parties)
+            )
         local = _false if self.rng.random() < 0.15 else None
         return ConflictTrigger(name, self.rng.choice(self.objs), local=local)
 
     def _arrive(self):
         inst = self._make_trigger()
         thread_key = self.rng.randrange(N_THREADS)
+        parked_before = self.engine.postponed_count(inst.name)
+        hits_before = self.engine.stats_for(inst.name).hits
         result = self.engine.arrive(
             inst,
             is_first=self.rng.random() < 0.5,
@@ -87,14 +107,22 @@ class _Driver:
         if isinstance(result, Skipped):
             self.skips[inst.name] += 1
         elif isinstance(result, Postponed):
+            assert result.entry.release is None
             self.postponed[inst.name] += 1
             self.parked.append(result.entry)
         elif isinstance(result, Matched):
+            partners = [e for e in result.ordered if e is not result.entry]
+            assert len(partners) == inst.parties - 1
+            assert self.engine.postponed_count(inst.name) == parked_before - len(partners)
+            assert self.engine.stats_for(inst.name).hits == hits_before + 1
             self.matches[inst.name] += 1
-            self.matched_partners[result.partner.inst.name] += 1
-            self.parked.remove(result.partner)
+            for partner in partners:
+                # Only a still-parked entry can be released.
+                assert any(partner is e for e in self.parked)
+                self.matched_partners[partner.inst.name] += 1
+                self.parked.remove(partner)
             self.match_log.append(result)
-        else:  # no GroupTriggers in this driver
+        else:
             pytest.fail(f"unexpected arrival result {result!r}")
 
     def _expire_due(self):
@@ -102,6 +130,7 @@ class _Driver:
             assert self.engine.expire(entry), "due entry must still be parked"
             self.timeouts[entry.inst.name] += 1
             self.parked.remove(entry)
+            self.withdrawn.append(entry)
 
     def _cancel_random(self):
         if not self.parked:
@@ -110,6 +139,7 @@ class _Driver:
         assert self.engine.cancel(entry)
         self.cancels[entry.inst.name] += 1
         self.parked.remove(entry)
+        self.withdrawn.append(entry)
 
     def run(self):
         for _ in range(self.ops):
@@ -154,14 +184,22 @@ class _Driver:
             st.hits for st in eng.stats.values()
         )
         assert eng.postponed_count() == len(self.parked)
+        released = set()
         for m in self.match_log:
-            # Exactly one side of each match acts first, and the
-            # cross-links are mutual.
-            assert m.entry.acts_first != m.partner.acts_first
-            assert m.entry.matched_with is m.partner
-            assert m.partner.matched_with is m.entry
-            assert m.entry.thread_key != m.partner.thread_key
-            assert m.entry.inst.predicate_global(m.partner.inst)
+            # A party of ``parties`` distinct threads, released in
+            # (rank, park order), each member's ``release`` set once.
+            assert len(m.ordered) == m.entry.inst.parties
+            assert len({e.thread_key for e in m.ordered}) == len(m.ordered)
+            assert [e.release for e in m.ordered] == list(range(len(m.ordered)))
+            order = [(_rank(e), e.token) for e in m.ordered]
+            assert order == sorted(order)
+            for e in m.ordered:
+                assert id(e) not in released
+                released.add(id(e))
+                if e is not m.entry:
+                    assert m.entry.inst.predicate_global(e.inst)
+        # An entry that expired or was cancelled is never released.
+        assert all(e.release is None for e in self.withdrawn)
         return self
 
 
@@ -178,7 +216,7 @@ def test_matched_entries_are_immune_to_stale_timers():
     for seed in range(40):
         d = _Driver(seed, ops=40).run()
         for m in d.match_log:
-            for entry in (m.entry, m.partner):
+            for entry in m.ordered:
                 before = d.engine.stats_for(entry.inst.name).timeouts
                 assert d.engine.expire(entry) is False
                 assert d.engine.stats_for(entry.inst.name).timeouts == before
@@ -217,9 +255,9 @@ def test_driver_is_deterministic():
         b = _Driver(seed).run()
         assert a.engine.snapshot() == b.engine.snapshot()
         assert [
-            (m.entry.inst.name, m.entry.thread_key, m.partner.thread_key)
+            (m.entry.inst.name, m.entry.thread_key, [e.thread_key for e in m.ordered])
             for m in a.match_log
         ] == [
-            (m.entry.inst.name, m.entry.thread_key, m.partner.thread_key)
+            (m.entry.inst.name, m.entry.thread_key, [e.thread_key for e in m.ordered])
             for m in b.match_log
         ]

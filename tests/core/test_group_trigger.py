@@ -7,7 +7,7 @@ import pytest
 from repro.core import (
     BreakpointEngine,
     GroupTrigger,
-    MatchedGroup,
+    Matched,
     Postponed,
     SitePolicy,
     reset,
@@ -44,7 +44,7 @@ class TestEngineGroupMatching:
         assert isinstance(arrive(engine, 0), Postponed)
         assert isinstance(arrive(engine, 1), Postponed)
         res = arrive(engine, 2)
-        assert isinstance(res, MatchedGroup)
+        assert isinstance(res, Matched)
         assert len(res.ordered) == 3
         assert engine.postponed_count("g") == 0
         assert engine.stats_for("g").hits == 1
@@ -56,7 +56,7 @@ class TestEngineGroupMatching:
         res = arrive(engine, 1, tkey=12)
         ranks = [e.inst.rank for e in res.ordered]
         assert ranks == [0, 1, 2]
-        assert res.ordered[0].acts_first
+        assert [e.release for e in res.ordered] == [0, 1, 2]
 
     def test_distinct_threads_required(self):
         engine = BreakpointEngine()
@@ -183,11 +183,11 @@ def test_group_matching_invariants(parties, arrivals):
     for tkey in arrivals:
         inst = GroupTrigger("g", OBJ, parties=parties, rank=next(ranks))
         res = engine.arrive(inst, True, tkey, 0.0, 0.1)
-        if isinstance(res, MatchedGroup):
+        if isinstance(res, Matched):
             hits += 1
             assert len(res.ordered) == parties
             assert len({e.thread_key for e in res.ordered}) == parties
-            assert res.ordered[0].acts_first
+            assert [e.release for e in res.ordered] == list(range(parties))
             assert [e.inst.rank for e in res.ordered] == sorted(
                 e.inst.rank for e in res.ordered
             )

@@ -52,8 +52,9 @@ class TestPrimitives:
             Histogram("h", buckets=(1.0, 0.1))
 
     def test_histogram_merge_requires_same_buckets(self):
-        a = Histogram("h", buckets=(1.0,))
-        b = Histogram("h", buckets=(2.0,))
+        a, b = MetricsRegistry(), MetricsRegistry()
+        a.histogram("h", buckets=(1.0,))
+        b.histogram("h", buckets=(2.0,))
         with pytest.raises(ValueError):
             a.merge(b)
 

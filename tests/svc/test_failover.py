@@ -26,7 +26,6 @@ import signal
 import subprocess
 import sys
 import threading
-import time
 import urllib.request
 from pathlib import Path
 
@@ -75,7 +74,7 @@ def park(spec, attempt):
 
 sys.exit(serve_forever(
     ReproService(slots=1, fault_hook=park).start(),
-    port_file=port_file, quiet=True,
+    port_file=port_file, quiet=False,
 ))
 """
 
@@ -260,21 +259,22 @@ class TestSigkillMidJob:
             for i in range(2):
                 pf = tmp_path / f"shard{i}.port"
                 if i == 0:
-                    argv = [sys.executable, "-c", _PARKING_DAEMON,
+                    argv = [sys.executable, "-u", "-c", _PARKING_DAEMON,
                             str(started_w), str(pf)]
                 else:
-                    argv = [sys.executable, "-m", "repro", "serve", "--port", "0",
+                    argv = [sys.executable, "-u", "-m", "repro", "serve", "--port", "0",
                             "--slots", "1", "--port-file", str(pf)]
                 procs.append(subprocess.Popen(
                     argv, cwd=REPO, env=env, text=True,
                     pass_fds=(started_w,) if i == 0 else (),
                     stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
                 ))
-                deadline = time.monotonic() + 90
-                while not pf.exists() or not pf.read_text().strip():
-                    assert procs[i].poll() is None, "daemon died on startup"
-                    assert time.monotonic() < deadline, "daemon startup timeout"
-                    time.sleep(0.05)
+                # serve_forever prints its banner right after it writes
+                # the port file; a daemon that dies first closes the pipe.
+                ready, _, _ = select.select([procs[i].stdout], [], [], 90)
+                assert ready, "daemon startup timeout"
+                banner = procs[i].stdout.readline()
+                assert "listening on" in banner, f"daemon died on startup: {banner!r}"
                 urls.append(f"http://127.0.0.1:{int(pf.read_text())}")
             router = FleetRouter(urls, probe_interval=0.5).start()
             spec = _spec_owned_by(router, 0, trials=6)

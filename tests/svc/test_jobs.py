@@ -52,8 +52,11 @@ class TestJobSpec:
             JobSpec(app="figure4", trials=0).validate()
 
     def test_trial_timeout_requires_workers(self):
-        with pytest.raises(JobValidationError, match="requires workers"):
-            JobSpec(app="figure4", trial_timeout=1.0).validate()
+        # An infer job's confirmation sweep is a trial sweep too.
+        for kind, app in (("trials", "figure4"), ("infer", "bank")):
+            with pytest.raises(JobValidationError, match="requires workers"):
+                JobSpec(kind=kind, app=app, trials=4, trial_timeout=1.0).validate()
+            JobSpec(kind=kind, app=app, trials=4, trial_timeout=1.0, workers=2).validate()
 
     def test_valid_spec_passes(self):
         spec = JobSpec(app="figure4", bug="error1", trials=3)
