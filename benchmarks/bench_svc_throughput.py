@@ -88,15 +88,14 @@ def _sequential_cli():
 
 def _concurrent_service():
     """Eight clients hammering one daemon, one thread per client."""
-    from repro.svc import ReproClient, ReproService
+    from repro.svc import JobSpec, ReproClient, ReproService
 
+    spec = JobSpec(app=APP, bug=BUG, trials=TRIALS_PER_JOB, timeout=TIMEOUT)
     results = [None] * JOBS
     with ReproService(slots=JOBS, queue_size=2 * JOBS) as svc:
 
         def one_client(i):
-            results[i] = ReproClient(svc.address).run_trials(
-                APP, bug=BUG, n=TRIALS_PER_JOB, timeout=TIMEOUT
-            )
+            results[i] = ReproClient(svc.address).run(spec)
 
         t0 = time.perf_counter()
         threads = [
@@ -228,15 +227,17 @@ def test_client_keepalive_vs_fresh_connections(benchmark):
 
 
 def _fleet_configs():
-    """64 distinct job configs (distinct routing fingerprints).
+    """64 distinct job specs (distinct routing fingerprints).
 
     The per-trial timeout jitter never binds (the bug reproduces far
     sooner), so every config costs the same — it only moves the config
     hash so the 64 keys spread across the ring.
     """
+    from repro.svc import JobSpec
+
     return [
-        {"app": APP, "bug": BUG, "n": FLEET_TRIALS,
-         "timeout": round(TIMEOUT + i * 1e-3, 4)}
+        JobSpec(app=APP, bug=BUG, trials=FLEET_TRIALS,
+                timeout=round(TIMEOUT + i * 1e-3, 4))
         for i in range(FLEET_CLIENTS)
     ]
 
@@ -254,9 +255,7 @@ def _run_round(addresses, configs):
     results = [None] * len(configs)
 
     def one_client(i, cfg):
-        results[i] = ReproClient(addresses[i]).run_trials(
-            cfg["app"], bug=cfg["bug"], n=cfg["n"], timeout=cfg["timeout"]
-        )
+        results[i] = ReproClient(addresses[i]).run(cfg)
 
     threads = [
         threading.Thread(target=one_client, args=(i, cfg))
@@ -386,8 +385,7 @@ def test_fleet_throughput_vs_single_daemon(benchmark, tmp_path):
     for i in (0, FLEET_CLIENTS // 2, FLEET_CLIENTS - 1):
         cfg = configs[i]
         direct = run_trials(
-            get_app(cfg["app"]), n=cfg["n"], bug=cfg["bug"],
-            timeout=cfg["timeout"],
+            get_app(cfg.app), n=cfg.trials, bug=cfg.bug, timeout=cfg.timeout
         )
         assert last_results[i] == direct
         assert solo_results[i] == direct
@@ -425,7 +423,7 @@ def test_fleet_router_overhead(benchmark, tmp_path):
     """
     if not FORKS:
         pytest.skip("the service executor forks pool workers")
-    from repro.svc import FleetRouter, JobSpec, ReproService, routing_fingerprint
+    from repro.svc import FleetRouter, ReproService, routing_fingerprint
 
     configs = _fleet_configs()
 
@@ -440,11 +438,7 @@ def test_fleet_router_overhead(benchmark, tmp_path):
             _, cold = _run_round(router.address, configs)
             ring = router.ring
             direct = [
-                ring.peers[ring.lookup(routing_fingerprint(JobSpec(
-                    app=cfg["app"], bug=cfg["bug"], trials=cfg["n"],
-                    timeout=cfg["timeout"],
-                )))]
-                for cfg in configs
+                ring.peers[ring.lookup(routing_fingerprint(cfg))] for cfg in configs
             ]
             sides = {"router": router.address, "direct": direct}
             ratios, rounds = [], []

@@ -190,11 +190,13 @@ class ConflictTrigger(BTrigger):
         return True
 
     def predicate_global(self, other: BTrigger) -> bool:
-        """Joint predicate: both triggers watch the same object."""
+        """Joint predicate: both triggers watch the same object and
+        complete parties of one size (a pair is a party of two)."""
         if not (
             self.name == other.name
             and isinstance(other, ConflictTrigger)
             and self.obj is other.obj
+            and self.parties == other.parties
         ):
             return False
         if self.side is not None and other.side is not None and self.side == other.side:
@@ -249,7 +251,8 @@ class GroupTrigger(ConflictTrigger):
     involves three threads.  Our implementation ... can be extended
     accordingly."  This is that extension: the breakpoint fires when
     ``parties`` distinct threads are simultaneously postponed at
-    same-name sites referencing the same object.
+    same-name sites referencing the same object.  Members must agree on
+    ``parties``; a plain :class:`ConflictTrigger` is a party of two.
 
     ``rank`` is this member's :meth:`release_rank` and replaces
     ``is_first_action``, whose value is ignored.  The engine releases a
@@ -280,14 +283,6 @@ class GroupTrigger(ConflictTrigger):
     def release_rank(self, is_first: bool) -> int:
         """A member's rank is its own ``rank``; ``is_first`` is ignored."""
         return self.rank
-
-    def predicate_global(self, other: BTrigger) -> bool:
-        """Joint predicate over the whole ``parties``-sized party."""
-        return (
-            isinstance(other, GroupTrigger)
-            and other.parties == self.parties
-            and super().predicate_global(other)
-        )
 
 
 class PredicateTrigger(BTrigger):

@@ -6,9 +6,10 @@ make the schedule itself a first-class artefact:
 * :class:`RecordingScheduler` wraps any scheduler and logs the tid chosen
   at every step;
 * :class:`ReplayScheduler` re-applies a recorded choice list, yielding a
-  bit-exact re-execution — including of *shorter* prefixes, which the
-  exhaustive explorer (:mod:`repro.sim.explore`) uses to steer runs down
-  chosen branches.
+  bit-exact re-execution — including of *shorter* prefixes, which a
+  fallback scheduler runs to completion.  ``repro.obs.traceio`` replays
+  exported traces with it; the explorers steer their runs with their
+  own prefix scheduler (``repro.sim.snapshot._DFSScheduler``).
 
 This is the "record and replay" baseline the paper contrasts against
 (Section 1's heavy-weight alternative) in its cheapest possible form: on

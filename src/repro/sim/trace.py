@@ -148,22 +148,6 @@ class Trace:
         self._flat += (time, tid, tname, op, obj, loc, extra, step)
         self._len += 1
 
-    def record(
-        self,
-        time: float,
-        tid: int,
-        tname: str,
-        op: str,
-        obj: Any = None,
-        loc: str = "?",
-        extra: Any = None,
-        step: int = -1,
-    ) -> Event:
-        """Append one event and return its materialized view (compat
-        API; the kernel uses :meth:`append` and skips the object)."""
-        self.append(time, tid, tname, op, obj, loc, extra, step)
-        return self._event(self._len - 1)
-
     def _event(self, seq: int) -> Event:
         i = seq * _STRIDE
         f = self._flat
@@ -185,12 +169,6 @@ class Trace:
         the flat buffer, with no :class:`Event` built."""
         f = self._flat
         return tuple(f[_FIELDS.index(name)::_STRIDE] for name in fields)
-
-    @property
-    def _seq(self) -> int:
-        # Back-compat: the old eager Trace exposed a running sequence
-        # counter; it is now just the length.
-        return self._len
 
     def last_step(self) -> int:
         """``step`` of the most recent event (-1 when empty) — events

@@ -1,13 +1,15 @@
 """Client library for the reproduction service (``repro.svc.client``).
 
 A thin, dependency-free (stdlib ``http.client``) wrapper over the
-``repro.svc/1`` protocol.  The high-level helpers mirror the library
-API, so moving a workload onto the daemon is a one-line change::
+``repro.svc/1`` protocol.  A job is a :class:`~repro.svc.jobs.JobSpec`,
+the description ``repro submit`` sends, and :meth:`ReproClient.run`
+returns what the job's library call returns, so moving a workload onto
+the daemon is a one-line change::
 
-    from repro.svc.client import ReproClient
+    from repro.svc import JobSpec, ReproClient
 
     client = ReproClient("http://127.0.0.1:8642")
-    stats = client.run_trials("stringbuffer", bug="atomicity1", n=100)
+    stats = client.run(JobSpec(app="stringbuffer", bug="atomicity1", trials=100))
     # `stats` is a repro.harness.TrialStats, bit-identical to the
     # in-process repro.harness.run_trials(...) call for the same seeds.
 
@@ -38,10 +40,8 @@ import time
 import urllib.parse
 from typing import Any, Dict, Optional
 
-from repro.harness.stats import TrialStats
-
 from . import protocol
-from .jobs import JobSpec, failure_from_wire, stats_from_wire
+from .jobs import JobSpec, failure_from_wire, result_from_wire
 
 __all__ = ["ServiceError", "BackpressureError", "JobFailed", "ReproClient"]
 
@@ -286,11 +286,9 @@ class ReproClient:
             raise ServiceError(status, f"unexpected submission response {doc!r}")
 
     def result_raw(self, job_id: str, wait: Optional[float] = None) -> tuple:
-        """``GET /jobs/<id>`` returning ``(status, doc)`` without raising.
-
-        The fleet router forwards upstream responses verbatim, so it
-        needs the status code even (especially) when it is not 2xx.
-        """
+        """``GET /jobs/<id>`` returning ``(status, doc)`` without raising,
+        for a caller that reads a non-2xx status itself; :meth:`result`
+        raises :class:`ServiceError` on one instead."""
         path = f"/jobs/{urllib.parse.quote(job_id)}"
         timeout = self.timeout
         if wait is not None:
@@ -327,123 +325,16 @@ class ReproClient:
             if record["state"] == "done":
                 return record
 
-    # ------------------------------------------------------------------
-    # High-level helpers (mirror the library API)
-    # ------------------------------------------------------------------
-    def run_trials(
-        self,
-        app: str,
-        bug: Optional[str] = None,
-        n: int = 100,
-        *,
-        timeout: float = 0.100,
-        base_seed: int = 0,
-        flip_order: bool = False,
-        use_policies: bool = True,
-        params: Optional[Dict[str, Any]] = None,
-        workers: int = 0,
-        trial_timeout: Optional[float] = None,
-        collect_metrics: bool = False,
-        job_timeout: Optional[float] = None,
-        wait_timeout: Optional[float] = None,
-        tenant: str = "anon",
-    ) -> TrialStats:
-        """Remote :func:`repro.harness.run_trials`: submit, wait, decode.
+    def run(self, spec: JobSpec, *, wait_timeout: Optional[float] = None) -> Any:
+        """Run one job on the service: submit ``spec``, wait, decode.
 
-        The returned :class:`TrialStats` is bit-identical to the direct
-        call with the same arguments (the service's transport-layer
+        Returns what the job kind's library call returns (a
+        :class:`~repro.harness.TrialStats`, an
+        :class:`~repro.harness.ExplorationSummary` or an
+        :class:`~repro.infer.InferenceReport`), bit-identical to the
+        direct call with the same spec (the service's transport-layer
         guarantee, enforced by ``tests/svc/test_differential.py``).
+        ``wait_timeout`` bounds the wait as in :meth:`wait`.
         """
-        spec = JobSpec(
-            kind="trials",
-            app=app,
-            bug=bug,
-            trials=n,
-            timeout=timeout,
-            base_seed=base_seed,
-            flip_order=flip_order,
-            use_policies=use_policies,
-            params=dict(params or {}),
-            workers=workers,
-            trial_timeout=trial_timeout,
-            collect_metrics=collect_metrics,
-            job_timeout=job_timeout,
-            tenant=tenant,
-        )
         record = self.wait(self.submit(spec), timeout=wait_timeout)
-        return stats_from_wire(record["result"])
-
-    def explore(
-        self,
-        app: str,
-        bug: Optional[str] = None,
-        *,
-        dpor: bool = False,
-        sleep_sets: bool = False,
-        workers: int = 0,
-        max_schedules: int = 2000,
-        seed: int = 0,
-        timeout: float = 0.100,
-        job_timeout: Optional[float] = None,
-        wait_timeout: Optional[float] = None,
-        tenant: str = "anon",
-    ) -> Dict[str, Any]:
-        """Remote :func:`repro.harness.explore_app`; returns the summary
-        dict (schedule counts, hit fractions, DPOR stats, witnesses)."""
-        spec = JobSpec(
-            kind="explore",
-            app=app,
-            bug=bug,
-            dpor=dpor,
-            sleep_sets=sleep_sets,
-            workers=workers,
-            max_schedules=max_schedules,
-            seed=seed,
-            timeout=timeout,
-            job_timeout=job_timeout,
-            tenant=tenant,
-        )
-        record = self.wait(self.submit(spec), timeout=wait_timeout)
-        return record["result"]
-
-    def infer(
-        self,
-        app: str,
-        *,
-        seed: int = 0,
-        trials: int = 20,
-        timeout: float = 0.100,
-        base_seed: int = 0,
-        use_policies: bool = True,
-        params: Optional[Dict[str, Any]] = None,
-        workers: int = 0,
-        steer_attempts: int = 5,
-        job_timeout: Optional[float] = None,
-        wait_timeout: Optional[float] = None,
-        tenant: str = "anon",
-    ):
-        """Remote :func:`repro.infer.infer_app`: submit, wait, decode.
-
-        Returns the reconstructed
-        :class:`~repro.infer.report.InferenceReport`, bit-identical to
-        the direct in-process call with the same arguments (the wire
-        form is lossless; ``tests/infer/`` enforces the differential).
-        """
-        from repro.infer.report import InferenceReport
-
-        spec = JobSpec(
-            kind="infer",
-            app=app,
-            seed=seed,
-            trials=trials,
-            timeout=timeout,
-            base_seed=base_seed,
-            use_policies=use_policies,
-            params=dict(params or {}),
-            workers=workers,
-            steer_attempts=steer_attempts,
-            job_timeout=job_timeout,
-            tenant=tenant,
-        )
-        record = self.wait(self.submit(spec), timeout=wait_timeout)
-        return InferenceReport.from_wire(record["result"])
+        return result_from_wire(record["result"])

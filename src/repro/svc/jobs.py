@@ -42,6 +42,7 @@ __all__ = [
     "execute_job",
     "job_call",
     "try_cached_result",
+    "result_from_wire",
     "stats_to_wire",
     "stats_from_wire",
     "failure_to_wire",
@@ -334,6 +335,28 @@ def job_call(spec: JobSpec) -> Tuple[Any, Dict[str, Any]]:
 
 def _to_wire(result: Any) -> Dict[str, Any]:
     return stats_to_wire(result) if isinstance(result, TrialStats) else result.to_wire()
+
+
+def result_from_wire(doc: Dict[str, Any]) -> Any:
+    """Inverse of the wire form :func:`execute_job` returns.
+
+    The document's ``type`` tag names its kind, and the result is what
+    that kind's library call returns: a :class:`TrialStats`, an
+    :class:`~repro.harness.ExplorationSummary` or an
+    :class:`~repro.infer.InferenceReport`.
+    """
+    kind = doc.get("type")
+    if kind == "trials":
+        return stats_from_wire(doc)
+    if kind == "explore":
+        from repro.harness.exploration import ExplorationSummary
+
+        return ExplorationSummary.from_wire(doc)
+    if kind == "infer":
+        from repro.infer.report import InferenceReport
+
+        return InferenceReport.from_wire(doc)
+    raise ValueError(f"unknown result type {kind!r}")
 
 
 def execute_job(

@@ -354,8 +354,9 @@ class TestServiceDifferential:
         svc = ReproService(slots=2, queue_size=8, cache_dir=str(tmp_path)).start()
         try:
             client = ReproClient(svc.address)
-            cold = client.run_trials("figure4", bug="error1", n=10, timeout=0.2, base_seed=3)
-            warm = client.run_trials("figure4", bug="error1", n=10, timeout=0.2, base_seed=3)
+            job = JobSpec(app="figure4", bug="error1", trials=10, timeout=0.2, base_seed=3)
+            cold = client.run(job)
+            warm = client.run(job)
             assert cold == direct
             assert warm == direct
             counters = self._counters(client)
@@ -372,7 +373,7 @@ class TestServiceDifferential:
             svc.close()
 
     def test_crashed_job_still_caches_correctly(self, tmp_path):
-        from repro.svc import ReproClient, ReproService
+        from repro.svc import JobSpec, ReproClient, ReproService
 
         direct = run_trials(Figure4, n=8, bug="error1", base_seed=7)
         svc = ReproService(
@@ -381,10 +382,11 @@ class TestServiceDifferential:
         ).start()
         try:
             client = ReproClient(svc.address)
-            cold = client.run_trials("figure4", bug="error1", n=8, base_seed=7)
+            job = JobSpec(app="figure4", bug="error1", trials=8, base_seed=7)
+            cold = client.run(job)
             # Warm: the parent-side cache fast path answers without
             # forking, so the child-side fault hook never fires.
-            warm = client.run_trials("figure4", bug="error1", n=8, base_seed=7)
+            warm = client.run(job)
             assert cold == direct
             assert warm == direct
             assert self._counters(client).get("cache.hit", 0) >= 1
@@ -392,14 +394,15 @@ class TestServiceDifferential:
             svc.close()
 
     def test_explore_job_shares_the_cache(self, tmp_path):
-        from repro.svc import ReproClient, ReproService
+        from repro.svc import JobSpec, ReproClient, ReproService
 
         svc = ReproService(slots=2, queue_size=8, cache_dir=str(tmp_path)).start()
         try:
             client = ReproClient(svc.address)
-            kwargs = dict(max_schedules=150, timeout=0.2)
-            e1 = client.explore("figure4", bug="error1", **kwargs)
-            e2 = client.explore("figure4", bug="error1", **kwargs)
+            job = JobSpec(kind="explore", app="figure4", bug="error1",
+                          max_schedules=150, timeout=0.2)
+            e1 = client.run(job)
+            e2 = client.run(job)
             assert e1 == e2
             assert self._counters(client).get("cache.hit", 0) >= 1
         finally:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import (
     BreakpointEngine,
+    ConflictTrigger,
     GroupTrigger,
     Matched,
     Postponed,
@@ -81,6 +82,20 @@ class TestEngineGroupMatching:
         inst = GroupTrigger("g", OBJ, parties=3, rank=2, policy=pols[2])
         engine.arrive(inst, True, 2, 0.0, 0.1)
         assert all(p.triggers == 1 for p in pols)
+
+    @pytest.mark.parametrize("group_first", [True, False])
+    def test_a_pair_and_a_group_match_only_at_one_size(self, group_first):
+        """A pair is a party of two: under one name it matches a group
+        exactly when the sizes agree, whichever side parks first."""
+        for parties, matches in ((3, False), (2, True)):
+            engine = BreakpointEngine()
+            group = GroupTrigger("g", OBJ, parties=parties, rank=0)
+            pair = ConflictTrigger("g", OBJ)
+            first, second = (group, pair) if group_first else (pair, group)
+            assert isinstance(engine.arrive(first, True, 1, 0.0, 0.1), Postponed)
+            res = engine.arrive(second, False, 2, 0.0, 0.1)
+            assert isinstance(res, Matched) is matches
+            assert engine.postponed_count("g") == (0 if matches else 2)
 
     def test_pairs_of_a_four_party_group_time_out(self):
         engine = BreakpointEngine()

@@ -124,12 +124,12 @@ class TestCliInfer:
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs forked job children")
 class TestServiceDifferential:
     def test_service_infer_equals_direct(self):
-        from repro.svc import ReproClient, ReproService
+        from repro.svc import JobSpec, ReproClient, ReproService
 
         svc = ReproService(slots=2, queue_size=8).start()
         try:
             client = ReproClient(svc.address)
-            remote = client.infer("bank", trials=6, timeout=0.2)
+            remote = client.run(JobSpec(kind="infer", app="bank", trials=6, timeout=0.2))
             direct = infer_app("bank", trials=6, timeout=0.2)
             assert remote == direct
             assert json.dumps(remote.to_wire(), sort_keys=True) == \
@@ -145,13 +145,14 @@ class TestServiceDifferential:
             JobSpec(kind="infer", app="bank", bug="lost_update").validate()
 
     def test_served_infer_jobs_hit_the_shared_cache(self, tmp_path):
-        from repro.svc import ReproClient, ReproService
+        from repro.svc import JobSpec, ReproClient, ReproService
 
         svc = ReproService(slots=1, queue_size=4, cache_dir=str(tmp_path)).start()
         try:
             client = ReproClient(svc.address)
-            first = client.infer("bank", trials=6, timeout=0.2)
-            second = client.infer("bank", trials=6, timeout=0.2)
+            job = JobSpec(kind="infer", app="bank", trials=6, timeout=0.2)
+            first = client.run(job)
+            second = client.run(job)
             assert first == second
             counters = {
                 k: v.get("value", 0)

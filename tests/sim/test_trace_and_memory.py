@@ -150,5 +150,7 @@ class TestTraceRecording:
         assert len(ends) == 2
 
     def test_trace_event_repr(self):
-        ev = Trace().record(0.5, 1, "t1", OP.READ, None, "f.py:3", 7)
+        trace = Trace()
+        trace.append(0.5, 1, "t1", OP.READ, None, "f.py:3", 7)
+        ev = trace.events[0]
         assert "t1" in repr(ev) and "read" in repr(ev)

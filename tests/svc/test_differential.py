@@ -16,8 +16,9 @@ import threading
 import pytest
 
 from repro.apps import get_app
-from repro.harness import explore_app, run_trials
+from repro.harness import explore_app, explore_summary, run_trials
 from repro.obs.metrics import deterministic_view
+from repro.sim.explore import Bound
 from repro.svc import JobFailed, JobSpec, ReproClient, ReproService
 from repro.svc.jobs import stats_from_wire
 
@@ -64,7 +65,8 @@ class TestTrialsDifferential:
         try:
             client = ReproClient(svc.address)
             for app, bug, n in [("figure4", "error1", 6), ("stringbuffer", "atomicity1", 5)]:
-                remote = client.run_trials(app, bug=bug, n=n, timeout=0.2, base_seed=3)
+                remote = client.run(JobSpec(app=app, bug=bug, trials=n, timeout=0.2,
+                                            base_seed=3))
                 direct = run_trials(get_app(app), n=n, bug=bug, timeout=0.2, base_seed=3)
                 assert_stats_identical(remote, direct)
                 assert remote == direct  # no metrics: fully identical objects
@@ -75,8 +77,8 @@ class TestTrialsDifferential:
         svc = ReproService(slots=2, queue_size=8).start()
         try:
             client = ReproClient(svc.address)
-            remote = client.run_trials("figure4", bug="error1", n=4, timeout=0.2,
-                                       collect_metrics=True)
+            remote = client.run(JobSpec(app="figure4", bug="error1", trials=4,
+                                        timeout=0.2, collect_metrics=True))
             direct = run_trials(get_app("figure4"), n=4, bug="error1", timeout=0.2,
                                 collect_metrics=True)
             assert remote.metrics is not None
@@ -90,8 +92,8 @@ class TestTrialsDifferential:
         svc = ReproService(slots=1, queue_size=4).start()
         try:
             client = ReproClient(svc.address)
-            remote = client.run_trials("figure4", bug="error1", n=8, timeout=0.2,
-                                       workers=2)
+            remote = client.run(JobSpec(app="figure4", bug="error1", trials=8,
+                                        timeout=0.2, workers=2))
             direct = run_trials(get_app("figure4"), n=8, bug="error1", timeout=0.2)
             assert remote == direct
         finally:
@@ -120,7 +122,8 @@ class TestCrashInjection:
                            fault_hook=_raise_first_attempt).start()
         try:
             client = ReproClient(svc.address)
-            remote = client.run_trials("figure4", bug="error1", n=4, timeout=0.2)
+            remote = client.run(JobSpec(app="figure4", bug="error1", trials=4,
+                                        timeout=0.2))
             direct = run_trials(get_app("figure4"), n=4, bug="error1", timeout=0.2)
             assert remote == direct
         finally:
@@ -132,7 +135,7 @@ class TestCrashInjection:
         try:
             client = ReproClient(svc.address)
             with pytest.raises(JobFailed) as exc:
-                client.run_trials("figure4", bug="error1", n=2, timeout=0.2)
+                client.run(JobSpec(app="figure4", bug="error1", trials=2, timeout=0.2))
             failure = exc.value.failure
             assert failure.kind == "crash"
             assert failure.attempts == 2  # initial + 1 retry
@@ -149,7 +152,7 @@ class TestCrashInjection:
         try:
             client = ReproClient(svc.address)
             with pytest.raises(JobFailed) as exc:
-                client.run_trials("figure4", bug="error1", n=1, timeout=0.2)
+                client.run(JobSpec(app="figure4", bug="error1", trials=1, timeout=0.2))
             failure = exc.value.failure
             assert failure.kind == "timeout"
             assert failure.attempts == 1  # deterministic: never retried
@@ -198,17 +201,17 @@ class TestExploreDifferential:
         svc = ReproService(slots=2, queue_size=8).start()
         try:
             client = ReproClient(svc.address)
-            remote = client.explore("bank", "lost_update", dpor=True,
-                                    sleep_sets=True, max_schedules=2000)
+            remote = client.run(JobSpec(kind="explore", app="bank", bug="lost_update",
+                                        dpor=True, sleep_sets=True, max_schedules=2000))
             direct = explore_app("bank", "lost_update", dpor=True,
                                  sleep_sets=True, max_schedules=2000)
-            assert remote["schedules"] == direct.exploration.count
-            assert remote["complete"] == direct.exploration.complete
-            assert remote["hits"] == direct.hits
-            assert remote["hit_fraction"] == direct.hit_fraction
-            assert remote["hit_probability"] == direct.hit_probability
-            assert remote["dpor"]["branches_added"] == direct.dpor_stats.branches_added
-            assert remote["dpor"]["sleep_set_prunes"] == direct.dpor_stats.sleep_set_prunes
+            assert remote.schedules == direct.exploration.count
+            assert remote.complete == direct.exploration.complete
+            assert remote.hits == direct.hits
+            assert remote.hit_fraction == direct.hit_fraction
+            assert remote.hit_probability == direct.hit_probability
+            assert remote.dpor["branches_added"] == direct.dpor_stats.branches_added
+            assert remote.dpor["sleep_set_prunes"] == direct.dpor_stats.sleep_set_prunes
         finally:
             svc.close()
 
@@ -217,10 +220,29 @@ class TestExploreDifferential:
                            fault_hook=_crash_first_attempt).start()
         try:
             client = ReproClient(svc.address)
-            remote = client.explore("figure4", max_schedules=12)
+            remote = client.run(JobSpec(kind="explore", app="figure4", max_schedules=12))
             direct = explore_app("figure4", max_schedules=12)
-            assert remote["schedules"] == direct.exploration.count
-            assert remote["hits"] == direct.hits
-            assert remote["hit_fraction"] == direct.hit_fraction
+            assert remote.schedules == direct.exploration.count
+            assert remote.hits == direct.hits
+            assert remote.hit_fraction == direct.hit_fraction
         finally:
             svc.close()
+
+    def test_bounded_explore_with_params_equals_direct(self):
+        """Every explore field travels: a preemption bound and workload
+        params reach the daemon's call as they reach the direct one."""
+        svc = ReproService(slots=1, queue_size=4).start()
+        try:
+            client = ReproClient(svc.address)
+            remote = client.run(JobSpec(kind="explore", app="bank", bug="lost_update",
+                                        params={"iters": 2}, bound_preemptions=1))
+        finally:
+            svc.close()
+        direct = explore_summary("bank", "lost_update", params={"iters": 2},
+                                 bound=Bound(preemptions=1))
+        assert remote == direct
+        assert remote.bound == {"preemptions": 1, "variables": None}
+        # The params changed the walk: the default workload explores more.
+        unparameterized = explore_summary("bank", "lost_update",
+                                          bound=Bound(preemptions=1))
+        assert remote.schedules < unparameterized.schedules

@@ -50,9 +50,9 @@ class TestWorkerPersistence:
             pid0 = svc.executor.pool.worker_pid(0)
             assert pid0 is not None
             for seed in range(3):
-                stats = client.run_trials(
-                    "figure4", bug="error1", n=1, base_seed=seed, timeout=0.2
-                )
+                stats = client.run(JobSpec(
+                    app="figure4", bug="error1", trials=1, base_seed=seed, timeout=0.2
+                ))
                 assert stats.trials == 1
             # Same process served every job: no forks beyond the pre-fork.
             assert svc.executor.pool.worker_pid(0) == pid0
@@ -65,9 +65,11 @@ class TestWorkerPersistence:
         """One persistent worker, several different jobs: no state leaks."""
         with ReproService(slots=1, queue_size=8) as svc:
             client = ReproClient(svc.address)
-            remote_a = client.run_trials("figure4", bug="error1", n=3, timeout=0.2)
-            remote_explore = client.explore("figure4", "error1", max_schedules=50)
-            remote_b = client.run_trials("figure4", bug="error1", n=3, timeout=0.2)
+            trials = JobSpec(app="figure4", bug="error1", trials=3, timeout=0.2)
+            remote_a = client.run(trials)
+            remote_explore = client.run(JobSpec(kind="explore", app="figure4",
+                                                bug="error1", max_schedules=50))
+            remote_b = client.run(trials)
             assert svc.executor.pool.worker_pid(0) is not None
         direct = run_trials(get_app("figure4"), n=3, bug="error1", timeout=0.2)
         assert stats_to_wire(remote_a) == stats_to_wire(direct)
@@ -75,7 +77,7 @@ class TestWorkerPersistence:
         from repro.harness import explore_summary
 
         direct_explore = explore_summary("figure4", "error1", max_schedules=50)
-        assert remote_explore == direct_explore.to_wire()
+        assert remote_explore.to_wire() == direct_explore.to_wire()
 
 
 class TestRecycling:
@@ -84,9 +86,9 @@ class TestRecycling:
             client = ReproClient(svc.address)
             pids = set()
             for seed in range(4):
-                client.run_trials(
-                    "figure4", bug="error1", n=1, base_seed=seed, timeout=0.2
-                )
+                client.run(JobSpec(
+                    app="figure4", bug="error1", trials=1, base_seed=seed, timeout=0.2
+                ))
                 pids.add(svc.executor.pool.worker_pid(0))
             snap = client.metrics()
             assert _counter_value(snap, "svc.pool.recycled") >= 1
@@ -102,7 +104,8 @@ class TestFaultModel:
         ) as svc:
             client = ReproClient(svc.address)
             pid0 = svc.executor.pool.worker_pid(0)
-            stats = client.run_trials("figure4", bug="error1", n=1, timeout=0.2)
+            stats = client.run(JobSpec(app="figure4", bug="error1", trials=1,
+                                       timeout=0.2))
             assert stats.bug_hits == 1
             # The crash killed the pre-forked worker; a new one finished.
             assert svc.executor.pool.worker_pid(0) != pid0
@@ -118,7 +121,7 @@ class TestFaultModel:
         ) as svc:
             client = ReproClient(svc.address)
             with pytest.raises(JobFailed) as exc:
-                client.run_trials("figure4", bug="error1", n=1, timeout=0.2)
+                client.run(JobSpec(app="figure4", bug="error1", trials=1, timeout=0.2))
             assert exc.value.failure.kind == "crash"
             assert exc.value.failure.attempts == 2
 
@@ -132,7 +135,7 @@ class TestFaultModel:
         ) as svc:
             client = ReproClient(svc.address)
             with pytest.raises(JobFailed) as exc:
-                client.run_trials("figure4", bug="error1", n=1, timeout=0.2)
+                client.run(JobSpec(app="figure4", bug="error1", trials=1, timeout=0.2))
             assert (exc.value.failure.kind, exc.value.failure.attempts) == ("timeout", 1)
             snap = client.metrics()
             assert _counter_value(snap, "svc.pool.crashes") == 0

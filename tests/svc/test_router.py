@@ -127,7 +127,7 @@ class TestFleetEndToEnd:
     def test_routed_results_equal_direct_calls(self, fleet):
         router, _shards = fleet
         client = ReproClient(router.address)
-        remote = client.run_trials("figure4", bug="error1", n=3, timeout=0.2)
+        remote = client.run(JobSpec(app="figure4", bug="error1", trials=3, timeout=0.2))
         direct = run_trials(get_app("figure4"), n=3, bug="error1", timeout=0.2)
         assert stats_to_wire(remote) == stats_to_wire(direct)
 
@@ -147,15 +147,12 @@ class TestFleetEndToEnd:
     def test_warm_resubmit_hits_shard_local_cache(self, fleet):
         router, shards = fleet
         client = ReproClient(router.address)
-        spec_kwargs = dict(n=2, timeout=0.2)
-        client.run_trials("figure4", bug="error1", **spec_kwargs)
-        client.run_trials("figure4", bug="error1", **spec_kwargs)
+        spec = JobSpec(app="figure4", bug="error1", trials=2, timeout=0.2)
+        client.run(spec)
+        client.run(spec)
         # Both submissions hashed to one shard, whose cache served the
         # second — the other shard saw neither the job nor the lookup.
-        idx = router.ring.lookup(
-            routing_fingerprint(JobSpec(app="figure4", bug="error1", trials=2,
-                                        timeout=0.2))
-        )
+        idx = router.ring.lookup(routing_fingerprint(spec))
         owner = ReproClient(shards[idx].address).metrics()
         other = ReproClient(shards[1 - idx].address).metrics()
         assert owner.get("cache.hit", {}).get("value", 0) >= 1

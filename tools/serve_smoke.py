@@ -222,21 +222,22 @@ def fleet_smoke():
 
             # Mixed job batch, each checked against the direct in-process
             # call — the fleet is a transport, not a semantics.
-            remote_trials = client.run_trials("figure4", bug="error1", n=5,
-                                              timeout=0.2)
+            remote_trials = client.run(JobSpec(app="figure4", bug="error1",
+                                               trials=5, timeout=0.2))
             direct_trials = run_trials(get_app("figure4"), n=5, bug="error1",
                                        timeout=0.2)
             if remote_trials != direct_trials:
                 fail("routed trials result differs from direct call", *procs)
 
-            remote_explore = client.explore("figure4", "error1",
-                                            max_schedules=50)
+            remote_explore = client.run(JobSpec(kind="explore", app="figure4",
+                                                bug="error1", max_schedules=50))
             direct_explore = explore_summary("figure4", "error1",
-                                             max_schedules=50).to_wire()
+                                             max_schedules=50)
             if remote_explore != direct_explore:
                 fail("routed explore result differs from direct call", *procs)
 
-            remote_infer = client.infer("bank", trials=10, timeout=0.2)
+            remote_infer = client.run(JobSpec(kind="infer", app="bank",
+                                              trials=10, timeout=0.2))
             direct_infer = infer_app("bank", trials=10, timeout=0.2)
             if remote_infer.to_wire() != direct_infer.to_wire():
                 fail("routed infer result differs from direct call", *procs)
