@@ -24,7 +24,9 @@ interesting lives in the lifecycle:
   ``POST /drain`` closes the queue (new submissions refused with
   ``503 draining``), lets queued and running jobs finish, then stops
   the worker pool and the HTTP listener.  Accepted work always
-  completes.
+  completes, and its result stays readable: the listener stops once
+  every finished job's result has been sent to a client, or
+  ``_READ_GRACE`` seconds after the last worker retired.
 * **Introspection** — ``GET /health`` (status, queue depth, slot
   utilization) and ``GET /metrics`` (the full ``svc.*`` registry
   snapshot incl. the ``svc.pool.*`` worker-pool and ``svc.http.*``
@@ -37,9 +39,10 @@ history, the fair queue, slot occupancy, tenant in-flight counts, the
 latency EMA, the drain state, every record and the metrics registry.
 Slot threads only run the job the loop hands them and hand the outcome
 back (:mod:`repro.svc.executor`), so every daemon decision is one loop
-step and ``/health`` is one consistent snapshot.  A drain finishes in
-the loop step that settles the last job: the slot threads retire their
-workers, and the hand-back of the last one stops the listener.  Public
+step and ``/health`` is one consistent snapshot.  Once a drain has
+settled the last job, the slot threads retire their workers, and the
+listener stops in the loop step that sends the last unread result (or
+fires the grace timer the last retirement armed).  Public
 methods run on the loop through :meth:`AsyncHTTPFrontend.call
 <repro.svc.http.AsyncHTTPFrontend.call>`; before :meth:`start` the
 caller owns the state.
@@ -67,6 +70,10 @@ __all__ = ["ServiceDraining", "ReproService", "serve_forever"]
 
 #: Finished-job records kept for late readers before eviction.
 _HISTORY_LIMIT = 1024
+
+#: Seconds a drained daemon keeps answering for finished jobs whose
+#: results no client has been sent (a client that went away never asks).
+_READ_GRACE = 5.0
 
 
 class ServiceDraining(Exception):
@@ -134,6 +141,9 @@ class ReproService:
             on_retired=self._retired,
         )
         self._jobs: "collections.OrderedDict[str, JobRecord]" = collections.OrderedDict()
+        #: Ids in the history whose terminal record a client was sent.
+        self._read: set = set()
+        self._workers_retired = False
         self._next_id = 1
         self._drained = threading.Event()
         self._frontend = AsyncHTTPFrontend(
@@ -259,6 +269,8 @@ class ReproService:
         wait, err = protocol.parse_wait(request.query)
         if err is not None:
             return Response(400, protocol.error_body(err))
+        if record.terminal:
+            self._delivered(record)
         if wait is None or record.terminal:
             return Response(200, record.to_json())
         # Long-poll: park the connection; respond on completion or
@@ -268,6 +280,7 @@ class ReproService:
 
         def on_terminal() -> None:
             timer.cancel()
+            self._delivered(record)
             frontend.complete(token, Response(200, record.to_json()))
 
         def on_deadline() -> None:
@@ -341,6 +354,7 @@ class ReproService:
         finished = (jid for jid, rec in self._jobs.items() if rec.terminal)
         for job_id in list(itertools.islice(finished, excess)):
             del self._jobs[job_id]
+            self._read.discard(job_id)
 
     def _list_jobs(self) -> list:
         return [rec.to_json(include_result=False) for rec in self._jobs.values()]
@@ -367,7 +381,23 @@ class ReproService:
         self.executor.retire()
 
     def _retired(self) -> None:
-        """Every slot retired its worker: stop the listener; drained."""
+        """Every slot retired its worker: stop once every finished job's
+        result has been sent, or after :data:`_READ_GRACE` seconds."""
+        self._workers_retired = True
+        self._frontend.call_later(_READ_GRACE, self._stop)
+        self._stop_if_read()
+
+    def _delivered(self, record: JobRecord) -> None:
+        """A client is being sent ``record``'s terminal state."""
+        self._read.add(record.id)
+        self._stop_if_read()
+
+    def _stop_if_read(self) -> None:
+        if self._workers_retired and self._read.issuperset(self._jobs):
+            self._stop()
+
+    def _stop(self) -> None:
+        """Stop the listener (after the current loop step); drained."""
         self._frontend.stop()
         self._drained.set()
 

@@ -17,7 +17,6 @@ from repro.cache import (
     ResultCache,
     explore_config_doc,
     explore_key,
-    fingerprint_doc,
     infer_config_doc,
     infer_key,
     trial_config_doc,
@@ -65,7 +64,7 @@ def test_key_and_config_share_one_rendering(kind, monkeypatch):
     monkeypatch.undo()
     assert len(renderings) == 1
     assert config == json.loads(renderings[0])
-    assert key == fingerprint_doc(config)
+    assert fp._keyed(config) == (key, config)
 
 
 @pytest.mark.parametrize("kind", sorted(CALLS))

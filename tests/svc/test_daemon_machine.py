@@ -23,7 +23,9 @@ The invariants, checked after every step:
 * ``busy`` ≤ slots, and ``/health`` is one consistent snapshot: ``busy``
   is the number of running records and ``queue_depth`` the number of
   queued ones;
-* the service stops only when nothing is queued or running.
+* the service stops exactly when every slot has retired and either a
+  client was sent each finished record in the history or the grace
+  timer fired, and then nothing is queued or running.
 """
 
 from hypothesis import settings
@@ -95,6 +97,7 @@ class _Job:
         self.state = "queued"
         self.slot = None
         self.polls = {}  # parked token → its deadline timer
+        self.read = False  # a client was sent its terminal record
 
 
 class DaemonMachine(RuleBasedStateMachine):
@@ -113,6 +116,8 @@ class DaemonMachine(RuleBasedStateMachine):
         self.draining = False
         self.retiring = [False] * SLOTS
         self.retired = [False] * SLOTS
+        self.grace = None  # the timer the last retirement armed
+        self.grace_fired = False
 
     def teardown(self):
         server._HISTORY_LIMIT = self._limit
@@ -193,6 +198,7 @@ class DaemonMachine(RuleBasedStateMachine):
             (answer,) = self.frontend.answers[token]
             assert (answer.status, answer.body["state"]) == (200, job.state)
             assert timer.cancelled
+            job.read = True
         job.polls.clear()
         self._evict()
         self._observe()
@@ -214,6 +220,7 @@ class DaemonMachine(RuleBasedStateMachine):
             job.polls[token] = timer
         else:
             assert (result.status, result.body["state"]) == (200, job.state)
+            job.read = job.read or job.state not in UNFINISHED
 
     @precondition(lambda self: any(j.polls for j in self.jobs.values()))
     @rule(k=st.integers(0, 100))
@@ -239,7 +246,16 @@ class DaemonMachine(RuleBasedStateMachine):
     def slot_retires(self, k):
         slots = [s for s in range(SLOTS) if self.retiring[s] and not self.retired[s]]
         self.retired[slots[k % len(slots)]] = True
+        timers = len(self.frontend.timers)
         self.svc.executor._slot_retired()
+        if all(self.retired):
+            (self.grace,) = self.frontend.timers[timers:]
+
+    @precondition(lambda self: self.grace and not self.grace_fired and not self.frontend.stopped)
+    @rule()
+    def grace_expires(self):
+        self.grace_fired = True
+        self.grace.fn()
 
     # -- invariants -----------------------------------------------------
     @invariant()
@@ -271,8 +287,9 @@ class DaemonMachine(RuleBasedStateMachine):
         assert doc["status"] == ("draining" if self.draining else "ok")
 
     @invariant()
-    def stops_only_when_nothing_is_queued_or_running(self):
-        assert self.frontend.stopped == all(self.retired)
+    def stops_once_drained_and_every_result_was_sent(self):
+        read = all(self.jobs[i].read for i in self.history)
+        assert self.frontend.stopped == (all(self.retired) and (read or self.grace_fired))
         if self.frontend.stopped:
             assert not self._in(*UNFINISHED)
             assert self.svc.wait_drained(0)
