@@ -6,7 +6,7 @@ TRIALS ?= 100
 WORKERS ?= -1
 
 .PHONY: install test test-par test-cache test-infer test-bounded test-explore test-obs \
-	test-engine test-e2e lint docstrings serve-smoke fleet-smoke bench bench-par bench-explore \
+	test-engine test-svc test-e2e lint docstrings serve-smoke fleet-smoke bench bench-par bench-explore \
 	bench-svc bench-cache bench-kernel bench-infer bench-bounding bench-e2e \
 	golden report examples all
 
@@ -70,6 +70,12 @@ test-engine:
 	$(PYTHON) -m pytest tests/core/ tests/sim/test_btrigger_sim.py \
 	    tests/sim/test_golden_traces.py tests/sim/test_kernel_determinism.py \
 	    tests/integration/test_methodology.py
+
+# The service battery: the service == direct library call differentials,
+# the worker pool's fault contract, the daemon's and the router's loops
+# (Hypothesis state machines), failover, tenancy and the client.
+test-svc:
+	PYTHONPATH=src $(PYTHON) -m pytest tests/svc/
 
 # The end-to-end benchmark's own unit tests (job generation, metrics,
 # span attribution); pytest's default testpaths do not include them.

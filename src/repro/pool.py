@@ -2,7 +2,7 @@
 
 Trial sweeps (:mod:`repro.harness.parallel`), sharded exploration
 (:mod:`repro.sim.explore`, :mod:`repro.sim.dpor`) and the service's
-persistent job workers (:mod:`repro.svc.pool`) all fan work out through
+persistent job workers (:mod:`repro.svc.executor`) all fan work out through
 :class:`Pool`.  The module is stdlib-only and imports nothing from
 :mod:`repro`.
 

@@ -6,10 +6,10 @@ make the schedule itself a first-class artefact:
 * :class:`RecordingScheduler` wraps any scheduler and logs the tid chosen
   at every step;
 * :class:`ReplayScheduler` re-applies a recorded choice list, yielding a
-  bit-exact re-execution — including of *shorter* prefixes, which a
-  fallback scheduler runs to completion.  ``repro.obs.traceio`` replays
-  exported traces with it; the explorers steer their runs with their
-  own prefix scheduler (``repro.sim.snapshot._DFSScheduler``).
+  bit-exact re-execution — including of *shorter* prefixes, which it
+  runs to completion on the lowest runnable tid.  ``repro.obs.traceio``
+  replays exported traces with it; the explorers steer their runs with
+  their own prefix scheduler (``repro.sim.snapshot._DFSScheduler``).
 
 This is the "record and replay" baseline the paper contrasts against
 (Section 1's heavy-weight alternative) in its cheapest possible form: on
@@ -61,32 +61,22 @@ class RecordingScheduler(Scheduler):
 class ReplayScheduler(Scheduler):
     """Re-applies a recorded choice list.
 
-    After the recording is exhausted, falls back to ``fallback`` (default:
-    deterministic lowest-tid) so prefix replays still run to completion.
-    With ``strict=True``, divergence — a recorded tid that is not
-    runnable — raises :class:`ReplayDivergence` instead of falling back.
+    After the recording is exhausted, picks the lowest runnable tid, so
+    prefix replays still run to completion deterministically.  With
+    ``strict=True``, divergence — a recorded tid that is not runnable —
+    raises :class:`ReplayDivergence` instead of picking the lowest tid.
     """
 
-    def __init__(
-        self,
-        choices: Sequence[int],
-        fallback: Optional[Scheduler] = None,
-        strict: bool = False,
-    ) -> None:
+    def __init__(self, choices: Sequence[int], strict: bool = False) -> None:
         self.choices = list(choices)
-        self.fallback = fallback
         self.strict = strict
         self._idx = 0
         self.replayed = 0
         self.diverged = False
 
-    def on_spawn(self, thread: SimThread) -> None:
-        """Forward the spawn to the fallback scheduler, if any."""
-        if self.fallback is not None:
-            self.fallback.on_spawn(thread)
-
     def pick(self, runnable: Sequence[SimThread], step: int) -> SimThread:
-        """Re-apply the recorded tid; fall back or raise on divergence."""
+        """Re-apply the recorded tid; past the recording or on divergence
+        pick the lowest runnable tid (or raise, when ``strict``)."""
         if self._idx < len(self.choices):
             wanted = self.choices[self._idx]
             self._idx += 1
@@ -100,6 +90,4 @@ class ReplayScheduler(Scheduler):
                     f"recorded tid {wanted} not runnable at step {step} "
                     f"(runnable: {[t.tid for t in runnable]})"
                 )
-        if self.fallback is not None:
-            return self.fallback.pick(runnable, step)
         return runnable[0]

@@ -12,15 +12,15 @@ them on the existing harness:
 * :mod:`repro.svc.jobs` — job specs, records, and lossless result
   serialization (the bit-identity layer);
 * :mod:`repro.svc.queue` — bounded admission queue with
-  reject-with-retry-after backpressure and weighted-fair per-tenant
+  reject-with-retry-after backpressure and round-robin per-tenant
   lanes (greedy tenants shed with 429, polite tenants unharmed);
 * :mod:`repro.svc.http` — the selectors-based async HTTP frontend
   (thousands of keep-alive connections, parked long-polls, one thread);
-* :mod:`repro.svc.pool` — the persistent pre-forked worker pool
-  (import once, serve many jobs, recycle after N or on crash);
-* :mod:`repro.svc.executor` — slot threads that run the jobs the event
-  loop hands them on the pool, with wall-clock timeouts and bounded
-  crash retry;
+* :mod:`repro.svc.pool` — the job task each pre-forked worker runs;
+* :mod:`repro.svc.executor` — one persistent pre-forked worker per
+  slot (import once, serve many jobs, recycle after N or on crash) and
+  the slot threads that run the jobs the event loop hands them on it,
+  with wall-clock timeouts and bounded crash retry;
 * :mod:`repro.svc.server` — the HTTP daemon, whose event-loop thread
   owns all of its state; ``/health`` + ``/metrics`` introspection,
   graceful SIGTERM drain;
@@ -61,7 +61,6 @@ _LAZY = {
     "ServiceError": "client",
     "AsyncHTTPFrontend": "http",
     "JobExecutor": "executor",
-    "WorkerPool": "pool",
     "BoundedJobQueue": "queue",
     "QueueClosed": "queue",
     "QueueFull": "queue",

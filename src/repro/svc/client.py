@@ -45,6 +45,9 @@ from .jobs import JobSpec, failure_from_wire, result_from_wire
 
 __all__ = ["ServiceError", "BackpressureError", "JobFailed", "ReproClient"]
 
+#: Seconds one long-poll round of :meth:`ReproClient.wait` asks for.
+_POLL_ROUND = 10.0
+
 
 class ServiceError(RuntimeError):
     """An HTTP-level error from the service (carries the status code)."""
@@ -92,6 +95,9 @@ class ReproClient:
     ``base_url`` is ``http://host:port`` (the scheme is required);
     ``timeout`` bounds each individual HTTP request, *not* job
     completion — long waits are split into bounded long-poll rounds.
+    A request that times out raises :class:`ConnectionError` chained
+    from the socket's ``TimeoutError``, so a ``TimeoutError`` out of
+    :meth:`wait` or :meth:`run` always means their budget ran out.
     """
 
     def __init__(self, base_url: str, timeout: float = 30.0) -> None:
@@ -158,27 +164,32 @@ class ReproClient:
         the stale socket) is safe to replay.  Non-GET failures always
         propagate: retrying a ``POST /jobs`` whose response was lost
         would double-submit the job.  A fresh connection failing also
-        propagates.
+        propagates, a timeout as :class:`ConnectionError`.
         """
         budget = timeout if timeout is not None else self.timeout
         payload = protocol.dumps(body) if body is not None else None
         headers = {"Content-Type": protocol.CONTENT_TYPE} if payload else {}
         conn, reused = self._conn, self._conn is not None
         self._conn = None
-        if conn is None:
-            conn = self._connect(budget)
         try:
-            resp, raw = self._once(conn, method, path, payload, headers, budget)
-        except (http.client.HTTPException, OSError):
-            conn.close()
-            if not reused or method != "GET":
-                raise
-            conn = self._connect(budget)
+            if conn is None:
+                conn = self._connect(budget)
             try:
                 resp, raw = self._once(conn, method, path, payload, headers, budget)
-            except Exception:
+            except (http.client.HTTPException, OSError):
                 conn.close()
-                raise
+                if not reused or method != "GET":
+                    raise
+                conn = self._connect(budget)
+                try:
+                    resp, raw = self._once(conn, method, path, payload, headers, budget)
+                except Exception:
+                    conn.close()
+                    raise
+        except TimeoutError as exc:
+            # The service stopped answering; only a spent budget of
+            # wait() or run() is a TimeoutError.
+            raise ConnectionError(str(exc)) from exc
         if resp.will_close:
             conn.close()
         else:
@@ -300,25 +311,21 @@ class ReproClient:
         """``GET /jobs/<id>`` — one poll, optionally long (``wait`` s)."""
         return self._check(*self.result_raw(job_id, wait=wait))
 
-    def wait(
-        self,
-        job_id: str,
-        timeout: Optional[float] = None,
-        poll: float = 10.0,
-    ) -> Dict[str, Any]:
+    def wait(self, job_id: str, timeout: Optional[float] = None) -> Dict[str, Any]:
         """Block until the job is terminal; returns the full record.
 
         Raises :class:`JobFailed` when the job's attempts were exhausted
-        and ``TimeoutError`` when ``timeout`` elapses first.
+        and ``TimeoutError`` when ``timeout`` elapses first (a service
+        that stops answering raises :class:`ConnectionError` instead).
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            round_wait = poll
+            round_wait = _POLL_ROUND
             if deadline is not None:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise TimeoutError(f"job {job_id} not terminal after {timeout}s")
-                round_wait = min(poll, remaining)
+                round_wait = min(_POLL_ROUND, remaining)
             record = self.result(job_id, wait=round_wait)
             if record["state"] == "failed":
                 raise JobFailed(record)

@@ -6,9 +6,10 @@ hands queued jobs to free slots.  Each slot thread blocks on its own
 inbox and does only the full-coverage cache lookup
 (:func:`~repro.svc.jobs.try_cached_result`, counting into the job's own
 registry) and, on a miss, the run on the slot's **pre-forked worker
-process** (:class:`~repro.svc.pool.WorkerPool`).  It hands the outcome
-and the job's metric deltas back through the loop's ``schedule``; that
-loop step finishes the record, which answers its parked long-polls, and
+process**: one single-worker :class:`repro.pool.Pool` per slot, whose
+worker runs :func:`repro.svc.pool._run_job`.  It hands the outcome and
+the job's metric deltas back through the loop's ``schedule``; that loop
+step finishes the record, which answers its parked long-polls, and
 feeds the slot its next job.
 
 Faults follow the one contract of :mod:`repro.pool` under the
@@ -25,11 +26,19 @@ executor's budget:
   result — re-execution is invisible to the client (the differential
   battery injects crashes to prove it).  After a hard shutdown nothing
   is retried.
+* **Recycling** — a worker is replaced gracefully after
+  :data:`_WORKER_JOB_LIMIT` jobs, as leak hygiene.  Each worker rebinds
+  the shared result cache to a private registry per job and ships the
+  counter deltas back with the result; the slot thread merges them into
+  the job's own registry.
 * **Utilization metrics** — every transition updates the ``svc.*``
   families (busy gauge, latency and queue-wait histograms, completion
-  and retry counters) plus the pool's ``svc.pool.*`` family, all
-  volatile: they describe service operation, never reproduction
-  results.
+  and retry counters), all volatile: they describe service operation,
+  never reproduction results.  Every pool event reaches the
+  ``svc.pool.*`` family through the loop: ``svc.pool.workers`` (gauge)
+  and the ``svc.pool.spawned`` / ``svc.pool.recycled`` /
+  ``svc.pool.crashes`` (worker deaths; timeout kills are not crashes) /
+  ``svc.pool.jobs`` (jobs a worker answered) counters.
 
 **Drain.**  Once the queue is closed and nothing is queued or running,
 :meth:`~JobExecutor.dispatch` has each slot thread retire its worker.
@@ -41,24 +50,37 @@ worker processes of their own.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import queue as _queue
 import threading
 import time
 from typing import Any, Callable, List, Optional
 
+from repro._lazy import preload
 from repro.harness.stats import TrialFailure
 from repro.obs.metrics import MetricsRegistry
-from repro.pool import Result
+from repro.pool import Pool, Result
 
 from .jobs import JobRecord, try_cached_result
-from .pool import FaultHook, WorkerPool
+from .pool import FaultHook, _run_job
 from .queue import BoundedJobQueue
 
 __all__ = ["JobExecutor"]
 
 #: Exponential-moving-average weight for the run-time-based retry hint.
 _EMA_ALPHA = 0.3
+
+#: Jobs one worker serves before it is recycled (leak hygiene).
+_WORKER_JOB_LIMIT = 256
+
+#: Pool events counted into ``svc.pool.*`` counters.
+_COUNTERS = {
+    "spawned": "svc.pool.spawned",
+    "recycled": "svc.pool.recycled",
+    "crash": "svc.pool.crashes",
+    "served": "svc.pool.jobs",
+}
 
 
 class JobExecutor:
@@ -78,7 +100,6 @@ class JobExecutor:
         max_job_retries: int = 1,
         fault_hook: Optional[FaultHook] = None,
         cache: Optional[Any] = None,
-        worker_max_jobs: int = 256,
         on_settled: Callable[[], None] = lambda: None,
         on_retired: Callable[[], None] = lambda: None,
     ) -> None:
@@ -91,13 +112,17 @@ class JobExecutor:
         self.max_job_retries = max_job_retries
         #: Shared :class:`repro.cache.ResultCache` (None = caching off).
         self.cache = cache
-        self.pool = WorkerPool(
-            metrics,
-            slots=slots,
-            fault_hook=fault_hook,
-            cache=cache,
-            max_jobs_per_worker=worker_max_jobs,
-        )
+        #: Runs a callable on the loop thread; here, until start(), the
+        #: caller's own thread.
+        self._schedule: Callable[..., None] = lambda fn: fn()
+        #: One single-worker pool per slot, driven only by that slot's
+        #: thread, so job traffic on a pipe is single-threaded.
+        task = functools.partial(_run_job, fault_hook, cache)
+        self._pools = [
+            Pool(task, max_tasks_per_worker=_WORKER_JOB_LIMIT,
+                 on_event=self._note_pool, name=f"svc-pool-{slot}")
+            for slot in range(slots)
+        ]
         self._threads: List[threading.Thread] = []
         #: One inbox per slot thread, made by start(): a job, or None to
         #: retire the slot.
@@ -115,29 +140,42 @@ class JobExecutor:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self, schedule: Callable[..., None]) -> None:
-        """Pre-fork the worker pool, then spawn the slot threads.
+        """Pre-fork one worker per slot, then spawn the slot threads.
 
         Workers are forked before the slot threads (and before the HTTP
         event loop) exist, so every worker starts from a quiet image.
-        ``schedule`` runs a callable on the loop thread: every hand-back
-        of a slot thread and every pool event goes through it.
+        What jobs run is loaded first, so every worker, replacements
+        included, inherits it instead of importing it once per
+        lifetime: numpy (three apps use it) and the inference stack with
+        networkx.  From then on ``schedule`` runs a callable on the loop
+        thread: every hand-back of a slot thread and every pool event
+        goes through it.
         """
         if self._threads:
             raise RuntimeError("executor already started")
-        self.pool.start(schedule)
+        preload("numpy", "networkx", "repro.infer")
+        for pool in self._pools:
+            pool.start()
+        self._schedule = schedule
         self._inboxes = [_queue.SimpleQueue() for _ in range(self.slots)]
         for i, inbox in enumerate(self._inboxes):
-            t = threading.Thread(target=self._slot_loop, args=(i, inbox, schedule),
+            t = threading.Thread(target=self._slot_loop, args=(i, inbox),
                                  name=f"svc-slot-{i}", daemon=True)
             t.start()
             self._threads.append(t)
 
     def kill(self, timeout: float = 10.0) -> None:
-        """Once :meth:`retire` has run, kill in-flight jobs (they account
-        as crashes, never retried) and wait for the slot threads."""
-        self.pool.kill_running()
+        """Once :meth:`retire` has run, hard-kill every worker (in-flight
+        jobs account as crashes, and nothing is retried or respawned from
+        here on) and wait for the slot threads."""
+        for pool in self._pools:
+            pool.kill()
         for t in self._threads:
             t.join(timeout=timeout)
+
+    def worker_pid(self, slot: int) -> Optional[int]:
+        """PID of the slot's current worker (tests verify persistence)."""
+        return self._pools[slot].pids()[0]
 
     # ------------------------------------------------------------------
     # Loop methods
@@ -231,6 +269,14 @@ class JobExecutor:
     def _note_busy(self) -> None:
         self._metrics.gauge("svc.workers.busy", volatile=True).set(self.busy)
 
+    def _count(self, event: str) -> None:
+        """Fold one pool event into the ``svc.pool.*`` metrics."""
+        if event in _COUNTERS:
+            self._metrics.counter(_COUNTERS[event], volatile=True).inc()
+        if event in ("spawned", "retired"):
+            live = sum(pid is not None for p in self._pools for pid in p.pids())
+            self._metrics.gauge("svc.pool.workers", volatile=True).set(live)
+
     def _note_done(self, record: JobRecord, failed: bool) -> None:
         """Fold a finishing job into the metrics and the run-time EMA."""
         now = time.monotonic()
@@ -246,9 +292,10 @@ class JobExecutor:
     # ------------------------------------------------------------------
     # Slot threads
     # ------------------------------------------------------------------
-    def _slot_loop(self, slot: int, inbox: Any, schedule: Callable[..., None]) -> None:
+    def _slot_loop(self, slot: int, inbox: Any) -> None:
         """One slot thread: run each job its inbox hands it and hand the
         outcome back; retire the slot's worker when the inbox says so."""
+        pool = self._pools[slot]
         while (job := inbox.get()) is not None:
             spec, budget = job
             job_metrics = MetricsRegistry()
@@ -256,9 +303,19 @@ class JobExecutor:
             cached = try_cached_result(cache, spec)
             result = None
             if cached is None:
-                result = self.pool.run(slot, spec, budget, self.max_job_retries, job_metrics)
-            schedule(functools.partial(
+                (result,) = pool.map([spec], max_retries=self.max_job_retries,
+                                     timeout=budget)
+                if result.ok:
+                    payload, deltas = result.value
+                    if deltas:
+                        job_metrics.merge_wire(deltas)
+                    result = dataclasses.replace(result, value=payload)
+            self._schedule(functools.partial(
                 self._settle, slot, cached, result, job_metrics.to_wire()
             ))
-        self.pool.retire(slot)
-        schedule(self._slot_retired)
+        pool.close()
+        self._schedule(self._slot_retired)
+
+    def _note_pool(self, event: str) -> None:
+        """A pool's event hook (any thread): count it on the loop."""
+        self._schedule(functools.partial(self._count, event))

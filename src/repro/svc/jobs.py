@@ -127,7 +127,7 @@ class JobSpec:
     #: measurement and for forcing a recompute).
     no_cache: bool = False
     #: Fair-share accounting identity (multi-tenant fleets).  Purely an
-    #: admission-control label: it feeds the queue's weighted-fair
+    #: admission-control label: it feeds the queue's round-robin
     #: dequeue and per-tenant shedding but never the result, the cache
     #: key, or the routing fingerprint — two tenants submitting the same
     #: config share one cache entry and one shard.

@@ -9,12 +9,13 @@ memory growth (the HTTP layer maps :class:`QueueFull` to ``503`` +
 
 **Tenancy.** Every :class:`~repro.svc.jobs.JobSpec` carries a ``tenant``
 label (default ``"anon"``); the queue keeps one FIFO lane per tenant and
-dequeues them weighted-round-robin (:meth:`BoundedJobQueue.get`), so a
-tenant's burst delays its *own* backlog, not everyone else's.  On top of
-the global capacity check, a tenant whose queued + in-flight occupancy
-reaches its fair share of the queue **while other tenants are active**
-is shed with :class:`TenantOverShare` (the HTTP layer maps it to ``429``
-+ ``Retry-After``).  With a single active tenant neither mechanism can
+dequeues them round-robin (:meth:`BoundedJobQueue.get`), so a tenant's
+burst delays its *own* backlog, not everyone else's.  On top of the
+global capacity check, a tenant whose queued + in-flight occupancy
+reaches its fair share of the queue (``maxsize`` over the active
+tenants) **while other tenants are active** is shed with
+:class:`TenantOverShare` (the HTTP layer maps it to ``429`` +
+``Retry-After``).  With a single active tenant neither mechanism can
 trigger, so single-tenant (and therefore single-daemon pre-tenancy)
 semantics are byte-for-byte the old FIFO queue.
 
@@ -83,14 +84,11 @@ class TenantOverShare(Exception):
 
 class BoundedJobQueue:
     """Bounded queue of :class:`~repro.svc.jobs.JobRecord` with one FIFO
-    lane per tenant and weighted-round-robin dequeue.
+    lane per tenant and round-robin dequeue.
 
     ``retry_hint`` is a callable returning the suggested client backoff
     in seconds (the service supplies its executor's, based on observed
-    job latency); it is consulted only on rejection.  ``tenant_weights``
-    maps tenant name to a positive integer dequeue weight (unlisted
-    tenants weigh 1): a weight-2 tenant is served two jobs per
-    round-robin turn and owns twice the fair share.
+    job latency); it is consulted only on rejection.
     """
 
     def __init__(
@@ -98,7 +96,6 @@ class BoundedJobQueue:
         maxsize: int,
         metrics: Optional[MetricsRegistry] = None,
         retry_hint=None,
-        tenant_weights: Optional[Dict[str, int]] = None,
     ) -> None:
         if maxsize <= 0:
             raise ValueError(f"queue maxsize must be positive, got {maxsize}")
@@ -107,25 +104,14 @@ class BoundedJobQueue:
             collections.OrderedDict()
         )
         self._order: Deque[str] = collections.deque()  # round-robin of lanes
-        self._credit: Dict[str, int] = {}  # turns left this RR pass
         self._inflight: Dict[str, int] = {}  # dequeued, not yet finished
         self._depth = 0
         self._closed = False
         self._metrics = metrics
         self._metric_tenants: set = set()
         self._retry_hint = retry_hint
-        self._weights = dict(tenant_weights or {})
-        for tenant, weight in self._weights.items():
-            if int(weight) <= 0:
-                raise ValueError(
-                    f"tenant weight must be positive, got {tenant}={weight}"
-                )
 
     # ------------------------------------------------------------------
-    def _weight(self, tenant: str) -> int:
-        """Dequeue weight of ``tenant`` (1 unless configured otherwise)."""
-        return int(self._weights.get(tenant, 1))
-
     @staticmethod
     def _tenant_of(record: JobRecord) -> str:
         """The record's admission-control lane (spec tenant label)."""
@@ -201,8 +187,7 @@ class BoundedJobQueue:
         active = self._active_tenants()
         active.add(tenant)
         if len(active) > 1:
-            total_weight = sum(self._weight(t) for t in active)
-            share = max(1, (self.maxsize * self._weight(tenant)) // total_weight)
+            share = max(1, self.maxsize // len(active))
             lane = self._lanes.get(tenant)
             occupancy = (len(lane) if lane else 0) + self._inflight.get(tenant, 0)
             if occupancy >= share:
@@ -215,37 +200,31 @@ class BoundedJobQueue:
                     tenant, share, max(0.05, float(hint) / self.maxsize)
                 )
         lane = self._lanes.get(tenant)
-        if lane is None:
+        if lane is None:  # lanes live while they hold jobs
             lane = self._lanes[tenant] = collections.deque()
-        if not lane and tenant not in self._order:
             self._order.append(tenant)
-            self._credit[tenant] = self._weight(tenant)
         lane.append(record)
         self._depth += 1
         self._note_depth()
         self._note_tenant(tenant)
 
     def get(self) -> Optional[JobRecord]:
-        """Dequeue the next job weighted-round-robin across tenant lanes
-        (None when nothing is queued).
+        """Dequeue the next job round-robin across tenant lanes (None when
+        nothing is queued).
 
         Within one lane order is FIFO; across lanes each tenant is served
-        ``weight`` jobs per turn.
+        one job per turn.
         """
         if self._depth == 0:
             return None
-        tenant = self._order[0]
+        tenant = self._order.popleft()
         lane = self._lanes[tenant]
         record = lane.popleft()
         self._depth -= 1
-        self._credit[tenant] -= 1
-        if not lane:
-            self._order.popleft()
-            self._credit.pop(tenant, None)
+        if lane:
+            self._order.append(tenant)
+        else:
             del self._lanes[tenant]
-        elif self._credit[tenant] <= 0:
-            self._order.rotate(-1)
-            self._credit[tenant] = self._weight(tenant)
         self._note_depth()
         self._note_tenant(tenant)
         return record

@@ -66,7 +66,7 @@ every job counts against its spec's ``tenant`` label
 (``svc.tenant.<name>.inflight``) from the moment it is admitted until
 it is settled, and an optional ``tenant_inflight_limit`` sheds tenants
 over the cap with ``429`` + ``Retry-After`` before a single upstream
-byte is spent.  Shard-local fairness (weighted-fair dequeue,
+byte is spent.  Shard-local fairness (round-robin dequeue,
 fair-share shedding) lives in :mod:`repro.svc.queue`; the router
 forwards those ``429``\\ s verbatim.
 
@@ -120,6 +120,12 @@ __all__ = ["ConsistentHashRing", "routing_fingerprint", "FleetRouter"]
 #: Upstream long-polls are chunked so a forwarder thread is never held
 #: for a client's full wait budget (seconds).
 _POLL_CHUNK = 1.0
+
+#: Seconds one upstream request may take before it counts as failed.
+_HOP_TIMEOUT = 30.0
+
+#: Seconds a ``/health`` probe may take before the shard counts as down.
+_PROBE_TIMEOUT = 2.0
 
 #: Seconds between a departing shard's drain polls, and before a poller
 #: that found its job being re-placed polls again.
@@ -291,10 +297,8 @@ class _Forwarders:
     def __init__(
         self,
         max_threads: int,
-        timeout: float,
         deliver: Callable[[Callable[[], None]], None],
     ) -> None:
-        self._timeout = timeout
         self._deliver = deliver
         self._max = max(1, max_threads)
         self._tasks: "_queue.Queue[Optional[Callable[[], None]]]" = _queue.Queue()
@@ -351,7 +355,7 @@ class _Forwarders:
         if clients is None:
             clients = self._local.clients = {}
         if url not in clients:
-            created = ReproClient(url, timeout=self._timeout)
+            created = ReproClient(url, timeout=_HOP_TIMEOUT)
             with self._lock:
                 self._clients.append(created)
             clients[url] = created
@@ -436,7 +440,6 @@ class FleetRouter:
         *,
         replicas: int = 64,
         forwarders: int = 64,
-        upstream_timeout: float = 30.0,
         probe_interval: float = 2.0,
         eject_after: int = 3,
         tenant_inflight_limit: int = 0,
@@ -448,7 +451,6 @@ class FleetRouter:
         self.metrics = MetricsRegistry()
         self.replicas = replicas
         self._probe_interval = probe_interval
-        self._probe_timeout = min(2.0, upstream_timeout)
         self._eject_after = eject_after
         self._tenant_limit = tenant_inflight_limit
         #: Append-only: a shard keeps its index forever (ids ``s<i>:...``
@@ -464,7 +466,6 @@ class FleetRouter:
         self._tenant_inflight: Dict[str, int] = {}
         self._metric_tenants: set = set()
         self._forwarders_n = forwarders
-        self._upstream_timeout = upstream_timeout
         self._forwarders: Optional[_Forwarders] = None
         self._frontend: Optional[AsyncHTTPFrontend] = None
         self._draining = False
@@ -492,9 +493,7 @@ class FleetRouter:
             on_disconnect=self._on_parked_disconnect,
             name="svc-router",
         )
-        self._forwarders = _Forwarders(
-            self._forwarders_n, self._upstream_timeout, frontend.schedule
-        )
+        self._forwarders = _Forwarders(self._forwarders_n, frontend.schedule)
         self._probe_all()
         if self._probe_interval > 0:
             frontend.call_later(self._probe_interval, self._probe_tick)
@@ -551,7 +550,7 @@ class FleetRouter:
         deadline = None if timeout is None else time.monotonic() + timeout
         for url in members:
             try:
-                remaining = self._upstream_timeout
+                remaining = _HOP_TIMEOUT
                 if deadline is not None:
                     remaining = max(0.1, deadline - time.monotonic())
                 ReproClient(url, timeout=remaining).drain()
@@ -640,7 +639,7 @@ class FleetRouter:
         connections.
         """
         for s in self._shards:
-            probe = ReproClient(s.url, timeout=self._probe_timeout)
+            probe = ReproClient(s.url, timeout=_PROBE_TIMEOUT)
             try:
                 answer: Any = probe._request("GET", "/health")
             except Exception as exc:  # noqa: BLE001 - any failure means unreachable
@@ -659,7 +658,7 @@ class FleetRouter:
             self._frontend.call_later(self._probe_interval, self._probe_tick)
 
         self._gather(
-            [(idx, "/health") for idx in idxs], probed, timeout=self._probe_timeout
+            [(idx, "/health") for idx in idxs], probed, timeout=_PROBE_TIMEOUT
         )
 
     def _candidates_for(self, fingerprint: str) -> Tuple[List[int], List[int]]:
@@ -928,7 +927,7 @@ class FleetRouter:
         path, timeout = f"/jobs/{urllib.parse.quote(upstream_id)}", None
         if chunk is not None:
             path += f"?wait={chunk:g}"
-            timeout = max(self._upstream_timeout, chunk + 10.0)
+            timeout = max(_HOP_TIMEOUT, chunk + 10.0)
 
         def reply(answer: Any) -> None:
             if not self._exchanged(idx, answer):
@@ -1108,7 +1107,7 @@ class FleetRouter:
                 "GET",
                 "/health",
                 lambda answer: self._admit(token, peer, answer),
-                timeout=self._probe_timeout,
+                timeout=_PROBE_TIMEOUT,
             )
             return DEFERRED
         try:

@@ -2,9 +2,8 @@
 
 :class:`ReproService` wires the pieces together — a bounded
 :class:`~repro.svc.queue.BoundedJobQueue`, a
-:class:`~repro.svc.executor.JobExecutor` driving the pre-forked
-:class:`~repro.svc.pool.WorkerPool`, a metrics registry
-(:mod:`repro.obs`) and the selectors-based
+:class:`~repro.svc.executor.JobExecutor` driving one pre-forked worker
+per slot, a metrics registry (:mod:`repro.obs`) and the selectors-based
 :class:`~repro.svc.http.AsyncHTTPFrontend`.  The endpoint surface is
 small and documented in :mod:`repro.svc.protocol`; everything
 interesting lives in the lifecycle:
@@ -92,10 +91,7 @@ class ReproService:
     ``port=0`` (the default) binds an ephemeral port, read back from
     :attr:`port` — tests and the bench never fight over a fixed one.
     ``fault_hook`` is a picklable fault-injection callable forwarded to
-    the executor's pool workers (tests only).  ``worker_max_jobs``
-    bounds how many jobs one pool worker serves before being recycled.
-    ``tenant_weights`` maps tenant name to a positive dequeue weight for
-    the fair queue (unlisted tenants weigh 1).
+    the executor's pool workers (tests only).
     """
 
     def __init__(
@@ -109,8 +105,6 @@ class ReproService:
         max_job_retries: int = 1,
         fault_hook: Optional[FaultHook] = None,
         cache_dir: Optional[str] = None,
-        worker_max_jobs: int = 256,
-        tenant_weights: Optional[Dict[str, int]] = None,
     ) -> None:
         self.host = host
         self.metrics = MetricsRegistry()
@@ -126,7 +120,6 @@ class ReproService:
             queue_size,
             metrics=self.metrics,
             retry_hint=lambda: self.executor.retry_hint(),
-            tenant_weights=tenant_weights,
         )
         self.executor = JobExecutor(
             self.queue,
@@ -136,7 +129,6 @@ class ReproService:
             max_job_retries=max_job_retries,
             fault_hook=fault_hook,
             cache=self.cache,
-            worker_max_jobs=worker_max_jobs,
             on_settled=self._evict,
             on_retired=self._retired,
         )
@@ -402,12 +394,7 @@ class ReproService:
         self._drained.set()
 
 
-def serve_forever(
-    service: Any,
-    *,
-    port_file: Optional[str] = None,
-    quiet: bool = False,
-) -> int:
+def serve_forever(service: Any, *, port_file: Optional[str] = None) -> int:
     """Run a started service until SIGTERM/SIGINT, then drain gracefully.
 
     This is the body of ``repro serve`` and ``repro route``: it installs
@@ -429,16 +416,13 @@ def serve_forever(
     if port_file is not None:
         with open(port_file, "w", encoding="utf-8") as fh:
             fh.write(f"{service.port}\n")
-    if not quiet:
-        print(service.describe())
-        print("send SIGTERM (or POST /drain) for a graceful drain")
+    print(service.describe())
+    print("send SIGTERM (or POST /drain) for a graceful drain")
     try:
         stop.wait()
-        if not quiet:
-            print("drain requested: refusing new jobs, finishing in-flight work")
+        print("drain requested: refusing new jobs, finishing in-flight work")
         service.drain()
-        if not quiet:
-            print("drained cleanly")
+        print("drained cleanly")
     finally:
         for sig, handler in previous.items():
             signal.signal(sig, handler)

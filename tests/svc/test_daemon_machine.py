@@ -6,15 +6,14 @@ long-poll's deadline timer, ``POST /drain``, a slot's hand-back of a
 finished job and a slot thread's report that it retired its worker.
 This suite swaps the frontend and the slot threads' inboxes for fakes
 that only record, and drives those steps against a pure model of the
-daemon: two tenants (one of weight 2) share a small queue, two slots
-and a history patched down to a few records.  No sockets, threads,
-sleeps or clock.
+daemon: two tenants share a small queue, two slots and a history
+patched down to a few records.  No sockets, threads, sleeps or clock.
 
 The invariants, checked after every step:
 
 * a tenant is shed with ``429`` exactly when its queued + running count
-  reaches ``max(1, maxsize * w // W)`` while another tenant is active,
-  so a lone active tenant never is; each tenant is served FIFO;
+  reaches ``max(1, maxsize // active tenants)`` while another tenant is
+  active, so a lone active tenant never is; each tenant is served FIFO;
 * no queued or running record is evicted, the history holds at most the
   limit plus the unfinished records, and the oldest finished records go
   first;
@@ -40,7 +39,7 @@ from repro.svc.http import DEFERRED, Request
 SLOTS = 2
 MAXSIZE = 3
 LIMIT = 2
-WEIGHTS = {"a": 1, "b": 2}
+TENANTS = ("a", "b")
 PAYLOAD = {"type": "trials"}
 UNFINISHED = ("queued", "running")
 
@@ -106,8 +105,7 @@ class DaemonMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self._limit, server._HISTORY_LIMIT = server._HISTORY_LIMIT, LIMIT
-        self.svc = ReproService(slots=SLOTS, queue_size=MAXSIZE,
-                                tenant_weights={"b": WEIGHTS["b"]})
+        self.svc = ReproService(slots=SLOTS, queue_size=MAXSIZE)
         self.frontend = self.svc._frontend = _Frontend()
         self.inboxes = self.svc.executor._inboxes = [_Inbox() for _ in range(SLOTS)]
         self.seen = [0] * SLOTS
@@ -151,7 +149,7 @@ class DaemonMachine(RuleBasedStateMachine):
             self.history.remove(job_id)
 
     # -- rules ----------------------------------------------------------
-    @rule(tenant=st.sampled_from(sorted(WEIGHTS)), n=st.integers(1, 3))
+    @rule(tenant=st.sampled_from(TENANTS), n=st.integers(1, 3))
     def submit(self, tenant, n):
         for _ in range(n):
             self._submit(tenant)
@@ -162,7 +160,7 @@ class DaemonMachine(RuleBasedStateMachine):
         unfinished = self._in(*UNFINISHED)
         active = {j.tenant for j in unfinished} | {tenant}
         held = sum(1 for j in unfinished if j.tenant == tenant)
-        share = max(1, MAXSIZE * WEIGHTS[tenant] // sum(WEIGHTS[t] for t in active))
+        share = max(1, MAXSIZE // len(active))
         if self.draining or len(self._in("queued")) >= MAXSIZE:
             expected = 503
         elif len(active) > 1 and held >= share:

@@ -73,8 +73,7 @@ def park(spec, attempt):
     signal.pause()
 
 sys.exit(serve_forever(
-    ReproService(slots=1, fault_hook=park).start(),
-    port_file=port_file, quiet=False,
+    ReproService(slots=1, fault_hook=park).start(), port_file=port_file,
 ))
 """
 
@@ -335,16 +334,19 @@ class TestTenantFairQueue:
         assert served[1] is polite
         assert served[2:] == greedy[1:]
 
-    def test_configured_weight_buys_extra_turns(self):
-        q = BoundedJobQueue(16, tenant_weights={"greedy": 2})
-        greedy = [_record(i, "greedy") for i in range(3)]
-        polite = _record(9, "polite")
-        for r in greedy:
-            q.put(r)
-        q.put(polite)
-        served = [q.get() for _ in range(4)]
-        assert served[:2] == greedy[:2]  # weight 2 → two jobs per turn
-        assert served[2] is polite
+    def test_three_tenants_take_strict_turns_and_each_is_shed_at_a_third(self):
+        q = BoundedJobQueue(10)
+        lanes = {t: [_record(3 * k + i, t) for i in range(3)]
+                 for k, t in enumerate("abc")}
+        for records in lanes.values():
+            for r in records:
+                q.put(r)
+        for tenant in lanes:  # the queue has room; the tenant has none
+            with pytest.raises(TenantOverShare) as exc:
+                q.put(_record(99, tenant))
+            assert exc.value.share == 10 // 3
+        served = [q.get() for _ in range(9)]
+        assert served == [lanes[t][i] for i in range(3) for t in "abc"]
 
     def test_greedy_tenant_is_shed_at_fair_share(self):
         q = BoundedJobQueue(4)

@@ -19,8 +19,9 @@ from repro.apps import get_app
 from repro.harness import run_trials
 from repro.obs.metrics import MetricsRegistry
 from repro.svc import ReproService, ReproClient, JobSpec
+from repro.svc import executor
 from repro.svc.jobs import stats_to_wire
-from repro.svc.pool import WorkerPool
+from repro.svc.queue import BoundedJobQueue
 
 pytestmark = pytest.mark.skipif(
     not hasattr(os, "fork") and not hasattr(os, "posix_spawn"),
@@ -47,7 +48,7 @@ class TestWorkerPersistence:
     def test_one_worker_serves_many_jobs_without_respawn(self):
         with ReproService(slots=1, queue_size=8) as svc:
             client = ReproClient(svc.address)
-            pid0 = svc.executor.pool.worker_pid(0)
+            pid0 = svc.executor.worker_pid(0)
             assert pid0 is not None
             for seed in range(3):
                 stats = client.run(JobSpec(
@@ -55,7 +56,7 @@ class TestWorkerPersistence:
                 ))
                 assert stats.trials == 1
             # Same process served every job: no forks beyond the pre-fork.
-            assert svc.executor.pool.worker_pid(0) == pid0
+            assert svc.executor.worker_pid(0) == pid0
             snap = client.metrics()
             assert _counter_value(snap, "svc.pool.spawned") == 1
             assert _counter_value(snap, "svc.pool.jobs") == 3
@@ -70,7 +71,7 @@ class TestWorkerPersistence:
             remote_explore = client.run(JobSpec(kind="explore", app="figure4",
                                                 bug="error1", max_schedules=50))
             remote_b = client.run(trials)
-            assert svc.executor.pool.worker_pid(0) is not None
+            assert svc.executor.worker_pid(0) is not None
         direct = run_trials(get_app("figure4"), n=3, bug="error1", timeout=0.2)
         assert stats_to_wire(remote_a) == stats_to_wire(direct)
         assert stats_to_wire(remote_b) == stats_to_wire(direct)
@@ -81,15 +82,16 @@ class TestWorkerPersistence:
 
 
 class TestRecycling:
-    def test_worker_recycled_after_max_jobs(self):
-        with ReproService(slots=1, queue_size=8, worker_max_jobs=2) as svc:
+    def test_worker_recycled_after_max_jobs(self, monkeypatch):
+        monkeypatch.setattr(executor, "_WORKER_JOB_LIMIT", 2)
+        with ReproService(slots=1, queue_size=8) as svc:
             client = ReproClient(svc.address)
             pids = set()
             for seed in range(4):
                 client.run(JobSpec(
                     app="figure4", bug="error1", trials=1, base_seed=seed, timeout=0.2
                 ))
-                pids.add(svc.executor.pool.worker_pid(0))
+                pids.add(svc.executor.worker_pid(0))
             snap = client.metrics()
             assert _counter_value(snap, "svc.pool.recycled") >= 1
             assert _counter_value(snap, "svc.pool.spawned") >= 2
@@ -103,12 +105,12 @@ class TestFaultModel:
             slots=1, queue_size=8, fault_hook=_crash_first, max_job_retries=1
         ) as svc:
             client = ReproClient(svc.address)
-            pid0 = svc.executor.pool.worker_pid(0)
+            pid0 = svc.executor.worker_pid(0)
             stats = client.run(JobSpec(app="figure4", bug="error1", trials=1,
                                        timeout=0.2))
             assert stats.bug_hits == 1
             # The crash killed the pre-forked worker; a new one finished.
-            assert svc.executor.pool.worker_pid(0) != pid0
+            assert svc.executor.worker_pid(0) != pid0
             snap = client.metrics()
             assert _counter_value(snap, "svc.pool.crashes") >= 1
             assert _counter_value(snap, "svc.pool.spawned") >= 2
@@ -170,8 +172,11 @@ class TestDaemonDeath:
         if daemon == 0:  # the daemon: start a pool, report, wait to die
             try:
                 os.close(report_r)
-                pool = WorkerPool(MetricsRegistry(), slots=2).start()
-                pids = " ".join(str(pool.worker_pid(s)) for s in range(2))
+                daemon_executor = executor.JobExecutor(
+                    BoundedJobQueue(1), MetricsRegistry(), slots=2
+                )
+                daemon_executor.start(lambda fn: fn())
+                pids = " ".join(str(daemon_executor.worker_pid(s)) for s in range(2))
                 os.write(report_w, pids.encode())
                 signal.pause()
             finally:

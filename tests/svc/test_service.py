@@ -18,11 +18,11 @@ from repro.svc import (
     ReproService,
     ServiceError,
 )
+from repro.svc import client as client_module
 from repro.svc import server
 from repro.svc.client import JobFailed
 from repro.svc.executor import JobExecutor
 from repro.svc.jobs import JobRecord
-from repro.svc.pool import WorkerPool
 from repro.svc.queue import BoundedJobQueue
 
 pytestmark = pytest.mark.skipif(
@@ -315,11 +315,10 @@ _LOOP_METHODS = {
                    "_begin_drain", "_retired", "_delivered", "_stop",
                    "_on_parked_disconnect"),
     JobExecutor: ("dispatch", "retire", "_settle", "_slot_retired", "_note_done",
-                  "_note_busy", "retry_hint"),
+                  "_note_busy", "retry_hint", "_count"),
     BoundedJobQueue: ("put", "get", "note_running", "note_finished", "close",
                       "tenants_snapshot"),
     JobRecord: ("mark_running", "finish", "fail", "subscribe", "unsubscribe"),
-    WorkerPool: ("_count",),
 }
 
 
@@ -388,6 +387,25 @@ class TestClientValidation:
 
 
 class TestWaitBudget:
+    def test_a_silent_service_is_not_a_spent_budget(self, monkeypatch):
+        """A service that stops answering mid-wait raises an OSError that
+        is not a ``TimeoutError``: that type means a spent budget."""
+        # One short long-poll round: the socket gives up after the
+        # round's slack (10 s), not after a 20 s default round.
+        monkeypatch.setattr(client_module, "_POLL_ROUND", 0.05)
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)  # the kernel completes connects; nothing answers
+        url = f"http://127.0.0.1:{listener.getsockname()[1]}"
+        try:
+            with ReproClient(url, timeout=0.3) as client, \
+                    pytest.raises(OSError) as exc:
+                client.wait("job-000001")
+        finally:
+            listener.close()
+        assert not isinstance(exc.value, TimeoutError)
+        assert isinstance(exc.value.__cause__, TimeoutError)
+
     def test_run_raises_timeout_on_a_held_job(self, gate):
         svc = ReproService(slots=1, queue_size=4, fault_hook=gate.hook).start()
         try:
@@ -429,10 +447,14 @@ class TestWaitBudget:
         stopped answering, whatever became of the job."""
         from repro.__main__ import main
 
-        def silent(self, job_id, timeout=None, poll=10.0):
-            raise TimeoutError("timed out")
+        real_once = ReproClient._once
 
-        monkeypatch.setattr(ReproClient, "wait", silent)
+        def silent(self, conn, method, path, *args):
+            if method == "GET" and path.startswith("/jobs/"):
+                raise TimeoutError("timed out")  # what a socket timeout raises
+            return real_once(self, conn, method, path, *args)
+
+        monkeypatch.setattr(ReproClient, "_once", silent)
         svc = ReproService(slots=1, queue_size=4).start()
         try:
             rc = main(["submit", "figure4", "error1", "--trials", "1",
